@@ -130,12 +130,19 @@ def _load_config(args):
     return cfg
 
 
+def _fit(ds, cfg):
+    from . import train
+
+    fit = train.train_nnm if cfg.kind == "nnm" else train.train_quantum
+    return fit(ds, cfg)
+
+
 def _cmd_train(args):
-    from . import models, train
+    from . import models
 
     ds = _load_dataset(args)
     cfg = _load_config(args)
-    model, history = train.train_quantum(ds, cfg)
+    model, history = _fit(ds, cfg)
     models.save_model(model, args.model_out)
     last = history.objective[-1] if len(history) else float("nan")
     print(f"trained users={model.U} items={model.I} D={model.D} objective={last:.6g}")
@@ -146,7 +153,7 @@ def _cmd_train(args):
 def _cmd_evaluate(args):
     import numpy as np
 
-    from . import data, metrics, train
+    from . import data, metrics
 
     ds = _load_dataset(args)
     cfg = _load_config(args)
@@ -155,7 +162,7 @@ def _cmd_evaluate(args):
     wanted = list(dict.fromkeys(wanted))
     values = {name: [] for name in wanted}
     for split in data.kfold_split(ds, args.folds, seed=args.seed):
-        model, _ = train.train_quantum(ds.subset(split.train), cfg)
+        model, _ = _fit(ds.subset(split.train), cfg)
         for name in wanted:
             fn = metrics.mae if name == "mae" else metrics.rmse
             report = fn(model, ds, split)
@@ -167,12 +174,12 @@ def _cmd_evaluate(args):
 
 
 def _cmd_topn(args):
-    from . import data, metrics, train
+    from . import data, metrics
 
     ds = _load_dataset(args)
     cfg = _load_config(args)
     split = data.topn_holdout(ds, args.fraction, seed=args.seed)
-    model, _ = train.train_quantum(ds.subset(split.train), cfg)
+    model, _ = _fit(ds.subset(split.train), cfg)
     report = metrics.recall_at_n(model, ds, split, args.n)
     print(f"recall@{args.n} value={report.value:.6g} users={report.count}")
     return 0

@@ -99,7 +99,7 @@ def eigh(a):
 
 def _recompose(w, v):
     """Rebuild sum_k w_k v_k v_k^dagger from a (batched) eigensystem."""
-    return hermitianize(np.einsum("...k,...ak,...bk->...ab", w, v, np.conj(v), optimize=True))
+    return hermitianize((v * w[..., None, :]) @ np.conj(np.swapaxes(v, -1, -2)))
 
 
 def project_to_spectrahedron(a):

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .exceptions import InvalidInput
-from .models import predicted_star, score_entries, score_items
+from .models import score_entries, score_items
 
 __all__ = ["MetricReport", "mae", "rmse", "recall_at_n", "rating_histogram"]
 

@@ -424,10 +424,20 @@ def _parse_value(token, complex_field, path, ln):
         raise ParseError(f"{path} line {ln}: bad numeric token {token!r}") from None
 
 
+def _parse_index(token, path, ln):
+    try:
+        return int(token)
+    except ValueError:
+        raise ParseError(f"{path} line {ln}: bad record index {token!r}") from None
+
+
 def load_model(path):
     """Read a model written by save_model; validates all invariants."""
-    with open(path, "r", encoding="ascii") as fh:
-        raw = fh.read().splitlines()
+    try:
+        with open(path, "r", encoding="ascii") as fh:
+            raw = fh.read().splitlines()
+    except UnicodeDecodeError:
+        raise ParseError(f"{path}: not ASCII text") from None
     if not raw:
         raise ParseError(f"{path}: empty model file")
     head = [part.strip() for part in raw[0].split("|")]
@@ -457,14 +467,14 @@ def load_model(path):
         if role == "user":
             if len(tokens) != 2 + per_record:
                 raise ParseError(f"{path} line {ln}: expected {per_record} entries")
-            u = int(tokens[1])
+            u = _parse_index(tokens[1], path, ln)
             if not 0 <= u < u_n:
                 raise ParseError(f"{path} line {ln}: user index {u} out of range")
             users[u] = [_parse_value(t, complex_field, path, ln) for t in tokens[2:]]
         elif role == "item":
             if len(tokens) != 3 + per_record:
                 raise ParseError(f"{path} line {ln}: expected {per_record} entries")
-            i, z = int(tokens[1]), int(tokens[2])
+            i, z = _parse_index(tokens[1], path, ln), _parse_index(tokens[2], path, ln)
             if not (0 <= i < i_n and 1 <= z <= z_n):
                 raise ParseError(f"{path} line {ln}: item record ({i}, {z}) out of range")
             items[i, z - 1] = [_parse_value(t, complex_field, path, ln) for t in tokens[3:]]

@@ -7,9 +7,13 @@ increase. Target values are star ratings rescaled to [0, 1]; unknown entries
 can be zero-filled for the leading sweeps (all sweeps when optimizing for
 ranking) to counter the selection bias of observed ratings.
 
-Zero-filled sweeps never materialize the dense user-item target matrix: the
-all-pairs quadratic term is carried by a K x K Gram matrix of the frozen side
-(K = D for vector models, D^2 for matrix models), built once per half-sweep.
+With one side frozen, each unit's subobjective is the quadratic
+x^H G x - 2 Re(c^H x) + k in its flattened state x (K = D entries for vector
+models, D^2 for matrix models), built once per half-sweep for both target
+phases. Zero-filled sweeps share one K x K Gram matrix G of the whole frozen
+side, so the dense user-item target matrix is never materialized;
+observed-only sweeps give each unit its own G, summed over the frozen rows of
+its own entries. Either way, no inner iteration revisits the ratings.
 """
 
 from __future__ import annotations
@@ -17,6 +21,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field, replace
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -118,21 +123,25 @@ class TrainConfig:
         }
         canonical = {name.lower(): name for name in converters}
         values = {}
-        with open(path, "r", encoding="ascii") as fh:
-            for ln, raw in enumerate(fh, start=1):
-                line = raw.split("#", 1)[0].strip()
-                if not line:
-                    continue
-                key, sep, val = (part.strip() for part in line.partition("="))
-                if not sep or not key:
-                    raise ParseError(f"{path} line {ln}: expected key=value")
-                name = canonical.get(key.lower())
-                if name is None:
-                    raise ParseError(f"{path} line {ln}: unknown key {key!r}")
-                try:
-                    values[name] = converters[name](val)
-                except ValueError:
-                    raise ParseError(f"{path} line {ln}: bad value {val!r} for {key}") from None
+        try:
+            with open(path, "r", encoding="ascii") as fh:
+                lines = fh.readlines()
+        except UnicodeDecodeError:
+            raise ParseError(f"{path}: not ASCII text") from None
+        for ln, raw in enumerate(lines, start=1):
+            line = raw.split("#", 1)[0].strip()
+            if not line:
+                continue
+            key, sep, val = (part.strip() for part in line.partition("="))
+            if not sep or not key:
+                raise ParseError(f"{path} line {ln}: expected key=value")
+            name = canonical.get(key.lower())
+            if name is None:
+                raise ParseError(f"{path} line {ln}: unknown key {key!r}")
+            try:
+                values[name] = converters[name](val)
+            except ValueError:
+                raise ParseError(f"{path} line {ln}: bad value {val!r} for {key}") from None
         try:
             return cls(**values)
         except InvalidInput as exc:
@@ -180,33 +189,19 @@ class Targets:
             raise InvalidInput("Targets: entry arrays must be parallel 1-d arrays")
 
     @cached_property
-    def user_order(self):
-        return np.argsort(self.uu, kind="stable")
+    def by_user(self):
+        return _group_entries(self.uu, self.ii, self.values, self.U)
 
     @cached_property
-    def user_indptr(self):
-        return np.concatenate([[0], np.cumsum(np.bincount(self.uu, minlength=self.U))])
+    def by_item(self):
+        return _group_entries(self.ii, self.uu, self.values, self.I)
 
-    @cached_property
-    def item_order(self):
-        return np.argsort(self.ii, kind="stable")
 
-    @cached_property
-    def item_indptr(self):
-        return np.concatenate([[0], np.cumsum(np.bincount(self.ii, minlength=self.I))])
-
-    @cached_property
-    def _lookup(self):
-        return {(int(u), int(i)): float(v) for u, i, v in zip(self.uu, self.ii, self.values)}
-
-    def value(self, u, i):
-        """Target for one pair; 0 for unlisted pairs when zero-filled."""
-        got = self._lookup.get((u, i))
-        if got is None:
-            if self.zero_fill:
-                return 0.0
-            raise InvalidInput(f"Targets: pair ({u}, {i}) is not an observed entry")
-        return got
+def _group_entries(unit, other, values, n):
+    """Entries sorted stably by unit: (indptr over the n units, other, values)."""
+    order = np.argsort(unit, kind="stable")
+    indptr = np.concatenate([[0], np.cumsum(np.bincount(unit, minlength=n))])
+    return indptr, other[order], values[order]
 
 
 def effective_targets(ds, zero_fill):
@@ -265,45 +260,73 @@ def objective(m, targets):
     return quad - 2.0 * cross + const
 
 
-def _unit_entries(targets, idx, side):
-    if side == "user":
-        order, indptr = targets.user_order, targets.user_indptr
-        other = targets.ii
+class _Quadratic(NamedTuple):
+    """Subobjectives x^H G_r x - 2 Re(c_r^H x) + k_r of the units r on one
+    side, with step bounds lips[r]; see `_quadratic`."""
+
+    gram: np.ndarray
+    cvec: np.ndarray
+    const: np.ndarray
+    lips: np.ndarray
+
+    def times_gram(self, x, rows):
+        """x_r G_r for each row r of x, the subproblems of units `rows`."""
+        if self.gram.ndim == 2:
+            return x @ self.gram
+        return (x[:, None, :] @ self.gram[rows])[:, 0]
+
+    def value(self, x, rows):
+        quad = np.real(np.sum(np.conj(x) * self.times_gram(x, rows), axis=1))
+        cross = np.real(np.sum(np.conj(self.cvec[rows]) * x, axis=1))
+        return quad - 2.0 * cross + self.const[rows]
+
+    def gradient(self, x, rows):
+        return 2.0 * (self.times_gram(x, rows) - self.cvec[rows])
+
+
+def _quadratic(m, targets, side):
+    """Flattened states of the units on `side` and their subproblems, the
+    other side frozen.
+
+    With entries f (flattened frozen rows) and targets t of unit r:
+    c_r = sum t f, k_r = sum t^2, and G_r = sum conj(f) f^T over the unit's
+    entries, or over all frozen rows when zero-filled. The step bound L_r is
+    2 lambda_max(G) when zero-filled and 2 tr(G_r) otherwise.
+    """
+    uf, ef = _binary_flats(m)
+    own, fix_flat = (uf, ef) if side == "user" else (ef, uf)
+    indptr, fix_of_entry, t_sorted = targets.by_user if side == "user" else targets.by_item
+    n_var, n_fix = len(indptr) - 1, fix_flat.shape[0]
+    var_of_entry = np.repeat(np.arange(n_var), np.diff(indptr))
+    coef = sp.csr_matrix(
+        (t_sorted.astype(fix_flat.dtype), fix_of_entry, indptr), shape=(n_var, n_fix)
+    )
+    cvec = coef @ fix_flat
+    const = np.bincount(var_of_entry, weights=t_sorted**2, minlength=n_var)
+    if targets.zero_fill:
+        # gram[a, b] = sum_f conj(f_a) f_b, so (sum_f <f, x> f) per row is x @ gram.
+        gram = np.conj(fix_flat).T @ fix_flat
+        lam = float(np.linalg.eigvalsh(gram)[-1].real) if gram.size else 0.0
+        lips = np.full(n_var, max(2.0 * lam, 1e-12))
     else:
-        order, indptr = targets.item_order, targets.item_indptr
-        other = targets.uu
-    sel = order[indptr[idx] : indptr[idx + 1]]
-    return other[sel], targets.values[sel]
+        k = fix_flat.shape[1]
+        outer = (np.conj(fix_flat)[:, :, None] * fix_flat[:, None, :]).reshape(n_fix, k * k)
+        indicator = sp.csr_matrix(
+            (np.ones(len(fix_of_entry)), fix_of_entry, indptr), shape=(n_var, n_fix)
+        )
+        gram = (indicator @ outer).reshape(n_var, k, k)
+        lips = np.maximum(2.0 * np.real(np.trace(gram, axis1=1, axis2=2)), 1e-12)
+    return own, _Quadratic(gram, cvec, const, lips)
 
 
 def _unit_objective(m, targets, idx, side):
-    uf, ef = _binary_flats(m)
-    own, fix = (uf, ef) if side == "user" else (ef, uf)
-    other_idx, vals = _unit_entries(targets, idx, side)
-    x = own[idx]
-    if targets.zero_fill:
-        preds = np.real(np.conj(fix) @ x)
-        dense = np.zeros(fix.shape[0])
-        dense[other_idx] = vals
-        r = preds - dense
-        return float(np.dot(r, r))
-    preds = np.real(np.conj(fix[other_idx]) @ x)
-    r = preds - vals
-    return float(np.dot(r, r))
+    own, quad = _quadratic(m, targets, side)
+    return float(quad.value(own[idx : idx + 1], [idx])[0])
 
 
 def _unit_gradient(m, targets, idx, side):
-    uf, ef = _binary_flats(m)
-    own, fix = (uf, ef) if side == "user" else (ef, uf)
-    other_idx, vals = _unit_entries(targets, idx, side)
-    x = own[idx]
-    if targets.zero_fill:
-        r = np.real(np.conj(fix) @ x)
-        r[other_idx] -= vals
-        g = 2.0 * (fix.T @ r)
-    else:
-        r = np.real(np.conj(fix[other_idx]) @ x) - vals
-        g = 2.0 * (fix[other_idx].T @ r)
+    own, quad = _quadratic(m, targets, side)
+    g = quad.gradient(own[idx : idx + 1], [idx])[0]
     if isinstance(m, QuantumModel):
         return linalg.hermitianize(g.reshape(m.D, m.D))
     return g
@@ -329,96 +352,31 @@ def item_gradient(m, targets, i):
     return _unit_gradient(m, targets, i, "item")
 
 
-def _concat_ranges(starts, stops):
-    """Positions covered by [starts[k], stops[k]) plus the owning k per position."""
-    counts = stops - starts
-    total = int(counts.sum())
-    owner = np.repeat(np.arange(len(starts)), counts)
-    if total == 0:
-        return np.empty(0, dtype=np.int64), owner
-    offs = np.arange(total) - np.repeat(np.cumsum(counts) - counts, counts)
-    return np.repeat(starts, counts) + offs, owner
-
-
-def _pair_scores(fix_flat, var_rows, fix_idx, row_of, chunk=1 << 18):
-    """Re(conj(fix[fix_idx[k]]) . var_rows[row_of[k]]) per entry k, chunked."""
-    out = np.empty(len(fix_idx))
-    for s in range(0, len(fix_idx), chunk):
-        sl = slice(s, s + chunk)
-        out[sl] = np.einsum(
-            "nk,nk->n", np.conj(fix_flat[fix_idx[sl]]), var_rows[row_of[sl]]
-        ).real
-    return out
-
-
-def _update_side(var_flat, fix_flat, targets, cfg, side, project_rows):
+def _update_side(m, targets, cfg, side, project_rows):
     """One batch of projected-gradient inner iterations for every unit on one
-    side, the other side frozen. Per-unit subobjectives never increase."""
-    n_var = var_flat.shape[0]
-    if side == "user":
-        order, indptr = targets.user_order, targets.user_indptr
-        fix_of_entry = targets.ii[order]
-    else:
-        order, indptr = targets.item_order, targets.item_indptr
-        fix_of_entry = targets.uu[order]
-    t_sorted = targets.values[order]
-    var_of_entry = np.repeat(np.arange(n_var), np.diff(indptr))
+    side, the other side frozen. Per-unit subobjectives never increase.
 
-    if targets.zero_fill:
-        # gram[a, b] = sum_f conj(f_a) f_b, so (sum_f <f, x> f) per row is x @ gram.
-        gram = np.conj(fix_flat).T @ fix_flat
-        lam = float(np.linalg.eigvalsh(gram)[-1].real) if gram.size else 0.0
-        lips = np.full(n_var, max(2.0 * lam, 1e-12))
-        coef = sp.csr_matrix(
-            (t_sorted.astype(fix_flat.dtype), fix_of_entry, indptr),
-            shape=(n_var, fix_flat.shape[0]),
-        )
-        cvec = coef @ fix_flat
-        const = np.bincount(var_of_entry, weights=t_sorted**2, minlength=n_var)
-
-        def f_rows(rows_flat, rows):
-            quad = np.real(np.sum(np.conj(rows_flat) * (rows_flat @ gram), axis=1))
-            cross = np.real(np.sum(np.conj(cvec[rows]) * rows_flat, axis=1))
-            return quad - 2.0 * cross + const[rows]
-
-        def grad_all(v):
-            return 2.0 * (v @ gram - cvec)
-
-    else:
-        sqn = np.real(np.sum(np.conj(fix_flat) * fix_flat, axis=1))
-        lips = np.maximum(
-            2.0 * np.bincount(var_of_entry, weights=sqn[fix_of_entry], minlength=n_var),
-            1e-12,
-        )
-
-        def f_rows(rows_flat, rows):
-            pos, owner = _concat_ranges(indptr[rows], indptr[rows + 1])
-            r = _pair_scores(fix_flat, rows_flat, fix_of_entry[pos], owner) - t_sorted[pos]
-            return np.bincount(owner, weights=r**2, minlength=len(rows))
-
-        def grad_all(v):
-            r = _pair_scores(fix_flat, v, fix_of_entry, var_of_entry) - t_sorted
-            resid = sp.csr_matrix(
-                (r.astype(fix_flat.dtype), fix_of_entry, indptr),
-                shape=(n_var, fix_flat.shape[0]),
-            )
-            return 2.0 * (resid @ fix_flat)
-
-    all_rows = np.arange(n_var)
-    v = var_flat
+    Both target phases run on the quadratics of `_quadratic`, built once per
+    call: one shared Gram matrix when zero-filled, and when observed-only a
+    per-unit Gram stack G_r = sum conj(f) f^T over unit r's own entries. So
+    each subobjective and gradient evaluation costs O(K^2) per unit however
+    many ratings the unit has, and no backtracking round reads the ratings.
+    """
+    v, quad = _quadratic(m, targets, side)
+    all_rows = np.arange(v.shape[0])
     for _ in range(cfg.inner_iters):
-        f0 = f_rows(v, all_rows)
+        f0 = quad.value(v, all_rows)
         if not np.all(np.isfinite(f0)):
             raise NumericalFailure(f"{side} update: non-finite subobjective")
-        g = grad_all(v)
-        step = cfg.step_init / lips
+        g = quad.gradient(v, all_rows)
+        step = cfg.step_init / quad.lips
         v_next = v.copy()
         remaining = all_rows
         for _ in range(cfg.max_backtracks + 1):
             if remaining.size == 0:
                 break
             cand = project_rows(v[remaining] - step[remaining, None] * g[remaining])
-            fc = f_rows(cand, remaining)
+            fc = quad.value(cand, remaining)
             ok = fc <= f0[remaining]
             v_next[remaining[ok]] = cand[ok]
             remaining = remaining[~ok]
@@ -427,21 +385,9 @@ def _update_side(var_flat, fix_flat, targets, cfg, side, project_rows):
     return v
 
 
-def _project_density_rows(d):
-    def proj(rows):
-        return linalg.project_to_spectrahedron(rows.reshape(-1, d, d)).reshape(rows.shape)
-
-    return proj
-
-
-def _project_effect_rows(d):
-    # Reduced form of the binary POVM projection: the dislike effect I - E
-    # is maintained implicitly, so projecting the pair amounts to clamping
-    # the like-effect's eigenvalues into [0, 1].
-    def proj(rows):
-        return linalg.project_to_effect(rows.reshape(-1, d, d)).reshape(rows.shape)
-
-    return proj
+def _matrix_rows(project, d):
+    """Apply a batched projection of d x d matrices to flattened rows."""
+    return lambda rows: project(rows.reshape(-1, d, d)).reshape(rows.shape)
 
 
 def _rebuild_users(m, users_flat):
@@ -463,12 +409,11 @@ def _rebuild_items(m, like_flat):
 def update_users(m, targets, cfg):
     """Projected-gradient update of every user state, items fixed."""
     _require_binary(m)
-    uf, ef = _binary_flats(m)
     if isinstance(m, QuantumModel):
-        proj = _project_density_rows(m.D)
+        proj = _matrix_rows(linalg.project_to_spectrahedron, m.D)
     else:
         proj = linalg.project_to_simplex_rows
-    new_uf = _update_side(uf, ef, targets, cfg, "user", proj)
+    new_uf = _update_side(m, targets, cfg, "user", proj)
     return _rebuild_users(m, new_uf)
 
 
@@ -479,12 +424,14 @@ def update_items(m, targets, cfg):
     rebuilt as identity minus the like-effect.
     """
     _require_binary(m)
-    uf, ef = _binary_flats(m)
     if isinstance(m, QuantumModel):
-        proj = _project_effect_rows(m.D)
+        # Reduced form of the binary POVM projection: the dislike effect
+        # I - E is maintained implicitly, so projecting the pair amounts to
+        # clamping the like-effect's eigenvalues into [0, 1].
+        proj = _matrix_rows(linalg.project_to_effect, m.D)
     else:
         proj = lambda rows: np.clip(rows, 0.0, 1.0)
-    new_ef = _update_side(ef, uf, targets, cfg, "item", proj)
+    new_ef = _update_side(m, targets, cfg, "item", proj)
     return _rebuild_items(m, new_ef)
 
 
@@ -541,14 +488,10 @@ def _train(ds, cfg):
 def train_quantum(ds, cfg):
     """Full alternating run for a quantum model: init, then max_iter sweeps of
     (items, users) updates with the configured zero-fill schedule."""
-    if cfg.kind != "quantum":
-        cfg = replace(cfg, kind="quantum")
-    return _train(ds, cfg)
+    return _train(ds, replace(cfg, kind="quantum"))
 
 
 def train_nnm(ds, cfg):
     """Alternating run for the vector model; simplex and box projections
     replace the spectral ones."""
-    if cfg.kind != "nnm":
-        cfg = replace(cfg, kind="nnm")
-    return _train(ds, cfg)
+    return _train(ds, replace(cfg, kind="nnm"))

@@ -62,6 +62,18 @@ class TestTrainCommand:
         out = capsys.readouterr().out
         assert "trained" in out and "saved" in out
 
+    def test_nnm_kind_from_config(self, tmp_path):
+        data_path = small_corpus(tmp_path)
+        model_path = tmp_path / "model.psdrec"
+        cfg_path = tmp_path / "train.cfg"
+        cfg_path.write_text("kind = nnm\nD = 2\nmax_iter = 2\nseed = 1\n")
+        rc = cli.main(
+            ["train", "--data", data_path, "--config", str(cfg_path), "--model-out", str(model_path)]
+        )
+        assert rc == 0
+        assert "kind=nnm" in model_path.read_text().splitlines()[0]
+        assert isinstance(models.load_model(str(model_path)), models.NnmModel)
+
     def test_seed_override(self, tmp_path):
         data_path = small_corpus(tmp_path)
         cfg_path = tmp_path / "train.cfg"

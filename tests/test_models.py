@@ -368,3 +368,18 @@ class TestPersistence:
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises((InvalidInput, ParseError)):
             models.load_model(str(path))
+        # A record index that is not an integer names its line.
+        for prefix, bad in (("user 0 ", "user x "), ("item 1 2 ", "item 1 y ")):
+            k = next(k for k, line in enumerate(lines) if line.startswith(prefix))
+            broken = lines[:k] + [bad + lines[k][len(prefix) :]] + lines[k + 1 :]
+            path.write_text("\n".join(broken) + "\n")
+            with pytest.raises(ParseError, match=f"line {k + 1}"):
+                models.load_model(str(path))
+
+    def test_non_ascii_byte(self, tmp_path):
+        rng = np.random.default_rng(29)
+        path = tmp_path / "model.psdrec"
+        models.save_model(random_quantum_model(rng, 2, 2, 2), str(path))
+        path.write_bytes(path.read_bytes().replace(b"user 1", b"user\xe9 1"))
+        with pytest.raises(ParseError):
+            models.load_model(str(path))

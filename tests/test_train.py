@@ -59,22 +59,27 @@ class TestTrainConfig:
         with pytest.raises(ParseError):
             train.TrainConfig.from_file(str(path))
 
+    def test_from_file_non_ascii(self, tmp_path):
+        path = tmp_path / "train.cfg"
+        path.write_bytes(b"D = 2\n# caf\xe9\n")
+        with pytest.raises(ParseError):
+            train.TrainConfig.from_file(str(path))
+
 
 class TestTargets:
     def test_values_are_rating_fractions(self):
         ds = data.RatingDataset.from_arrays([0, 1], [0, 1], [5, 2], U=2, I=2)
         t = train.effective_targets(ds, False)
         np.testing.assert_allclose(t.values, [1.0, 0.4])
-        assert t.value(0, 0) == 1.0
-        with pytest.raises(InvalidInput):
-            t.value(0, 1)
+        assert t.uu.tolist() == [0, 1] and t.ii.tolist() == [0, 1]
+        assert not t.zero_fill
 
     def test_zero_fill_reads_zero(self):
         ds = data.RatingDataset.from_arrays([0], [0], [5], U=2, I=2)
         t = train.effective_targets(ds, True)
         assert t.zero_fill
-        assert t.value(1, 1) == 0.0
-        assert t.value(0, 0) == 1.0
+        assert (t.U, t.I) == (2, 2)
+        assert t.values.tolist() == [1.0]
 
 
 class TestInit:
@@ -251,12 +256,30 @@ def _naive_update_side(m, ds, zero_fill, cfg, side):
     return np.stack(rows)
 
 
+def _update_dataset(rng, holes):
+    """Random 5 x 4 ratings; with holes, user 0 and item 3 have no ratings, so
+    their observed-phase subproblems are zero and their step bound floors."""
+    ds = random_dataset(rng, 5, 4, density=0.6)
+    if not holes:
+        return ds
+    keep = (ds.uu != 0) & (ds.ii != 3)
+    return data.RatingDataset.from_arrays(ds.uu[keep], ds.ii[keep], ds.rr[keep], U=5, I=4)
+
+
+# Cases without holes keep their plain kind-zero_fill ids.
+_UPDATE_CASES = [
+    pytest.param(kind, zero_fill, holes, id=f"{kind}-{zero_fill}" + ("-holes" if holes else ""))
+    for holes in (False, True)
+    for zero_fill in (False, True)
+    for kind in ("quantum", "nnm")
+]
+
+
 class TestUpdates:
-    @pytest.mark.parametrize("zero_fill", [False, True])
-    @pytest.mark.parametrize("kind", ["quantum", "nnm"])
-    def test_update_users_matches_naive(self, zero_fill, kind):
+    @pytest.mark.parametrize("kind, zero_fill, holes", _UPDATE_CASES)
+    def test_update_users_matches_naive(self, kind, zero_fill, holes):
         rng = np.random.default_rng(6)
-        ds = random_dataset(rng, 5, 4, density=0.6)
+        ds = _update_dataset(rng, holes)
         m = (
             random_quantum_model(rng, 5, 4, 2)
             if kind == "quantum"
@@ -269,11 +292,10 @@ class TestUpdates:
         np.testing.assert_allclose(got.users.reshape(m.U, -1), want, atol=1e-9)
         assert np.array_equal(got.items, m.items)
 
-    @pytest.mark.parametrize("zero_fill", [False, True])
-    @pytest.mark.parametrize("kind", ["quantum", "nnm"])
-    def test_update_items_matches_naive(self, zero_fill, kind):
+    @pytest.mark.parametrize("kind, zero_fill, holes", _UPDATE_CASES)
+    def test_update_items_matches_naive(self, kind, zero_fill, holes):
         rng = np.random.default_rng(7)
-        ds = random_dataset(rng, 5, 4, density=0.6)
+        ds = _update_dataset(rng, holes)
         m = (
             random_quantum_model(rng, 5, 4, 2)
             if kind == "quantum"
