@@ -87,7 +87,7 @@ def build_parser():
         help="tag name to drop (repeatable)",
     )
     hierarchy.add_argument("--dot-out", default=None, help="write Graphviz output here")
-    hierarchy.add_argument("--seed", type=int, default=0, help="sdp search seed")
+    hierarchy.add_argument("--seed", type=int, default=0, help="has no effect; the sdp test is exact")
 
     demo = commands.add_parser("demo", help="check the built-in worked example")
 
@@ -191,8 +191,7 @@ def _cmd_hierarchy(args):
     model = models.load_model(args.model_in)
     ds = _load_dataset(args)
     catalog = data.load_genres_1m(args.genres, ds, exclude=tuple(args.exclude or ()))
-    cfg = tags.SdpConfig(seed=args.seed) if args.method == "sdp" else None
-    graph = tags.build_hierarchy(model, catalog, args.epsilon, method=args.method, cfg=cfg)
+    graph = tags.build_hierarchy(model, catalog, args.epsilon, method=args.method)
     if catalog.skipped:
         print(f"skipped {catalog.skipped} metadata lines without ratings", file=sys.stderr)
     print(f"tags={len(graph.vertices)} edges={len(graph.edges)} method={graph.method} epsilon={graph.eps:g}")

@@ -7,6 +7,7 @@ index sets over the dataset's entry list.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -142,10 +143,10 @@ class TagCatalog:
 
 
 def _load_ratings(path, sep, z_star=5):
-    uu, ii, rr = [], [], []
+    # Entries and their line numbers are kept as machine integers; repeated
+    # (user, item) pairs are found by one sort after the loop.
+    uu, ii, rr, lines = array("q"), array("q"), array("q"), array("q")
     user_map, item_map = {}, {}
-    user_ids, item_ids = [], []
-    seen = {}
     with open(path, "r", encoding="latin-1") as fh:
         for ln, raw in enumerate(fh, start=1):
             line = raw.rstrip("\r\n")
@@ -160,33 +161,28 @@ def _load_ratings(path, sep, z_star=5):
                 raise ParseError(f"{path} line {ln}: non-integer field") from None
             if not 1 <= r <= z_star:
                 raise ParseError(f"{path} line {ln}: rating {r} outside [1, {z_star}]")
-            key = (orig_u, orig_i)
-            if key in seen:
-                raise ParseError(
-                    f"{path} line {ln}: duplicate rating for user {orig_u} item {orig_i}"
-                    f" (first seen at line {seen[key]})"
-                )
-            seen[key] = ln
-            u = user_map.setdefault(orig_u, len(user_map))
-            if u == len(user_ids):
-                user_ids.append(orig_u)
-            i = item_map.setdefault(orig_i, len(item_map))
-            if i == len(item_ids):
-                item_ids.append(orig_i)
-            uu.append(u)
-            ii.append(i)
+            uu.append(user_map.setdefault(orig_u, len(user_map)))
+            ii.append(item_map.setdefault(orig_i, len(item_map)))
             rr.append(r)
+            lines.append(ln)
     if not rr:
         raise ParseError(f"{path}: empty dataset")
+    uu, ii, lines = np.array(uu), np.array(ii), np.array(lines)
+    user_ids, item_ids = np.array(list(user_map)), np.array(list(item_map))
+    keys = uu * np.int64(len(item_ids)) + ii
+    order = np.argsort(keys, kind="stable")
+    runs = np.flatnonzero(keys[order[1:]] == keys[order[:-1]])
+    if runs.size:
+        # A stable sort keeps each key's entries in line order, so the
+        # earliest repeat directly follows its key's first entry.
+        j = runs[np.argmin(order[runs + 1])]
+        first, again = order[j], order[j + 1]
+        raise ParseError(
+            f"{path} line {lines[again]}: duplicate rating for user {user_ids[uu[again]]}"
+            f" item {item_ids[ii[again]]} (first seen at line {lines[first]})"
+        )
     return RatingDataset(
-        np.array(uu),
-        np.array(ii),
-        np.array(rr),
-        len(user_ids),
-        len(item_ids),
-        z_star,
-        np.array(user_ids),
-        np.array(item_ids),
+        uu, ii, np.array(rr), len(user_ids), len(item_ids), z_star, user_ids, item_ids
     )
 
 

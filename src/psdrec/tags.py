@@ -7,13 +7,14 @@ Two containment tests between tags t and t' are provided:
 * subset_simple: trace overlap, tr(E_t E_t') >= (1 - eps) tr(E_t).
 * subset_sdp: spectral gate max eig(E_t) >= 1 - eps/2, plus infeasibility of
   a state accepted by E_t with probability >= 1 - eps/2 whose acceptance
-  probabilities under E_t and E_t' differ by more than eps/2. Feasibility is
-  decided heuristically by projected gradient ascent with random restarts,
-  so the test is exact only up to heuristic error.
+  probabilities under E_t and E_t' differ by more than eps/2. That is decided
+  exactly through the one-dimensional Lagrange dual of the largest such
+  difference, which certifies "contained" and yields a witness otherwise.
 """
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,6 +35,14 @@ __all__ = [
 
 # Deterministic slack on the strict feasibility threshold eps/2.
 THRESHOLD_SLACK = 1e-9
+
+# _max_over_accepting stops at a duality gap of _GAP_TOL, at a bracket of
+# machine precision, or after _MAX_ROUNDS bisection rounds.
+_GAP_TOL = 1e-12
+_MAX_ROUNDS = 200
+# The dual minimiser, and with it the dual's rounding error eps * mu, grow like
+# 1/sqrt(lambda_max(E) - c); below this gap the error would pass THRESHOLD_SLACK.
+_BOUNDARY_SLACK = (np.finfo(float).eps / THRESHOLD_SLACK) ** 2
 
 
 @dataclass(frozen=True)
@@ -58,12 +67,10 @@ class TagOperator:
 
 @dataclass(frozen=True)
 class SdpConfig:
-    """Heuristic solver knobs for subset_sdp."""
+    """Accepted by subset_sdp and build_hierarchy; seed has no effect, since
+    the test is exact and draws no random numbers."""
 
-    restarts: int = 16
-    steps: int = 200
     seed: int = 0
-    final_step: float = 1e-5
 
 
 @dataclass(frozen=True)
@@ -110,85 +117,82 @@ def subset_simple(t, tp, eps):
     return bool(overlap >= (1.0 - eps) * np.real(np.trace(t.matrix)))
 
 
-def _project_accepting(rhos, e, c, rounds=100, tol=1e-11):
-    """Dykstra projection of a stack of matrices onto the accepting set
-    {rho density matrix, tr(rho e) >= c}."""
-    en2 = float(np.real(np.sum(np.conj(e) * e)))
-    x = rhos
-    p = np.zeros_like(rhos)
-    q = np.zeros_like(rhos)
-    for _ in range(rounds):
-        y = linalg.project_to_spectrahedron(linalg.hermitianize(x + p))
-        p = x + p - y
-        mid = y + q
-        gaps = c - np.real(np.einsum("bij,ij->b", mid, np.conj(e)))
-        x = mid + (np.maximum(gaps, 0.0) / en2)[:, None, None] * e
-        q = mid - x
-        if float(np.max(np.abs(x - y))) <= tol:
-            break
-    return linalg.project_to_spectrahedron(linalg.hermitianize(x))
+_Probe = namedtuple("_Probe", "g psi subgradient value")
 
 
-def _ascend(starts, directions, e, c, steps, final_step, stop_above):
-    """Batched projected gradient ascent of tr(rho directions[b]) over the
-    accepting set; geometric step annealing, best iterate kept per slice.
-    Returns early once any slice exceeds stop_above."""
-    gnorm = np.sqrt(np.real(np.einsum("bij,bij->b", np.conj(directions), directions)))
-    step = 1.0 / np.maximum(gnorm, 1e-12)
-    decay = (final_step / step) ** (1.0 / max(steps - 1, 1))
-    rho = starts
-    best = np.real(np.einsum("bij,bij->b", np.conj(directions), rho))
-    for _ in range(steps):
-        rho = _project_accepting(rho + step[:, None, None] * directions, e, c)
-        vals = np.real(np.einsum("bij,bij->b", np.conj(directions), rho))
-        best = np.maximum(best, vals)
-        if float(np.max(best)) > stop_above:
-            break
-        step = step * decay
-    return float(np.max(best))
+def _probe(delta, e, c, mu):
+    """Dual value g(mu) = lambda_max(delta + mu e) - mu c at one mu, with a top
+    eigenvector psi, the subgradient psi^H e psi - c and psi^H delta psi."""
+    w, v = np.linalg.eigh(delta + mu * e)
+    psi = v[:, -1]
+    subgradient = float(np.real(np.conj(psi) @ e @ psi)) - c
+    return _Probe(float(w[-1]) - mu * c, psi, subgradient, float(np.real(np.conj(psi) @ delta @ psi)))
+
+
+def _max_over_accepting(delta, e, c):
+    """Upper bound and feasible witness for max tr(rho delta) over density
+    matrices rho with tr(rho e) >= c, given lambda_max(e) >= c.
+
+    Every value of the convex dual g(mu), mu >= 0, bounds the maximum from
+    above. Bisection on the subgradient's sign keeps a bracket [lo, hi]
+    whose top eigenvectors are infeasible at lo and feasible at hi; the
+    witness mixes the two so that tr(rho e) = c. Returns (least g seen, rho).
+    """
+    w_e, v_e = np.linalg.eigh(e)
+    slack = float(w_e[-1]) - c
+    if slack <= _BOUNDARY_SLACK:
+        # Only states on e's top eigenspace are accepting (exactly so at slack
+        # 0): the maximum is the top eigenvalue of delta compressed onto it.
+        basis = v_e[:, w_e >= w_e[-1] - _BOUNDARY_SLACK]
+        w, v = np.linalg.eigh(np.conj(basis.T) @ delta @ basis)
+        psi = basis @ v[:, -1]
+        return float(w[-1]), np.outer(psi, np.conj(psi))
+    low = _probe(delta, e, c, 0.0)
+    if low.subgradient >= 0.0:
+        return low.g, np.outer(low.psi, np.conj(low.psi))
+    # At mu every top eigenvector has subgradient >= slack - spread(delta) / mu,
+    # so at hi it is at least slack / 2.
+    lo, hi = 0.0, 2.0 * (low.g - float(np.linalg.eigvalsh(delta)[0])) / slack + 1.0
+    high = _probe(delta, e, c, hi)
+    upper = min(low.g, high.g)
+    for _ in range(_MAX_ROUNDS):
+        theta = high.subgradient / (high.subgradient - low.subgradient)
+        if upper - (theta * low.value + (1.0 - theta) * high.value) <= _GAP_TOL:
+            break  # duality gap closed
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            break  # bracket at machine precision
+        probe = _probe(delta, e, c, mid)
+        upper = min(upper, probe.g)
+        if probe.subgradient >= 0.0:
+            hi, high = mid, probe
+        else:
+            lo, low = mid, probe
+    rho = theta * np.outer(low.psi, np.conj(low.psi)) + (1.0 - theta) * np.outer(high.psi, np.conj(high.psi))
+    return upper, rho
 
 
 def subset_sdp(t, tp, eps, cfg=None):
-    """Spectral-gate plus feasibility containment test.
+    """Spectral-gate plus exact feasibility containment test.
 
     True iff max eig(E_t) >= 1 - eps/2 and no state rho with
     tr(rho E_t) >= 1 - eps/2 attains |tr(rho (E_t' - E_t))| > eps/2.
-    The feasibility search maximizes both signed directions by projected
-    gradient ascent from cfg.restarts random starts.
+    Each signed maximum is bounded from above by its Lagrange dual, min over
+    mu >= 0 of lambda_max(+-diff + mu E_t) - mu (1 - eps/2), which a feasible
+    state attains to within 1e-12; the bound decides. cfg has no effect.
     """
     _check_pair(t, tp, eps)
-    cfg = cfg or SdpConfig()
     c = 1.0 - eps / 2.0
     et = linalg.hermitianize(t.matrix)
-    w, v = np.linalg.eigh(et)
-    if w[-1] < c:
+    if np.linalg.eigvalsh(et)[-1] < c:
         return False
     diff = linalg.hermitianize(tp.matrix - t.matrix)
     if float(np.max(np.abs(diff))) == 0.0:
         return True
-
-    d = et.shape[0]
-    rng = np.random.default_rng(cfg.seed)
-    top = np.outer(v[:, -1], np.conj(v[:, -1]))
-    n_random = max(cfg.restarts - 1, 0)
-    g = rng.standard_normal((n_random, d, d))
-    if np.iscomplexobj(et):
-        g = g + 1j * rng.standard_normal((n_random, d, d))
-    raw = linalg.hermitianize(np.einsum("bij,bkj->bik", g, np.conj(g)))
-    traces = np.maximum(np.real(np.einsum("bii->b", raw)), 1e-12)
-    starts = np.concatenate([top[None], raw / traces[:, None, None]])
-    starts = _project_accepting(starts, et, c)
-
-    # One batch per signed direction: every restart ascends in parallel.
-    threshold = eps / 2.0 + THRESHOLD_SLACK
-    starts = np.concatenate([starts, starts])
-    directions = np.concatenate(
-        [np.broadcast_to(diff, starts[: cfg.restarts].shape), np.broadcast_to(-diff, starts[: cfg.restarts].shape)]
-    )
-    best = _ascend(starts, directions, et, c, cfg.steps, cfg.final_step, threshold)
-    if not np.isfinite(best):
-        raise NumericalFailure("subset_sdp: ascent produced a non-finite value")
-    return best <= threshold
+    upper = max(_max_over_accepting(diff, et, c)[0], _max_over_accepting(-diff, et, c)[0])
+    if not np.isfinite(upper):
+        raise NumericalFailure("subset_sdp: dual bound is not finite")
+    return upper <= eps / 2.0 + THRESHOLD_SLACK
 
 
 def build_hierarchy(m, catalog, eps, method="simple", cfg=None):

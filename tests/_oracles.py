@@ -193,3 +193,52 @@ def projection_vi_gap(point, projected, feasible_samples):
         inner = float(np.real(np.sum(np.conj(point - projected) * (q - projected))))
         worst = max(worst, inner)
     return worst
+
+
+# --- reference ratings parser ----------------------------------------------------------
+
+
+def naive_ratings(path, sep, z_star=5):
+    """Ratings parser by plain dict lookups.
+
+    Returns (entries, duplicate, malformed): entries is (uu, ii, rr, user_ids,
+    item_ids) as lists over the well-formed lines; duplicate is the message for
+    the earliest line that repeats a (user, item) pair, or None; malformed says
+    whether any line has a bad field count, a non-integer field or a rating
+    outside [1, z_star], or no line holds an entry.
+    """
+    uu, ii, rr, user_ids, item_ids = [], [], [], [], []
+    seen = {}
+    duplicate, malformed = None, False
+    with open(path, "r", encoding="latin-1") as fh:
+        for ln, raw in enumerate(fh, start=1):
+            line = raw.rstrip("\r\n")
+            if line == "":
+                continue
+            parts = line.split(sep)
+            try:
+                if len(parts) != 4:
+                    raise ValueError
+                u, i, r = int(parts[0]), int(parts[1]), int(parts[2])
+            except ValueError:
+                malformed = True
+                continue
+            if r < 1 or r > z_star:
+                malformed = True
+                continue
+            if (u, i) in seen:
+                if duplicate is None:
+                    duplicate = (
+                        f"{path} line {ln}: duplicate rating for user {u} item {i}"
+                        f" (first seen at line {seen[(u, i)]})"
+                    )
+                continue
+            seen[(u, i)] = ln
+            if u not in user_ids:
+                user_ids.append(u)
+            if i not in item_ids:
+                item_ids.append(i)
+            uu.append(user_ids.index(u))
+            ii.append(item_ids.index(i))
+            rr.append(r)
+    return (uu, ii, rr, user_ids, item_ids), duplicate, malformed or not rr

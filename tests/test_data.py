@@ -1,10 +1,27 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from psdrec import data
 from psdrec.exceptions import InvalidInput, ParseError
 
+from _oracles import naive_ratings
 from conftest import random_dataset
+
+
+@st.composite
+def _rating_lines(draw):
+    """Rating lines: None is a blank line, a tuple an entry over few ids (so
+    pairs repeat) with an occasional out-of-range rating, a string a malformed
+    line; at most one malformed line, so many files have no other fault."""
+    rating = st.sampled_from([1, 2, 3, 4, 5] * 2 + [0, 6])
+    entry = st.tuples(st.integers(1, 3), st.integers(1, 3), rating)
+    lines = draw(st.lists(st.one_of(st.none(), entry), min_size=1, max_size=10))
+    bad = draw(st.sampled_from([None, None, None, "1", "a", "1 2 3 4"]))
+    if bad is not None:
+        lines.insert(draw(st.integers(0, len(lines))), bad)
+    return lines
 
 
 def write_100k(tmp_path, rows, name="u.data"):
@@ -43,6 +60,37 @@ class TestLoaders:
             data.load_movielens_100k(write_100k(tmp_path, rows))
         msg = str(exc_info.value)
         assert "line 3" in msg and "line 1" in msg
+
+    def test_duplicate_line_numbers_count_blank_lines(self, tmp_path):
+        # the earliest repeat (line 5) is reported, not the earliest first entry
+        path = tmp_path / "u.data"
+        path.write_text("\n1\t1\t5\t0\n\n2\t2\t4\t0\n2\t2\t3\t0\n\n1\t1\t2\t0\n")
+        with pytest.raises(ParseError) as exc_info:
+            data.load_movielens_100k(str(path))
+        assert str(exc_info.value) == (
+            f"{path} line 5: duplicate rating for user 2 item 2 (first seen at line 4)"
+        )
+
+    @given(lines=_rating_lines(), sep=st.sampled_from(["\t", "::"]))
+    @settings(max_examples=200, deadline=None)
+    def test_matches_reference_parser(self, tmp_path_factory, lines, sep):
+        path = tmp_path_factory.mktemp("ratings") / "ratings"
+        rendered = [
+            "" if ln is None else ln if isinstance(ln, str) else sep.join(map(str, ln + (0,)))
+            for ln in lines
+        ]
+        path.write_text("".join(ln + "\n" for ln in rendered), encoding="latin-1")
+        load = data.load_movielens_100k if sep == "\t" else data.load_movielens_1m
+        entries, duplicate, malformed = naive_ratings(str(path), sep)
+        if duplicate is None and not malformed:
+            ds = load(str(path))
+            got = (ds.uu.tolist(), ds.ii.tolist(), ds.rr.tolist(), ds.user_ids.tolist(), ds.item_ids.tolist())
+            assert got == entries
+            return
+        with pytest.raises(ParseError) as exc_info:
+            load(str(path))
+        if not malformed:
+            assert str(exc_info.value) == duplicate
 
     def test_bad_field_count(self, tmp_path):
         path = tmp_path / "u.data"

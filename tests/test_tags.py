@@ -12,12 +12,12 @@ def operator(matrix, name="t"):
     return tags.TagOperator(name=name, matrix=np.asarray(matrix, dtype=complex), members=(0,))
 
 
-def biased_effect(rng, lam_top=None):
-    """Random 2x2 effect, optionally with a pinned top eigenvalue."""
-    e = random_effect(rng, 2)
+def biased_effect(rng, lam_top=None, d=2):
+    """Random d x d effect, optionally with a pinned top eigenvalue."""
+    e = random_effect(rng, d)
     if lam_top is not None:
         w, v = np.linalg.eigh(e)
-        w = np.array([w[0] * lam_top, lam_top])
+        w = np.append(w[:-1] * lam_top, lam_top)
         e = (v * w) @ np.conj(v.T)
     return 0.5 * (e + np.conj(e.T))
 
@@ -128,6 +128,69 @@ class TestSubsetSdp:
         b = operator(biased_effect(rng))
         cfg = tags.SdpConfig(seed=3)
         assert tags.subset_sdp(a, b, 0.3, cfg) == tags.subset_sdp(a, b, 0.3, cfg)
+
+    def test_boundary_top_eigenspace(self):
+        # lambda_max(E_t) = c = 1: only e0 e0^T is accepting, and diff_00 = 0
+        a = operator(np.diag([1.0, 0.3]))
+        b = operator(np.diag([1.0, 0.9]))
+        assert tags.subset_sdp(a, b, 0.0)
+
+    def test_contained_by_dual_certificate(self):
+        a = np.array(
+            [
+                [0.452, 0.121 + 0.299j, 0.196 - 0.018j, -0.137 + 0.071j],
+                [0.121 - 0.299j, 0.366, 0.113 - 0.074j, 0.037 + 0.001j],
+                [0.196 + 0.018j, 0.113 + 0.074j, 0.308, -0.138 + 0.208j],
+                [-0.137 - 0.071j, 0.037 - 0.001j, -0.138 - 0.208j, 0.567],
+            ]
+        )
+        b = np.array(
+            [
+                [0.503, 0.123 + 0.286j, 0.202 - 0.041j, -0.161 + 0.081j],
+                [0.123 - 0.286j, 0.380, 0.093 - 0.021j, 0.036 - 0.009j],
+                [0.202 + 0.041j, 0.093 + 0.021j, 0.378, -0.147 + 0.198j],
+                [-0.161 - 0.081j, 0.036 + 0.009j, -0.147 - 0.198j, 0.621],
+            ]
+        )
+        eps, mu = 0.115, 0.5293
+        c = 1.0 - eps / 2.0
+        # weak duality at one mu bounds both signed maxima below eps/2
+        for diff in (b - a, a - b):
+            assert np.linalg.eigvalsh(diff + mu * a)[-1] - mu * c < eps / 2.0
+        assert np.linalg.eigvalsh(a)[-1] >= c
+        assert tags.subset_sdp(operator(a), operator(b), eps)
+
+    @pytest.mark.parametrize("d", [3, 4])
+    def test_dual_bound_has_feasible_witness(self, d):
+        rng = np.random.default_rng(8 + d)
+        threshold_sides = set()
+        for _ in range(60):
+            a = biased_effect(rng, float(rng.uniform(0.85, 1.0)), d)
+            # mixing toward a makes some pairs contained
+            t = rng.uniform(0.0, 1.0)
+            b = (1.0 - t) * a + t * random_effect(rng, d)
+            eps = float(rng.uniform(0.02, 0.5))
+            c = 1.0 - eps / 2.0
+            if np.linalg.eigvalsh(a)[-1] < c:
+                continue
+            uppers = []
+            for diff in (b - a, a - b):
+                diff = 0.5 * (diff + np.conj(diff.T))
+                upper, rho = tags._max_over_accepting(diff, a, c)
+                np.testing.assert_allclose(rho, np.conj(rho.T), atol=1e-10)
+                assert abs(np.real(np.trace(rho)) - 1.0) <= 1e-10
+                assert np.linalg.eigvalsh(rho)[0] >= -1e-10
+                assert np.real(np.trace(rho @ a)) >= c - 1e-10
+                assert abs(np.real(np.trace(rho @ diff)) - upper) <= 1e-9
+                # upper is the dual minimum: no dual value on a grid lies below it
+                grid = np.concatenate([[0.0], np.geomspace(1e-3, 1e3, 61)])
+                dual = [np.linalg.eigvalsh(diff + mu * a)[-1] - mu * c for mu in grid]
+                assert min(dual) >= upper - 1e-9
+                uppers.append(upper)
+            contained = max(uppers) - eps / 2.0 <= tags.THRESHOLD_SLACK
+            assert tags.subset_sdp(operator(a), operator(b), eps) == contained
+            threshold_sides.add(contained)
+        assert threshold_sides == {True, False}
 
     def test_grid_oracle_monotone_in_eps(self):
         # once contained at some eps, contained at every larger eps;
