@@ -231,20 +231,10 @@ def _cmd_recover(args):
     return 0
 
 
-# Memorizing models are U x U per matrix; refuse sizes that would not fit.
-_OVERFIT_MAX_USERS = 4000
-
-
 def _cmd_overfit(args):
     from . import models
 
     ds = _load_dataset(args)
-    if ds.U > _OVERFIT_MAX_USERS:
-        print(
-            f"error: overfit needs D = {ds.U} users, above the {_OVERFIT_MAX_USERS} limit",
-            file=sys.stderr,
-        )
-        return 1
     model = models.overfit_model(ds)
     models.save_model(model, args.model_out)
     print(f"built memorizing model D={model.D} items={model.I}")

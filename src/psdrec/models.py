@@ -235,6 +235,10 @@ def embed_nnm(m):
     return QuantumModel(users, items)
 
 
+# Largest memorizing model overfit_model allocates, in bytes.
+_OVERFIT_MAX_BYTES = 2**30
+
+
 def overfit_model(ds):
     """Perfect-fit quantum model of dimension D = U built from basis projectors.
 
@@ -243,10 +247,19 @@ def overfit_model(ds):
     with users who did not rate i absorbed into the z = 1 effect. Fits every
     known rating with probability exactly 1, and for z >= 2 the rank of E_iz
     is at most the number of users who rated item i.
+
+    Raises InvalidInput before allocating when the model's 8 (U^3 + I Z U^2)
+    bytes exceed _OVERFIT_MAX_BYTES.
     """
     if len(ds) == 0:
         raise InvalidInput("overfit_model: empty dataset")
     u_n, i_n, z_n = ds.U, ds.I, ds.z_star
+    need = 8 * (u_n**3 + i_n * z_n * u_n**2)
+    if need > _OVERFIT_MAX_BYTES:
+        raise InvalidInput(
+            f"overfit_model: D = {u_n} users need {need / 2**30:.1f} GiB, "
+            f"above the {_OVERFIT_MAX_BYTES / 2**30:.1f} GiB limit"
+        )
     rng = np.arange(u_n)
     users = np.zeros((u_n, u_n, u_n))
     users[rng, rng, rng] = 1.0

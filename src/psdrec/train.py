@@ -2,10 +2,12 @@
 
 Per sweep, all item like-effects are updated with user states fixed, then all
 user states with items fixed. Each subproblem is solved inexactly by a few
-projected-gradient steps with backtracking, so per-unit subobjectives never
-increase. Target values are star ratings rescaled to [0, 1]; unknown entries
-can be zero-filled for the leading sweeps (all sweeps when optimizing for
-ranking) to counter the selection bias of observed ratings.
+projected-gradient steps of length 1/L, where L bounds the Lipschitz constant
+of the unit's gradient; by the descent lemma such a step never increases the
+unit's subobjective, so no line search is needed. Target values are star
+ratings rescaled to [0, 1]; unknown entries can be zero-filled for the leading
+sweeps (all sweeps when optimizing for ranking) to counter the selection bias
+of observed ratings.
 
 With one side frozen, each unit's subobjective is the quadratic
 x^H G x - 2 Re(c^H x) + k in its flattened state x (K = D entries for vector
@@ -58,19 +60,16 @@ class TrainConfig:
     """Training hyperparameters.
 
     zero_fill_sweeps = None resolves to 2 in mae mode and to max_iter in
-    recall mode. step_init scales the per-unit step estimate 1/L where L is
-    the subproblem's curvature bound; backtracking multiplies the step by
-    step_shrink until the subobjective does not increase, at most
-    max_backtracks times (a unit that still fails keeps its current point).
+    recall mode. Each half-sweep takes inner_iters projected-gradient steps
+    of length 1/L per unit, L the Lipschitz bound of the unit's gradient, so
+    no step increases the unit's subobjective (Beck & Teboulle, SIAM J.
+    Imaging Sci. 2009) and there is no step size to tune.
     """
 
     D: int = 2
     max_iter: int = 16
     mode: str = "mae"
     zero_fill_sweeps: int | None = None
-    step_init: float = 1.0
-    step_shrink: float = 0.5
-    max_backtracks: int = 30
     inner_iters: int = 5
     seed: int = 0
     field: str = "complex"
@@ -86,10 +85,8 @@ class TrainConfig:
             raise InvalidInput(f"TrainConfig: mode must be one of {MODES}")
         if self.zero_fill_sweeps is not None and not 0 <= self.zero_fill_sweeps <= self.max_iter:
             raise InvalidInput("TrainConfig: zero_fill_sweeps must lie in [0, max_iter]")
-        if not (self.step_init > 0 and 0 < self.step_shrink < 1):
-            raise InvalidInput("TrainConfig: step parameters must be positive (shrink in (0, 1))")
-        if self.max_backtracks < 0 or self.inner_iters < 1:
-            raise InvalidInput("TrainConfig: iteration counts must be positive")
+        if self.inner_iters < 1:
+            raise InvalidInput("TrainConfig: inner_iters must be at least 1")
         if self.field not in FIELDS:
             raise InvalidInput(f"TrainConfig: field must be one of {FIELDS}")
         if self.z_star < 2:
@@ -111,9 +108,6 @@ class TrainConfig:
             "D": int,
             "max_iter": int,
             "zero_fill_sweeps": int,
-            "step_init": float,
-            "step_shrink": float,
-            "max_backtracks": int,
             "inner_iters": int,
             "seed": int,
             "z_star": int,
@@ -269,19 +263,19 @@ class _Quadratic(NamedTuple):
     const: np.ndarray
     lips: np.ndarray
 
-    def times_gram(self, x, rows):
-        """x_r G_r for each row r of x, the subproblems of units `rows`."""
+    def times_gram(self, x):
+        """x_r G_r for each row r of x."""
         if self.gram.ndim == 2:
             return x @ self.gram
-        return (x[:, None, :] @ self.gram[rows])[:, 0]
+        return (x[:, None, :] @ self.gram)[:, 0]
 
-    def value(self, x, rows):
-        quad = np.real(np.sum(np.conj(x) * self.times_gram(x, rows), axis=1))
-        cross = np.real(np.sum(np.conj(self.cvec[rows]) * x, axis=1))
-        return quad - 2.0 * cross + self.const[rows]
+    def value(self, x):
+        quad = np.real(np.sum(np.conj(x) * self.times_gram(x), axis=1))
+        cross = np.real(np.sum(np.conj(self.cvec) * x, axis=1))
+        return quad - 2.0 * cross + self.const
 
-    def gradient(self, x, rows):
-        return 2.0 * (self.times_gram(x, rows) - self.cvec[rows])
+    def gradient(self, x):
+        return 2.0 * (self.times_gram(x) - self.cvec)
 
 
 def _quadratic(m, targets, side):
@@ -291,7 +285,8 @@ def _quadratic(m, targets, side):
     With entries f (flattened frozen rows) and targets t of unit r:
     c_r = sum t f, k_r = sum t^2, and G_r = sum conj(f) f^T over the unit's
     entries, or over all frozen rows when zero-filled. The step bound L_r is
-    2 lambda_max(G) when zero-filled and 2 tr(G_r) otherwise.
+    2 lambda_max(G) when zero-filled and 2 tr(G_r) >= 2 lambda_max(G_r)
+    otherwise; either bounds the Lipschitz constant of the unit's gradient.
     """
     uf, ef = _binary_flats(m)
     own, fix_flat = (uf, ef) if side == "user" else (ef, uf)
@@ -321,12 +316,12 @@ def _quadratic(m, targets, side):
 
 def _unit_objective(m, targets, idx, side):
     own, quad = _quadratic(m, targets, side)
-    return float(quad.value(own[idx : idx + 1], [idx])[0])
+    return float(quad.value(own)[idx])
 
 
 def _unit_gradient(m, targets, idx, side):
     own, quad = _quadratic(m, targets, side)
-    g = quad.gradient(own[idx : idx + 1], [idx])[0]
+    g = quad.gradient(own)[idx]
     if isinstance(m, QuantumModel):
         return linalg.hermitianize(g.reshape(m.D, m.D))
     return g
@@ -353,35 +348,25 @@ def item_gradient(m, targets, i):
 
 
 def _update_side(m, targets, cfg, side, project_rows):
-    """One batch of projected-gradient inner iterations for every unit on one
-    side, the other side frozen. Per-unit subobjectives never increase.
+    """cfg.inner_iters projected-gradient steps for every unit on one side, the
+    other side frozen.
 
     Both target phases run on the quadratics of `_quadratic`, built once per
     call: one shared Gram matrix when zero-filled, and when observed-only a
     per-unit Gram stack G_r = sum conj(f) f^T over unit r's own entries. So
-    each subobjective and gradient evaluation costs O(K^2) per unit however
-    many ratings the unit has, and no backtracking round reads the ratings.
+    each gradient costs O(K^2) per unit however many ratings the unit has.
+    Each step has length 1/L_r, and L_r bounds the Lipschitz constant of unit
+    r's gradient, so by the descent lemma for projected gradient (Beck &
+    Teboulle, SIAM J. Imaging Sci. 2009) no step increases a subobjective
+    beyond rounding.
     """
     v, quad = _quadratic(m, targets, side)
-    all_rows = np.arange(v.shape[0])
+    step = 1.0 / quad.lips[:, None]
     for _ in range(cfg.inner_iters):
-        f0 = quad.value(v, all_rows)
-        if not np.all(np.isfinite(f0)):
-            raise NumericalFailure(f"{side} update: non-finite subobjective")
-        g = quad.gradient(v, all_rows)
-        step = cfg.step_init / quad.lips
-        v_next = v.copy()
-        remaining = all_rows
-        for _ in range(cfg.max_backtracks + 1):
-            if remaining.size == 0:
-                break
-            cand = project_rows(v[remaining] - step[remaining, None] * g[remaining])
-            fc = quad.value(cand, remaining)
-            ok = fc <= f0[remaining]
-            v_next[remaining[ok]] = cand[ok]
-            remaining = remaining[~ok]
-            step = step * cfg.step_shrink
-        v = v_next
+        g = quad.gradient(v)
+        if not np.all(np.isfinite(g)):
+            raise NumericalFailure(f"{side} update: non-finite gradient")
+        v = project_rows(v - step * g)
     return v
 
 

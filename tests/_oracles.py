@@ -161,21 +161,24 @@ def best_permutation_error(recovered, original):
 # --- reference per-unit projected-gradient update -----------------------------------
 
 
-def naive_pg_update(v0, f, grad, project, lips, cfg):
-    """One unit's inner loop: fixed step 1/L with halving backtracks, accept
-    only non-increase, keep the old point when every backtrack fails."""
+def naive_pg_update(
+    v0, f, grad, project, lips, cfg, *, step_init=1.0, step_shrink=0.5, max_backtracks=30
+):
+    """One unit's inner loop: step step_init/L with halving backtracks, accept
+    only non-increase, keep the old point when every backtrack fails. Stricter
+    than a plain 1/L step, which the descent lemma lets rise only by rounding."""
     v = v0
     for _ in range(cfg.inner_iters):
         f0 = f(v)
         g = grad(v)
-        step = cfg.step_init / lips
+        step = step_init / lips
         accepted = None
-        for _ in range(cfg.max_backtracks + 1):
+        for _ in range(max_backtracks + 1):
             cand = project(v - step * g)
             if f(cand) <= f0:
                 accepted = cand
                 break
-            step *= cfg.step_shrink
+            step *= step_shrink
         if accepted is not None:
             v = accepted
     return v

@@ -149,7 +149,7 @@ class TestRecoverOverfitCommands:
 
     def test_overfit_respects_size_cap(self, tmp_path, monkeypatch, capsys):
         data_path = small_corpus(tmp_path)
-        monkeypatch.setattr(cli, "_OVERFIT_MAX_USERS", 2)
+        monkeypatch.setattr(models, "_OVERFIT_MAX_BYTES", 1000)
         rc = cli.main(["overfit", "--data", data_path, "--model-out", str(tmp_path / "m")])
         assert rc == 1
         assert "limit" in capsys.readouterr().err

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from psdrec import models
+from psdrec import data, models
 from psdrec.exceptions import (
     InvalidInput,
     NotSimultaneouslyDiagonalizable,
@@ -214,6 +214,17 @@ class TestOverfit:
         for i in range(ds.I):
             for z in range(2, m.Z + 1):
                 assert profile.effect_ranks[i, z - 1] <= per_item[i]
+
+    def test_memory_bound_checked_before_allocating(self, monkeypatch):
+        # ML-100K shape: 8 (U^3 + I Z U^2) bytes is 6.7 + 59.8 GB.
+        ds = data.RatingDataset.from_arrays([0, 1, 942], [0, 5, 1681], [5, 3, 1], U=943, I=1682)
+
+        def no_alloc(*args, **kwargs):
+            raise AssertionError("overfit_model allocated before checking its size")
+
+        monkeypatch.setattr(np, "zeros", no_alloc)
+        with pytest.raises(InvalidInput, match="limit"):
+            models.overfit_model(ds)
 
     def test_empty_dataset_rejected(self):
         ds = random_dataset(np.random.default_rng(21), 4, 4)

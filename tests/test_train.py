@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -26,9 +28,6 @@ class TestTrainConfig:
             {"D": 0},
             {"max_iter": -1},
             {"mode": "nope"},
-            {"step_init": 0.0},
-            {"step_shrink": 1.5},
-            {"max_backtracks": -1},
             {"inner_iters": 0},
             {"field": "quaternion"},
             {"z_star": 1},
@@ -46,9 +45,31 @@ class TestTrainConfig:
 
     def test_from_file_unknown_key(self, tmp_path):
         path = tmp_path / "train.cfg"
-        path.write_text("banana = 2\n")
-        with pytest.raises(ParseError):
-            train.TrainConfig.from_file(str(path))
+        # Removed step keys are unknown like any other.
+        for key in ("banana", "step_init", "step_shrink", "max_backtracks"):
+            path.write_text(f"{key} = 0.5\n")
+            with pytest.raises(ParseError, match="unknown key"):
+                train.TrainConfig.from_file(str(path))
+
+    def test_from_file_sets_every_field(self, tmp_path):
+        # A valid non-default value for every field; a new field must be added
+        # here, so it cannot go without a from_file converter unnoticed.
+        values = {
+            "D": 3,
+            "max_iter": 7,
+            "mode": "recall",
+            "zero_fill_sweeps": 1,
+            "inner_iters": 2,
+            "seed": 4,
+            "field": "real",
+            "z_star": 10,
+            "kind": "nnm",
+        }
+        path = tmp_path / "train.cfg"
+        for f in dataclasses.fields(train.TrainConfig):
+            assert values[f.name] != f.default
+            path.write_text(f"{f.name} = {values[f.name]}\n")
+            assert getattr(train.TrainConfig.from_file(str(path)), f.name) == values[f.name]
 
     def test_from_file_bad_value(self, tmp_path):
         path = tmp_path / "train.cfg"
@@ -307,6 +328,25 @@ class TestUpdates:
         want = _naive_update_side(m, ds, zero_fill, cfg, "item")
         np.testing.assert_allclose(got.items[:, 0].reshape(m.I, -1), want, atol=1e-9)
         assert np.array_equal(got.users, m.users)
+
+    def test_fixed_point_projects_once_per_inner_iteration(self, monkeypatch):
+        # Each item rated once, so every item's observed-phase subproblem
+        # reaches a fixed point, where a step can raise it by rounding; each
+        # unit must still be projected exactly once per inner iteration.
+        rng = np.random.default_rng(0)
+        ds = data.RatingDataset.from_arrays(
+            rng.integers(0, 6, 12), np.arange(12), rng.integers(1, 6, 12), U=6, I=12
+        )
+        m = random_quantum_model(rng, 6, 12, 2)
+        cfg = train.TrainConfig(D=2)
+        t = train.effective_targets(ds, False)
+        for _ in range(60):
+            m = train.update_items(m, t, cfg)
+        calls = []
+        project = linalg.project_to_effect
+        monkeypatch.setattr(linalg, "project_to_effect", lambda x: calls.append(1) or project(x))
+        train.update_items(m, t, cfg)
+        assert len(calls) == cfg.inner_iters
 
     def test_updates_never_increase_objective(self):
         rng = np.random.default_rng(8)
