@@ -62,8 +62,8 @@ class RatingDataset:
                 raise InvalidInput("RatingDataset: item index out of range")
             if self.rr.min() < 1 or self.rr.max() > self.z_star:
                 raise InvalidInput(f"RatingDataset: ratings must lie in [1, {self.z_star}]")
-            keys = self.uu * np.int64(self.I) + self.ii
-            if len(np.unique(keys)) != n:
+            keys = np.sort(self.uu * np.int64(self.I) + self.ii)
+            if np.any(keys[1:] == keys[:-1]):
                 raise InvalidInput("RatingDataset: duplicate (user, item) entry")
         self.user_ids = np.asarray(self.user_ids)
         self.item_ids = np.asarray(self.item_ids)
@@ -121,8 +121,12 @@ class DataSplit:
     def __post_init__(self):
         train = np.asarray(self.train, dtype=np.int64)
         test = np.asarray(self.test, dtype=np.int64)
-        if np.intersect1d(train, test).size:
-            raise InvalidInput("DataSplit: train and test overlap")
+        # Binary search in sorted train: ms at 1M entries, ~1 s for np.intersect1d.
+        ordered = np.sort(train, axis=None)
+        if ordered.size:
+            found = ordered[np.minimum(np.searchsorted(ordered, test), ordered.size - 1)]
+            if np.any(found == test):
+                raise InvalidInput("DataSplit: train and test overlap")
         object.__setattr__(self, "train", train)
         object.__setattr__(self, "test", test)
 
@@ -140,6 +144,13 @@ class TagCatalog:
             members = self.membership.get(tag)
             if members is None or len(members) == 0:
                 raise InvalidInput(f"TagCatalog: tag {tag!r} has no members")
+
+
+def group_entries(unit, n, *columns):
+    """Entries sorted stably by unit: (indptr over the n units, *columns)."""
+    order = np.argsort(unit, kind="stable")
+    indptr = np.concatenate([[0], np.cumsum(np.bincount(unit, minlength=n))])
+    return (indptr, *(c[order] for c in columns))
 
 
 def _load_ratings(path, sep, z_star=5):

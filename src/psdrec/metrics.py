@@ -12,6 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .data import group_entries
 from .exceptions import InvalidInput
 from .models import score_entries, score_items
 
@@ -80,20 +81,16 @@ def recall_at_n(m, ds, split, n):
         raise InvalidInput("recall_at_n: no test entries with the top rating")
 
     train = np.asarray(split.train, dtype=np.int64)
-    rated_train = {}
-    for u, i in zip(ds.uu[train], ds.ii[train]):
-        rated_train.setdefault(int(u), []).append(int(i))
+    rated_ptr, rated = group_entries(ds.uu[train], ds.U, ds.ii[train])
+    test_ptr, test_items = group_entries(ds.uu[relevant], ds.U, ds.ii[relevant])
 
     hits = 0
-    by_user = {}
-    for e in relevant:
-        by_user.setdefault(int(ds.uu[e]), []).append(int(ds.ii[e]))
-    for u, test_items in by_user.items():
+    for u in np.flatnonzero(np.diff(test_ptr)).tolist():
         scores = score_items(m, u)
         candidate = np.ones(ds.I, dtype=bool)
-        candidate[rated_train.get(u, [])] = False
+        candidate[rated[rated_ptr[u] : rated_ptr[u + 1]]] = False
         cand_scores = scores[candidate]
-        for i in test_items:
+        for i in test_items[test_ptr[u] : test_ptr[u + 1]]:
             s = scores[i]
             greater = int(np.count_nonzero(cand_scores > s))
             equal_other = int(np.count_nonzero(cand_scores == s)) - 1

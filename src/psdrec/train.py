@@ -15,7 +15,8 @@ models, D^2 for matrix models), built once per half-sweep for both target
 phases. Zero-filled sweeps share one K x K Gram matrix G of the whole frozen
 side, so the dense user-item target matrix is never materialized;
 observed-only sweeps give each unit its own G, summed over the frozen rows of
-its own entries. Either way, no inner iteration revisits the ratings.
+its own entries. Either way, no inner iteration revisits the ratings, and the
+per-sweep objective sums the user side's quadratics instead of rescoring them.
 """
 
 from __future__ import annotations
@@ -30,7 +31,9 @@ import scipy.sparse as sp
 
 from . import linalg
 from .exceptions import InvalidInput, NumericalFailure, ParseError
-from .models import NnmModel, QuantumModel, score_entries
+from .data import group_entries
+from .models import NnmModel, QuantumModel
+from .models import score_entries  # noqa: F401  perfbench/spans.py wraps train.score_entries
 
 __all__ = [
     "TrainConfig",
@@ -144,8 +147,8 @@ class TrainConfig:
 
 @dataclass
 class TrainHistory:
-    """Per-sweep objective (on that sweep's targets), wall time, worst
-    constraint residual, and which target phase the sweep used."""
+    """Per-sweep objective (on that sweep's targets, summed over the user
+    quadratics), wall time, worst constraint residual, and target phase."""
 
     objective: list = field(default_factory=list)
     wall_time: list = field(default_factory=list)
@@ -184,18 +187,11 @@ class Targets:
 
     @cached_property
     def by_user(self):
-        return _group_entries(self.uu, self.ii, self.values, self.U)
+        return group_entries(self.uu, self.U, self.ii, self.values)
 
     @cached_property
     def by_item(self):
-        return _group_entries(self.ii, self.uu, self.values, self.I)
-
-
-def _group_entries(unit, other, values, n):
-    """Entries sorted stably by unit: (indptr over the n units, other, values)."""
-    order = np.argsort(unit, kind="stable")
-    indptr = np.concatenate([[0], np.cumsum(np.bincount(unit, minlength=n))])
-    return indptr, other[order], values[order]
+        return group_entries(self.ii, self.I, self.uu, self.values)
 
 
 def effective_targets(ds, zero_fill):
@@ -241,17 +237,10 @@ def _require_binary(m):
 
 
 def objective(m, targets):
-    """Sum over target pairs of (P[like] - target)^2, on unclamped scores."""
-    uf, ef = _binary_flats(m)
-    preds = score_entries(m, targets.uu, targets.ii)
-    r = preds - targets.values
-    if not targets.zero_fill:
-        return float(np.dot(r, r))
-    gram = uf.T @ np.conj(uf)
-    quad = float(np.real(np.sum(np.conj(ef) * (ef @ np.conj(gram)))))
-    cross = float(np.dot(targets.values, preds))
-    const = float(np.dot(targets.values, targets.values))
-    return quad - 2.0 * cross + const
+    """Sum over target pairs of (P[like] - target)^2, on unclamped scores,
+    as the sum of the user side's subobjectives: one sparse product, no scoring."""
+    own, quad = _quadratic(m, targets, "user")
+    return float(np.sum(quad.value(own)))
 
 
 class _Quadratic(NamedTuple):
@@ -289,14 +278,16 @@ def _quadratic(m, targets, side):
     otherwise; either bounds the Lipschitz constant of the unit's gradient.
     """
     uf, ef = _binary_flats(m)
+    if (targets.U, targets.I) != (m.U, m.I):
+        raise InvalidInput(f"targets are {targets.U} x {targets.I}, the model {m.U} x {m.I}")
     own, fix_flat = (uf, ef) if side == "user" else (ef, uf)
     indptr, fix_of_entry, t_sorted = targets.by_user if side == "user" else targets.by_item
     n_var, n_fix = len(indptr) - 1, fix_flat.shape[0]
     var_of_entry = np.repeat(np.arange(n_var), np.diff(indptr))
-    coef = sp.csr_matrix(
-        (t_sorted.astype(fix_flat.dtype), fix_of_entry, indptr), shape=(n_var, n_fix)
-    )
-    cvec = coef @ fix_flat
+    # Real targets times the frozen rows' real and imaginary parts side by side.
+    coef = sp.csr_matrix((t_sorted, fix_of_entry, indptr), shape=(n_var, n_fix))
+    fix_flat = np.ascontiguousarray(fix_flat, dtype=np.result_type(fix_flat, float))
+    cvec = (coef @ fix_flat.view(float)).view(fix_flat.dtype)
     const = np.bincount(var_of_entry, weights=t_sorted**2, minlength=n_var)
     if targets.zero_fill:
         # gram[a, b] = sum_f conj(f_a) f_b, so (sum_f <f, x> f) per row is x @ gram.

@@ -143,6 +143,18 @@ class TestRatingDataset:
         with pytest.raises(InvalidInput):
             data.RatingDataset.from_arrays([0, 0], [1, 1], [5, 4], U=1, I=2)
 
+    @given(pairs=st.lists(st.tuples(st.integers(0, 4), st.integers(0, 3)), max_size=14))
+    @settings(max_examples=200, deadline=None)
+    def test_duplicates_rejected_exactly(self, pairs):
+        uu = [u for u, _ in pairs]
+        ii = [i for _, i in pairs]
+        build = lambda: data.RatingDataset.from_arrays(uu, ii, [3] * len(pairs), U=5, I=4)
+        if len(set(pairs)) < len(pairs):
+            with pytest.raises(InvalidInput, match="duplicate"):
+                build()
+        else:
+            assert len(build()) == len(pairs)
+
     def test_rejects_length_mismatch(self):
         with pytest.raises(InvalidInput):
             data.RatingDataset.from_arrays([0, 1], [0], [5], U=2, I=1)
@@ -211,6 +223,26 @@ class TestSplits:
     def test_split_rejects_overlap(self):
         with pytest.raises(InvalidInput):
             data.DataSplit(train=np.array([0, 1]), test=np.array([1, 2]))
+
+    @given(
+        train=st.lists(st.integers(0, 12), max_size=10),
+        test=st.lists(st.integers(0, 12), max_size=10),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_split_rejects_exactly_overlap(self, train, test):
+        build = lambda: data.DataSplit(
+            train=np.array(train, dtype=np.int64), test=np.array(test, dtype=np.int64)
+        )
+        if set(train) & set(test):
+            with pytest.raises(InvalidInput, match="overlap"):
+                build()
+        else:
+            split = build()
+            assert split.train.tolist() == train and split.test.tolist() == test
+
+    def test_split_allows_repeats_within_train(self):
+        split = data.DataSplit(train=np.array([7, 2, 7, 7, 0]), test=np.array([5, 1, 8, 3]))
+        assert split.train.tolist() == [7, 2, 7, 7, 0]
 
 
 class TestTagCatalog:

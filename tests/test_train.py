@@ -145,6 +145,17 @@ class TestObjective:
         t = train.effective_targets(ds, True)
         assert abs(train.objective(m, t) - naive_objective(m, ds, True)) <= 1e-9
 
+    def test_shape_mismatch_rejected(self):
+        rng = np.random.default_rng(3)
+        ds = random_dataset(rng, 6, 5, density=0.6)
+        m = random_quantum_model(rng, 5, 5, 2)
+        for zero_fill in (False, True):
+            t = train.effective_targets(ds, zero_fill)
+            with pytest.raises(InvalidInput, match="targets"):
+                train.objective(m, t)
+            with pytest.raises(InvalidInput, match="targets"):
+                train.update_users(m, t, train.TrainConfig())
+
     def test_unit_objectives_sum_to_total(self):
         rng = np.random.default_rng(2)
         ds = random_dataset(rng, 5, 4, density=0.8)
@@ -470,3 +481,28 @@ class TestTrainLoop:
         m, _ = train.train_quantum(ds, cfg)
         m.validate()
         assert not np.iscomplexobj(m.users)
+
+    @pytest.mark.parametrize("max_iter", [1, 2, 3])
+    @pytest.mark.parametrize("kind", ["quantum", "nnm"])
+    def test_recorded_objective_matches_naive(self, kind, max_iter):
+        rng = np.random.default_rng(21)
+        ds = random_dataset(rng, 7, 6, density=0.6)
+        cfg = train.TrainConfig(D=2, max_iter=max_iter, zero_fill_sweeps=1, seed=3)
+        trainer = train.train_quantum if kind == "quantum" else train.train_nnm
+        m, hist = trainer(ds, cfg)
+        zero_fill = max_iter == 1
+        assert hist.phase[-1] == ("zero_fill" if zero_fill else "observed")
+        assert abs(hist.objective[-1] - naive_objective(m, ds, zero_fill)) <= 1e-9
+
+    def test_training_never_rescores_entries(self, monkeypatch):
+        def no_scores(*args, **kwargs):
+            raise AssertionError("training scored the targets entry by entry")
+
+        monkeypatch.setattr(models, "score_entries", no_scores)
+        monkeypatch.setattr(train, "score_entries", no_scores)
+        rng = np.random.default_rng(22)
+        ds = random_dataset(rng, 6, 5, density=0.6)
+        m, hist = train.train_quantum(ds, train.TrainConfig(D=2, max_iter=3, seed=0))
+        assert len(hist) == 3
+        for zero_fill in (True, False):
+            assert np.isfinite(train.objective(m, train.effective_targets(ds, zero_fill)))
