@@ -101,11 +101,6 @@ class RatingDataset:
         )
 
     @cached_property
-    def user_index(self):
-        """Original user id -> internal index."""
-        return {orig: k for k, orig in enumerate(self.user_ids.tolist())}
-
-    @cached_property
     def item_index(self):
         """Original item id -> internal index."""
         return {orig: k for k, orig in enumerate(self.item_ids.tolist())}

@@ -71,7 +71,7 @@ def project_to_simplex(v):
 
 
 def project_to_simplex_rows(v):
-    """Row-wise simplex projection of a 2-d (or higher) real array."""
+    """Simplex projection along the last axis of a real array."""
     v = np.asarray(v, dtype=float)
     d = v.shape[-1]
     u = -np.sort(-v, axis=-1)
@@ -102,6 +102,12 @@ def _recompose(w, v):
     return hermitianize((v * w[..., None, :]) @ np.conj(np.swapaxes(v, -1, -2)))
 
 
+def _spectral_map(a, f):
+    """Apply f to the eigenvalues of each Hermitian matrix along the last two axes."""
+    w, v = np.linalg.eigh(a)
+    return _recompose(f(w), v)
+
+
 def project_to_spectrahedron(a):
     """Frobenius-nearest density matrix: psd with unit trace. Batched.
 
@@ -109,19 +115,13 @@ def project_to_spectrahedron(a):
     This is the exact Euclidean projection; idempotent.
     """
     a = _as_square(a, "project_to_spectrahedron")
-    a = _require_hermitian(a, "project_to_spectrahedron")
-    w, v = np.linalg.eigh(a)
-    shape = w.shape
-    w = project_to_simplex_rows(w.reshape(-1, shape[-1])).reshape(shape)
-    return _recompose(w, v)
+    return _spectral_map(_require_hermitian(a, "project_to_spectrahedron"), project_to_simplex_rows)
 
 
 def project_to_effect(a):
     """Frobenius-nearest effect, 0 <= E <= I, by clamping eigenvalues. Batched."""
     a = _as_square(a, "project_to_effect")
-    a = _require_hermitian(a, "project_to_effect")
-    w, v = np.linalg.eigh(a)
-    return _recompose(np.clip(w, 0.0, 1.0), v)
+    return _spectral_map(_require_hermitian(a, "project_to_effect"), lambda w: np.clip(w, 0.0, 1.0))
 
 
 def project_to_binary_povm(a1, a2):
@@ -142,8 +142,7 @@ def project_to_binary_povm(a1, a2):
 
 def _psd_part(a):
     """Clamp eigenvalues at zero along the last two axes."""
-    w, v = np.linalg.eigh(a)
-    return _recompose(np.maximum(w, 0.0), v)
+    return _spectral_map(a, lambda w: np.maximum(w, 0.0))
 
 
 def project_to_povm(es, *, max_rounds=500, tol=1e-8):

@@ -1,10 +1,15 @@
 """Model containers and model-level operations.
 
-Two interchangeable model families over a rating alphabet of Z outcomes:
+Two interchangeable model families over a rating alphabet of Z outcomes.
+Each kind states its constraint geometry once, on its class: how its states
+flatten to rows, the projections onto its user set and its like-effect set,
+how a binary model is rebuilt from flat rows, and the list of constraint
+violations that both `validate` and `residual` read.
 
 * NnmModel: each user is a probability vector on the unit simplex, each item
   a tuple of Z nonnegative vectors summing to the all-ones vector; the
-  probability of outcome z is a dot product.
+  probability of outcome z is a dot product. The NNM is the diagonal special
+  case of the quantum model (see embed_nnm).
 * QuantumModel: each user is a density matrix (psd, unit trace), each item a
   POVM (psd effects summing to the identity); the probability of outcome z is
   a trace inner product.
@@ -41,32 +46,28 @@ __all__ = [
     "embed_nnm",
     "overfit_model",
     "recover_nnm",
-    "predicted_star",
     "rank_profile",
     "save_model",
     "load_model",
 ]
 
 
+def _max_abs(x):
+    return float(np.max(np.abs(x), initial=0.0))
+
+
 @dataclass(frozen=True, eq=False)
-class NnmModel:
-    """users: (U, D) rows on the simplex; items: (I, Z, D) with the Z vectors
-    of every item summing to the all-ones vector entrywise."""
+class _Model:
+    """Sizes, flat views, rebuilds and checks shared by both model kinds.
+
+    A kind states its constraint geometry once: `project_users` and
+    `project_likes` map flat rows onto its user set and its like-effect set,
+    `_one` is the sum its outcome effects must reach, and `_violations`
+    yields (message, value, tolerance) for each constraint.
+    """
 
     users: np.ndarray
     items: np.ndarray
-
-    def __post_init__(self):
-        users = np.asarray(self.users, dtype=float)
-        items = np.asarray(self.items, dtype=float)
-        if users.ndim != 2 or items.ndim != 3 or items.shape[2] != users.shape[1]:
-            raise InvalidInput(
-                f"NnmModel: expected users (U, D) and items (I, Z, D), got {users.shape} and {items.shape}"
-            )
-        if items.shape[1] < 2:
-            raise InvalidInput("NnmModel: need Z >= 2 outcomes")
-        object.__setattr__(self, "users", users)
-        object.__setattr__(self, "items", items)
 
     @property
     def U(self):
@@ -84,24 +85,77 @@ class NnmModel:
     def Z(self):
         return self.items.shape[1]
 
+    def flat_users(self):
+        """User states as rows of K entries: K = D for vectors, D^2 for matrices."""
+        return self.users.reshape(self.U, -1)
+
+    def flat_likes(self):
+        """Like effects (outcome 1) as rows of K entries."""
+        return self.items[:, 0].reshape(self.I, -1)
+
+    def with_users(self, rows):
+        """The same model with its user states read from flat rows."""
+        return type(self)(rows.reshape(self.users.shape), self.items)
+
+    def with_likes(self, rows):
+        """The binary model with like effects read from flat rows and each
+        dislike effect their complement `_one - E`."""
+        likes = rows.reshape(self.items[:, 0].shape)
+        return type(self)(self.users, np.stack([likes, self._one - likes], axis=1))
+
     def validate(self):
-        """Check the simplex and sum-to-one invariants; raises InvalidInput."""
-        if float(np.max(np.abs(self.users.sum(axis=1) - 1.0), initial=0.0)) > 1e-10:
-            raise InvalidInput("NnmModel: a user vector does not sum to 1")
-        if float(np.min(self.users, initial=0.0)) < -1e-10:
-            raise InvalidInput("NnmModel: a user vector has a negative entry")
-        if float(np.min(self.items, initial=0.0)) < -1e-10:
-            raise InvalidInput("NnmModel: an item vector has a negative entry")
-        if float(np.max(np.abs(self.items.sum(axis=1) - 1.0), initial=0.0)) > 1e-8:
-            raise InvalidInput("NnmModel: item outcome vectors do not sum to the all-ones vector")
+        """Raise InvalidInput on the first constraint violated beyond its tolerance."""
+        for message, value, tol in self._violations():
+            if value > tol:
+                raise InvalidInput(message)
+
+    def residual(self):
+        """Worst violation over all user and item constraints."""
+        return max((value for _, value, _ in self._violations()), default=0.0)
 
 
 @dataclass(frozen=True, eq=False)
-class QuantumModel:
-    """users: (U, D, D) density matrices; items: (I, Z, D, D) POVMs."""
+class NnmModel(_Model):
+    """users: (U, D) rows on the simplex; items: (I, Z, D) with the Z vectors
+    of every item summing to the all-ones vector entrywise. Like effects are
+    projected onto the box [0, 1]^D."""
 
-    users: np.ndarray
-    items: np.ndarray
+    _one = 1.0
+
+    def __post_init__(self):
+        users = np.asarray(self.users, dtype=float)
+        items = np.asarray(self.items, dtype=float)
+        if users.ndim != 2 or items.ndim != 3 or items.shape[2] != users.shape[1]:
+            raise InvalidInput(
+                f"NnmModel: expected users (U, D) and items (I, Z, D), got {users.shape} and {items.shape}"
+            )
+        if items.shape[1] < 2:
+            raise InvalidInput("NnmModel: need Z >= 2 outcomes")
+        object.__setattr__(self, "users", users)
+        object.__setattr__(self, "items", items)
+
+    def project_users(self, rows):
+        return linalg.project_to_simplex_rows(rows)
+
+    def project_likes(self, rows):
+        return np.clip(rows, 0.0, 1.0)
+
+    def _violations(self):
+        yield "NnmModel: a user vector does not sum to 1", _max_abs(self.users.sum(axis=1) - 1.0), 1e-10
+        yield "NnmModel: a user vector has a negative entry", -float(np.min(self.users, initial=0.0)), 1e-10
+        yield "NnmModel: an item vector has a negative entry", -float(np.min(self.items, initial=0.0)), 1e-10
+        yield (
+            "NnmModel: item outcome vectors do not sum to the all-ones vector",
+            _max_abs(self.items.sum(axis=1) - 1.0),
+            1e-8,
+        )
+
+
+@dataclass(frozen=True, eq=False)
+class QuantumModel(_Model):
+    """users: (U, D, D) density matrices; items: (I, Z, D, D) POVMs. Like
+    effects are projected onto 0 <= E <= I, so the binary POVM projection
+    keeps the dislike effect I - E implicit and clamps E's eigenvalues."""
 
     def __post_init__(self):
         users = np.asarray(self.users)
@@ -121,37 +175,26 @@ class QuantumModel:
         object.__setattr__(self, "items", items)
 
     @property
-    def U(self):
-        return self.users.shape[0]
+    def _one(self):
+        return np.eye(self.D)
 
-    @property
-    def I(self):
-        return self.items.shape[0]
+    def project_users(self, rows):
+        return linalg.project_to_spectrahedron(rows.reshape(-1, self.D, self.D)).reshape(rows.shape)
 
-    @property
-    def D(self):
-        return self.users.shape[1]
+    def project_likes(self, rows):
+        return linalg.project_to_effect(rows.reshape(-1, self.D, self.D)).reshape(rows.shape)
 
-    @property
-    def Z(self):
-        return self.items.shape[1]
-
-    def validate(self):
-        """Check the density-matrix and POVM invariants; raises InvalidInput."""
+    def _violations(self):
         for name, stack in (("user", self.users), ("item", self.items)):
-            dev = float(np.max(np.abs(stack - np.conj(np.swapaxes(stack, -1, -2))), initial=0.0))
-            if dev > 1e-10:
-                raise InvalidInput(f"QuantumModel: a {name} matrix is not Hermitian (deviation {dev:.3e})")
+            dev = _max_abs(stack - np.conj(np.swapaxes(stack, -1, -2)))
+            yield f"QuantumModel: a {name} matrix is not Hermitian (deviation {dev:.3e})", dev, 1e-10
         traces = np.einsum("ukk->u", self.users).real
-        if float(np.max(np.abs(traces - 1.0), initial=0.0)) > 1e-8:
-            raise InvalidInput("QuantumModel: a user state does not have unit trace")
-        if self.users.size and float(np.min(np.linalg.eigvalsh(self.users))) < -1e-8:
-            raise InvalidInput("QuantumModel: a user state is not psd")
-        if self.items.size and float(np.min(np.linalg.eigvalsh(self.items))) < -1e-8:
-            raise InvalidInput("QuantumModel: an item effect is not psd")
-        eye = np.eye(self.D)
-        if float(np.max(np.abs(self.items.sum(axis=1) - eye), initial=0.0)) > 1e-8:
-            raise InvalidInput("QuantumModel: item effects do not sum to the identity")
+        yield "QuantumModel: a user state does not have unit trace", _max_abs(traces - 1.0), 1e-8
+        for what, stack in (("a user state", self.users), ("an item effect", self.items)):
+            low = float(np.min(np.linalg.eigvalsh(stack))) if stack.size else 0.0
+            yield f"QuantumModel: {what} is not psd", -low, 1e-8
+        sums = self.items.sum(axis=1) - self._one
+        yield "QuantumModel: item effects do not sum to the identity", _max_abs(sums), 1e-8
 
 
 def _check_indices(m, u, i, z):
@@ -187,20 +230,12 @@ def predict(m, u, i, z):
     raise InvalidInput(f"predict: unsupported model type {type(m).__name__}")
 
 
-def _flat_users(m):
-    return m.users.reshape(m.U, -1)
-
-
-def _flat_like_effects(m):
-    return m.items[:, 0].reshape(m.I, -1)
-
-
 def score_items(m, u):
     """Raw like scores (outcome 1, unclamped) of user u against every item."""
     if not (isinstance(u, (int, np.integer)) and 0 <= u < m.U):
         raise InvalidInput(f"user index {u} out of range [0, {m.U})")
-    uf = np.conj(_flat_users(m)[u])
-    return np.real(_flat_like_effects(m) @ uf)
+    uf = np.conj(m.flat_users()[u])
+    return np.real(m.flat_likes() @ uf)
 
 
 def score_entries(m, uu, ii, chunk=1 << 18):
@@ -213,8 +248,8 @@ def score_entries(m, uu, ii, chunk=1 << 18):
         raise InvalidInput(f"score_entries: user index out of range [0, {m.U})")
     if ii.size and (ii.min() < 0 or ii.max() >= m.I):
         raise InvalidInput(f"score_entries: item index out of range [0, {m.I})")
-    uf = _flat_users(m)
-    ef = _flat_like_effects(m)
+    uf = m.flat_users()
+    ef = m.flat_likes()
     out = np.empty(uu.shape[0])
     for s in range(0, uu.shape[0], chunk):
         sl = slice(s, s + chunk)
@@ -240,11 +275,12 @@ _OVERFIT_MAX_BYTES = 2**30
 
 
 def overfit_model(ds):
-    """Perfect-fit quantum model of dimension D = U built from basis projectors.
+    """Perfect-fit quantum model of dimension D = U, the embedding of an NNM.
 
-    Every user is the projector onto their own coordinate; the effect for
-    outcome z of item i collects the coordinates of users who rated i as z,
-    with users who did not rate i absorbed into the z = 1 effect. Fits every
+    In that NNM every user is their own basis vector; the outcome-z vector of
+    item i marks the users who rated i as z, with users who did not rate i
+    marked in the z = 1 vector. embed_nnm turns each into a basis projector
+    and each item vector into a diagonal effect. Fits every
     known rating with probability exactly 1, and for z >= 2 the rank of E_iz
     is at most the number of users who rated item i.
 
@@ -260,14 +296,11 @@ def overfit_model(ds):
             f"overfit_model: D = {u_n} users need {need / 2**30:.1f} GiB, "
             f"above the {_OVERFIT_MAX_BYTES / 2**30:.1f} GiB limit"
         )
-    rng = np.arange(u_n)
-    users = np.zeros((u_n, u_n, u_n))
-    users[rng, rng, rng] = 1.0
-    items = np.zeros((i_n, z_n, u_n, u_n))
-    items[:, 0, rng, rng] = 1.0
-    items[ds.ii, 0, ds.uu, ds.uu] = 0.0
-    items[ds.ii, ds.rr - 1, ds.uu, ds.uu] = 1.0
-    return QuantumModel(users, items)
+    items = np.zeros((i_n, z_n, u_n))
+    items[:, 0] = 1.0
+    items[ds.ii, 0, ds.uu] = 0.0
+    items[ds.ii, ds.rr - 1, ds.uu] = 1.0
+    return embed_nnm(NnmModel(np.eye(u_n), items))
 
 
 def _pairwise_commutator_norm(mats):
@@ -340,16 +373,6 @@ def recover_nnm(m, tol=1e-6, *, seed=0):
     cols = raw_items.transpose(0, 2, 1).reshape(m.I * d, m.Z)
     items = linalg.project_to_simplex_rows(cols).reshape(m.I, d, m.Z).transpose(0, 2, 1)
     return NnmModel(users, items)
-
-
-def predicted_star(m, u, i, z_star):
-    """Star-scale prediction clamp(z_star * P[like], 1, z_star).
-
-    Expects a binary-outcome model where outcome 1 means "like"; z_star is
-    the size of the star alphabet the ratings were drawn from.
-    """
-    p = predict(m, u, i, 1)
-    return float(np.clip(z_star * p, 1.0, float(z_star)))
 
 
 @dataclass(frozen=True)

@@ -22,14 +22,13 @@ per-sweep objective sums the user side's quadratics instead of rescoring them.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
 
-from . import linalg
 from .exceptions import InvalidInput, NumericalFailure, ParseError
 from .data import group_entries
 from .models import NnmModel, QuantumModel
@@ -107,17 +106,7 @@ class TrainConfig:
     @classmethod
     def from_file(cls, path):
         """Load `key=value` lines; `#` starts a comment, blank lines skipped."""
-        converters = {
-            "D": int,
-            "max_iter": int,
-            "zero_fill_sweeps": int,
-            "inner_iters": int,
-            "seed": int,
-            "z_star": int,
-            "mode": lambda s: s.lower(),
-            "field": lambda s: s.lower(),
-            "kind": lambda s: s.lower(),
-        }
+        converters = {f.name: int if f.type.startswith("int") else str.lower for f in fields(cls)}
         canonical = {name.lower(): name for name in converters}
         values = {}
         try:
@@ -222,17 +211,8 @@ def init_quantum_users(n_users, d, seed, field="complex"):
     return np.einsum("ua,ub->uab", v, np.conj(v))
 
 
-def _binary_flats(m):
-    """(users_flat, like_flat) for a binary-outcome model of either kind."""
-    if isinstance(m, QuantumModel):
-        return m.users.reshape(m.U, -1), m.items[:, 0].reshape(m.I, -1)
-    if isinstance(m, NnmModel):
-        return m.users, m.items[:, 0]
-    raise InvalidInput(f"unsupported model type {type(m).__name__}")
-
-
 def _require_binary(m):
-    if m.Z != 2:
+    if getattr(m, "Z", None) != 2:
         raise InvalidInput("training operates on binary-outcome models (Z = 2)")
 
 
@@ -277,7 +257,8 @@ def _quadratic(m, targets, side):
     2 lambda_max(G) when zero-filled and 2 tr(G_r) >= 2 lambda_max(G_r)
     otherwise; either bounds the Lipschitz constant of the unit's gradient.
     """
-    uf, ef = _binary_flats(m)
+    _require_binary(m)
+    uf, ef = m.flat_users(), m.flat_likes()
     if (targets.U, targets.I) != (m.U, m.I):
         raise InvalidInput(f"targets are {targets.U} x {targets.I}, the model {m.U} x {m.I}")
     own, fix_flat = (uf, ef) if side == "user" else (ef, uf)
@@ -312,10 +293,7 @@ def _unit_objective(m, targets, idx, side):
 
 def _unit_gradient(m, targets, idx, side):
     own, quad = _quadratic(m, targets, side)
-    g = quad.gradient(own)[idx]
-    if isinstance(m, QuantumModel):
-        return linalg.hermitianize(g.reshape(m.D, m.D))
-    return g
+    return quad.gradient(own)[idx].reshape(m.users.shape[1:])
 
 
 def user_objective(m, targets, u):
@@ -361,71 +339,25 @@ def _update_side(m, targets, cfg, side, project_rows):
     return v
 
 
-def _matrix_rows(project, d):
-    """Apply a batched projection of d x d matrices to flattened rows."""
-    return lambda rows: project(rows.reshape(-1, d, d)).reshape(rows.shape)
-
-
-def _rebuild_users(m, users_flat):
-    if isinstance(m, QuantumModel):
-        users = linalg.hermitianize(users_flat.reshape(m.U, m.D, m.D))
-        return QuantumModel(users, m.items)
-    return NnmModel(users_flat, m.items)
-
-
-def _rebuild_items(m, like_flat):
-    if isinstance(m, QuantumModel):
-        e1 = linalg.hermitianize(like_flat.reshape(m.I, m.D, m.D))
-        items = np.stack([e1, np.eye(m.D) - e1], axis=1)
-        return QuantumModel(m.users, items)
-    items = np.stack([like_flat, 1.0 - like_flat], axis=1)
-    return NnmModel(m.users, items)
-
-
 def update_users(m, targets, cfg):
     """Projected-gradient update of every user state, items fixed."""
     _require_binary(m)
-    if isinstance(m, QuantumModel):
-        proj = _matrix_rows(linalg.project_to_spectrahedron, m.D)
-    else:
-        proj = linalg.project_to_simplex_rows
-    new_uf = _update_side(m, targets, cfg, "user", proj)
-    return _rebuild_users(m, new_uf)
+    return m.with_users(_update_side(m, targets, cfg, "user", m.project_users))
 
 
 def update_items(m, targets, cfg):
     """Projected-gradient update of every item like-effect, users fixed.
 
     Only the like-effect enters the objective; the complementary effect is
-    rebuilt as identity minus the like-effect.
+    rebuilt by `with_likes`.
     """
     _require_binary(m)
-    if isinstance(m, QuantumModel):
-        # Reduced form of the binary POVM projection: the dislike effect
-        # I - E is maintained implicitly, so projecting the pair amounts to
-        # clamping the like-effect's eigenvalues into [0, 1].
-        proj = _matrix_rows(linalg.project_to_effect, m.D)
-    else:
-        proj = lambda rows: np.clip(rows, 0.0, 1.0)
-    new_ef = _update_side(m, targets, cfg, "item", proj)
-    return _rebuild_items(m, new_ef)
+    return m.with_likes(_update_side(m, targets, cfg, "item", m.project_likes))
 
 
 def constraint_residual(m):
     """Worst feasibility violation over all user and item constraints."""
-    if isinstance(m, QuantumModel):
-        res = float(np.max(np.abs(np.einsum("ukk->u", m.users).real - 1.0), initial=0.0))
-        if m.users.size:
-            res = max(res, -float(np.min(np.linalg.eigvalsh(m.users))))
-        if m.items.size:
-            res = max(res, -float(np.min(np.linalg.eigvalsh(m.items))))
-        eye = np.eye(m.D)
-        res = max(res, float(np.max(np.abs(m.items.sum(axis=1) - eye), initial=0.0)))
-        return max(res, 0.0)
-    res = float(np.max(np.abs(m.users.sum(axis=1) - 1.0), initial=0.0))
-    res = max(res, -float(np.min(m.users, initial=0.0)), -float(np.min(m.items, initial=0.0)))
-    res = max(res, float(np.max(np.abs(m.items.sum(axis=1) - 1.0), initial=0.0)))
-    return max(res, 0.0)
+    return m.residual()
 
 
 def _init_model(ds, cfg):

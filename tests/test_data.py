@@ -169,7 +169,7 @@ class TestRatingDataset:
     def test_index_maps(self, tmp_path):
         rows = [(10, 300, 5, 1), (20, 300, 3, 2)]
         ds = data.load_movielens_100k(write_100k(tmp_path, rows))
-        assert ds.user_index[10] == 0 and ds.user_index[20] == 1
+        assert ds.user_ids.tolist() == [10, 20]
         assert ds.item_index[300] == 0
 
 

@@ -1,3 +1,4 @@
+import importlib
 import os
 import subprocess
 import sys
@@ -24,3 +25,10 @@ def test_package_import_leaves_scipy_optimize_out():
     ).stdout.splitlines()
     assert "psdrec.tags" in out[0] and "psdrec.cli" in out[0]
     assert out[1] == "False"
+
+
+def test_every_exported_name_resolves():
+    for name in sorted(psdrec._SUBMODULES):
+        module = importlib.import_module(f"psdrec.{name}")
+        missing = [n for n in getattr(module, "__all__", ()) if not hasattr(module, n)]
+        assert missing == [], f"psdrec.{name}.__all__ names missing attributes: {missing}"

@@ -288,26 +288,6 @@ class TestRecover:
             models.recover_nnm(m, tol=1e-12)
 
 
-class TestPredictedStar:
-    def test_clamps_to_star_range(self):
-        users = np.array([[[1.0, 0.0], [0.0, 0.0]]], dtype=complex)
-        e_like = np.diag([1.0, 0.0]).astype(complex)
-        items = np.stack([np.stack([e_like, np.eye(2) - e_like])])
-        m = models.QuantumModel(users=users, items=items)
-        assert models.predicted_star(m, 0, 0, 5) == 5.0
-        e_zero = np.zeros((2, 2), dtype=complex)
-        items = np.stack([np.stack([e_zero, np.eye(2).astype(complex)])])
-        m = models.QuantumModel(users=users, items=items)
-        assert models.predicted_star(m, 0, 0, 5) == 1.0
-
-    def test_midrange_value(self):
-        users = np.array([[[0.5, 0.0], [0.0, 0.5]]], dtype=complex)
-        e_like = np.diag([1.0, 0.0]).astype(complex)
-        items = np.stack([np.stack([e_like, np.eye(2) - e_like])])
-        m = models.QuantumModel(users=users, items=items)
-        assert abs(models.predicted_star(m, 0, 0, 5) - 2.5) <= 1e-12
-
-
 class TestRankProfile:
     def test_known_ranks(self):
         e_like = np.diag([1.0, 1.0, 0.0]).astype(complex)

@@ -383,6 +383,15 @@ class TestUpdates:
         with pytest.raises(InvalidInput):
             train.update_users(m, t, train.TrainConfig())
 
+    @pytest.mark.parametrize("update", [train.update_users, train.update_items])
+    def test_non_model_rejected(self, update):
+        ds = random_dataset(np.random.default_rng(9), 3, 3)
+        t = train.effective_targets(ds, False)
+        with pytest.raises(InvalidInput):
+            update(np.zeros((3, 2)), t, train.TrainConfig())
+        with pytest.raises(InvalidInput):
+            train.objective(None, t)
+
     def test_non_finite_raises(self):
         rng = np.random.default_rng(10)
         m = random_quantum_model(rng, 3, 3, 2)
@@ -405,6 +414,39 @@ class TestConstraintResidual:
         rng = np.random.default_rng(12)
         m = random_quantum_model(rng, 2, 2, 2)
         assert train.constraint_residual(models.QuantumModel(m.users * 1.1, m.items)) > 1e-3
+
+    @pytest.mark.parametrize(
+        "kind, case",
+        [
+            ("quantum", "scaled user"),
+            ("quantum", "non-Hermitian user"),
+            ("quantum", "negative like"),
+            ("quantum", "outcomes off one"),
+            ("nnm", "scaled user"),
+            ("nnm", "negative like"),
+            ("nnm", "outcomes off one"),
+        ],
+    )
+    def test_residual_covers_every_check(self, kind, case):
+        rng = np.random.default_rng(14)
+        make = random_quantum_model if kind == "quantum" else random_nnm_model
+        m = make(rng, 3, 3, 2)
+        users, items = m.users.copy(), m.items.copy()
+        one = np.eye(2) if kind == "quantum" else np.ones(2)
+        if case == "scaled user":
+            users[0] *= 1.1
+        elif case == "non-Hermitian user":
+            users[0, 0, 1] += 1e-2
+        elif case == "negative like":
+            # The outcomes still sum to `one`; only the like effect leaves the cone.
+            like = np.diag([-0.1, 0.5]) if kind == "quantum" else np.array([-0.1, 0.5])
+            items[0] = np.stack([like, one - like])
+        else:
+            items[0, 0] *= 0.9
+        bad = type(m)(users, items)
+        with pytest.raises(InvalidInput):
+            bad.validate()
+        assert train.constraint_residual(bad) > 1e-3
 
 
 class TestTrainLoop:
