@@ -119,6 +119,26 @@ class TestEvaluateCommand:
         assert "mae mean=" in out and "rmse" not in out
 
 
+class TestMalformedRatings:
+    """A bad ratings file ends the command with exit 1 and one message naming
+    the file and line, whichever parser found the fault."""
+
+    @pytest.mark.parametrize(
+        "text, where",
+        [
+            ("1\t1\t5\t0\n2\t1\t+\t0\n", "line 2: non-integer field"),
+            ("1\t1\t5\t0\n2\t1\t4\t0\n\n1\t1\t3\t0\n",
+             "line 4: duplicate rating for user 1 item 1 (first seen at line 1)"),
+        ],
+    )
+    def test_evaluate_reports_file_and_line(self, tmp_path, capsys, text, where):
+        path = tmp_path / "u.data"
+        path.write_text(text)
+        assert cli.main(["evaluate", "--data", str(path), "--folds", "2"]) == 1
+        err = capsys.readouterr().err
+        assert err.splitlines() == [f"error: {path} {where}"]
+
+
 class TestTopnCommand:
     def test_reports_recall(self, tmp_path, capsys):
         rng = np.random.default_rng(1)

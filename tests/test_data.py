@@ -1,3 +1,7 @@
+import os
+import threading
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -126,6 +130,195 @@ class TestLoaders:
     def test_missing_file(self):
         with pytest.raises(FileNotFoundError):
             data.load_movielens_100k("/nonexistent/u.data")
+
+
+def assert_matches_oracle(path, sep):
+    """The loader gives the reference parser's arrays and ids, or a ParseError,
+    with the reference's text where it has one."""
+    load = data.load_movielens_100k if sep == "\t" else data.load_movielens_1m
+    entries, duplicate, malformed = naive_ratings(str(path), sep)
+    if duplicate is None and not malformed:
+        ds = load(str(path))
+        got = (ds.uu.tolist(), ds.ii.tolist(), ds.rr.tolist(), ds.user_ids.tolist(), ds.item_ids.tolist())
+        assert got == entries
+        assert ds.uu.dtype == ds.ii.dtype == ds.rr.dtype == np.int64
+        return
+    with pytest.raises(ParseError) as exc_info:
+        load(str(path))
+    if not malformed:
+        assert str(exc_info.value) == duplicate
+
+
+def _loop_must_not_run(*args):
+    raise AssertionError("the line loop ran on a well-formed file")
+
+
+def write_bytes(tmp_path, text, name="ratings"):
+    path = tmp_path / name
+    path.write_bytes(text.encode("latin-1"))
+    return path
+
+
+# Inputs the block parser serves itself.
+_SERVED = [
+    ("007\t010\t05\t0\n7\t9\t4\t0\n", "\t"),
+    ("1\t1\t5\t\n2\t1\t4\t\n", "\t"),
+    ("\n1\t1\t5\t0\n\n\n2\t1\t4\t0\n\n", "\t"),
+    ("1\t1\t5\t0\n2\t1\t4\t0", "\t"),
+    ("999999999999999999\t1\t5\t0\n1\t999999999999999999\t4\t0\n", "\t"),
+    # A digit times its power of ten overflows uint8, uint16 and uint32.
+    ("300\t70000\t5\t0\n5000000000\t300\t4\t0\n70000\t5000000000\t3\t0\n", "\t"),
+    ("300::5000000000::5::0\n70000::300::4::0\n", "::"),
+    ("1\t1\t5\t" + "9" * 5000 + "\n2\t1\t4\t0\n", "\t"),
+    ("1::1::5::978300760\n\n2::1::4::\n3::2::3::0", "::"),
+]
+
+# Inputs it declines, so the line loop decides; some the loop accepts.
+_DECLINED = [
+    ("1\t+3\t5\t0\n", "\t"),
+    ("1\t 3\t5\t0\n", "\t"),
+    ("1_0\t3\t5\t0\n", "\t"),
+    ("1\t3\xa0\t5\t0\n", "\t"),
+    ("\xa01::3::5::0\n", "::"),
+    ("1\t1\t5\tx\n", "\t"),
+    ("1\t1\t5\t0 \n", "\t"),
+    ("1\t1\t5\n", "\t"),
+    ("1\t1\t5\t0\t0\n", "\t"),
+    ("1::1::5\n", "::"),
+    ("1::1::5::0::0\n", "::"),
+    ("1:::1::5::0\n", "::"),
+    ("1::::1::5::0\n", "::"),
+    ("1::1::5:::0\n", "::"),
+    ("1::1\t2::5::0\n", "::"),
+    ("1:2:3::4::5\n", "::"),
+    ("1\t2\n3\t4\t5\t6\t2\t8\n", "\t"),
+    ("1\t1\t5\t0\n", "::"),
+    ("1::1::5::0\n", "\t"),
+    ("1\t1\t5\t0\r\n2\t1\t4\t0\r\n", "\t"),
+    ("1\t1\t5\t0\r2\t1\t4\t0\n", "\t"),
+    ("1::1::5::0\r\n", "::"),
+    ("1\t1\t5\t0\r2\t1\t4\t0\r", "\t"),
+    ("1::1::5::0\r2::1::4::0\r", "::"),
+    ("1\t1\t5\t" + "9" * 5000, "\t"),
+    ("1" * 5000, "\t"),
+    ("1000000000000000000\t1\t5\t0\n", "\t"),
+    ("1\t1\t5\t0\n9999999999999999999\t1\t4\t0\n", "\t"),
+    ("99999999999999999999\t1\t5\t0\n2\t1\t4\t0\n", "\t"),
+    ("1\t1\t0\t0\n", "\t"),
+    ("1\t1\t6\t0\n", "\t"),
+    ("1::1::6::0\n", "::"),
+    ("1\t\t5\t0\n", "\t"),
+    ("", "\t"),
+    ("\n\n", "::"),
+]
+
+
+@st.composite
+def _quirky_files(draw):
+    """(text, sep): lines whose fields are mostly small ids and sometimes a
+    quirk that int() accepts or rejects, with mixed line ends."""
+    sep = draw(st.sampled_from(["\t", "::"]))
+    quirk = st.sampled_from(
+        ["+3", " 3", "3 ", "1_0", "\xa03", "3\xa0", "007", "", "x", "-1", "0", "6",
+         "9" * 18, "9" * 19, "\t", ":", "::", ":::"]
+    )
+    small = st.integers(1, 3).map(str)
+    field = st.one_of(small, small, small, quirk)
+    rating = st.one_of(st.integers(1, 5).map(str), st.integers(1, 5).map(str), quirk)
+    stamp = st.sampled_from(["0", "978300760", "", "x", "0 "])
+    line = st.one_of(
+        st.just(""),
+        st.tuples(field, field, rating, stamp).map(sep.join),
+        st.tuples(field, field, rating, stamp).map(sep.join),
+        st.lists(small, min_size=3, max_size=5).map(sep.join),
+    )
+    lines = draw(st.lists(line, min_size=1, max_size=8))
+    ends = draw(st.lists(st.sampled_from(["\n"] * 4 + ["\r\n", "\r"]), min_size=len(lines), max_size=len(lines)))
+    text = "".join(ln + end for ln, end in zip(lines, ends))
+    return (text if draw(st.booleans()) else text.rstrip("\r\n")), sep
+
+
+class TestBlockParser:
+    @pytest.mark.parametrize("text, sep", _SERVED)
+    def test_served_inputs_match_reference(self, tmp_path, text, sep):
+        path = write_bytes(tmp_path, text)
+        assert data._parse_blocks(str(path), sep, 5) is not None
+        assert_matches_oracle(path, sep)
+
+    @pytest.mark.parametrize("text, sep", _DECLINED)
+    def test_quirks_fall_back_to_reference(self, tmp_path, text, sep):
+        path = write_bytes(tmp_path, text)
+        assert data._parse_blocks(str(path), sep, 5) is None
+        assert_matches_oracle(path, sep)
+
+    def test_leading_zeros_name_the_same_ids(self, tmp_path):
+        path = write_bytes(tmp_path, "7\t10\t5\t0\n007\t010\t4\t0\n")
+        assert_matches_oracle(path, "\t")
+        with pytest.raises(ParseError, match="line 2: duplicate rating for user 7 item 10"):
+            data.load_movielens_100k(str(path))
+
+    @given(case=_quirky_files())
+    @settings(max_examples=300, deadline=None)
+    def test_quirky_files_match_reference(self, tmp_path_factory, case):
+        text, sep = case
+        assert_matches_oracle(write_bytes(tmp_path_factory.mktemp("ratings"), text), sep)
+
+    @pytest.mark.parametrize("sep", ["\t", "::"])
+    def test_well_formed_files_never_reach_the_loop(self, tmp_path, monkeypatch, sep):
+        # Ids repeat in random order, so first appearance differs from sorted order.
+        rng = np.random.default_rng(1)
+        keys = rng.choice(40 * 60, size=300, replace=False)
+        rows = [(k // 60 + 1, 7 * (k % 60), 1 + k % 5, 978300000 + k) for k in keys.tolist()]
+        write = write_100k if sep == "\t" else write_1m
+        path = write(tmp_path, rows)
+
+        monkeypatch.setattr(data, "_parse_lines", _loop_must_not_run)
+        assert_matches_oracle(path, sep)
+
+    @pytest.mark.parametrize("block_bytes", [1, 2, 3, 5, 8, 13])
+    @pytest.mark.parametrize("sep", ["\t", "::"])
+    def test_lines_straddle_block_edges(self, tmp_path, monkeypatch, sep, block_bytes):
+        rows = [(10 + u, 100 * i + 1, 1 + (u + i) % 5, 978300760 + i) for u in range(4) for i in range(5)]
+        # A leading blank line, two more after user 11's lines, none at the end.
+        text = "\n" + "".join(sep.join(map(str, row)) + "\n" * (1 + 2 * (row[0] == 11)) for row in rows)
+        path = write_bytes(tmp_path, text.rstrip("\n"))
+
+        monkeypatch.setattr(data, "_BLOCK_BYTES", block_bytes)
+        monkeypatch.setattr(data, "_parse_lines", _loop_must_not_run)
+        assert_matches_oracle(path, sep)
+
+    def test_more_entries_than_counted_declines(self):
+        # The file grew between counting its separators and parsing it.
+        columns = [np.zeros(1, dtype=np.int64) for _ in range(3)]
+        block = np.frombuffer(b"1\t2\t3\t4\n5\t6\t4\t8\n", np.uint8)
+        assert data._parse_block(block, "\t", 5, columns, 0) is None
+
+    def test_reads_a_pipe(self, tmp_path):
+        path = tmp_path / "ratings"
+        os.mkfifo(path)
+        writer = threading.Thread(target=path.write_text, args=("1\t1\t5\t0\n2\t1\t4\t0\n",), daemon=True)
+        writer.start()
+        ds = data.load_movielens_100k(str(path))
+        writer.join(timeout=10)
+        assert not writer.is_alive()
+        assert ds.rr.tolist() == [5, 4]
+
+    def test_peak_memory_at_most_the_loops(self, tmp_path):
+        rng = np.random.default_rng(0)
+        n = 200_000
+        keys = rng.choice(6040 * 3952, size=n, replace=False)
+        cols = (keys // 3952 + 1, keys % 3952 + 1, rng.integers(1, 6, n), rng.integers(9 * 10**8, 10**9, n))
+        path = tmp_path / "ratings.dat"
+        path.write_text("".join(f"{u}::{i}::{r}::{t}\n" for u, i, r, t in zip(*(c.tolist() for c in cols))))
+        peaks = []
+        for load in (data.load_movielens_1m, lambda p: data._parse_lines(p, "::")):
+            tracemalloc.start()
+            try:
+                assert len(load(str(path))) == n
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[0] <= peaks[1]
 
 
 class TestRatingDataset:
