@@ -115,19 +115,14 @@ def _load_dataset(args):
     return data.load_movielens_100k(args.data)
 
 
-def _load_config(args):
+def _load_config(path, seed=None):
+    """TrainConfig from the file, or the defaults; only `train --seed` passes `seed`."""
+    import dataclasses
+
     from .train import TrainConfig
 
-    if getattr(args, "config", None):
-        cfg = TrainConfig.from_file(args.config)
-    else:
-        cfg = TrainConfig()
-    seed = getattr(args, "seed", None)
-    if seed is not None:
-        import dataclasses
-
-        cfg = dataclasses.replace(cfg, seed=seed)
-    return cfg
+    cfg = TrainConfig.from_file(path) if path else TrainConfig()
+    return cfg if seed is None else dataclasses.replace(cfg, seed=seed)
 
 
 def _fit(ds, cfg):
@@ -141,7 +136,7 @@ def _cmd_train(args):
     from . import models
 
     ds = _load_dataset(args)
-    cfg = _load_config(args)
+    cfg = _load_config(args.config, seed=args.seed)
     model, history = _fit(ds, cfg)
     models.save_model(model, args.model_out)
     last = history.objective[-1] if len(history) else float("nan")
@@ -156,7 +151,7 @@ def _cmd_evaluate(args):
     from . import data, metrics
 
     ds = _load_dataset(args)
-    cfg = _load_config(args)
+    cfg = _load_config(args.config)
     wanted = args.metric or ["mae", "rmse"]
     # Keep first occurrence order, drop repeats.
     wanted = list(dict.fromkeys(wanted))
@@ -177,7 +172,7 @@ def _cmd_topn(args):
     from . import data, metrics
 
     ds = _load_dataset(args)
-    cfg = _load_config(args)
+    cfg = _load_config(args.config)
     split = data.topn_holdout(ds, args.fraction, seed=args.seed)
     model, _ = _fit(ds.subset(split.train), cfg)
     report = metrics.recall_at_n(model, ds, split, args.n)

@@ -1,8 +1,8 @@
 """Hermitian linear algebra kernel.
 
-Eigendecomposition plus exact Euclidean projections onto the constraint sets
-used by the models: the unit simplex, the spectrahedron (density matrices),
-the operator interval 0 <= E <= I, and the POVM set.
+Exact Euclidean projections onto the constraint sets used by the models: the
+unit simplex, the spectrahedron (density matrices), the operator interval
+0 <= E <= I, and the POVM set.
 
 All functions are pure. Matrices may be real symmetric or complex Hermitian;
 the dtype of the input is preserved. Functions documented as batched accept
@@ -19,7 +19,6 @@ __all__ = [
     "hermitianize",
     "project_to_simplex",
     "project_to_simplex_rows",
-    "eigh",
     "project_to_spectrahedron",
     "project_to_effect",
     "project_to_binary_povm",
@@ -29,6 +28,9 @@ __all__ = [
 
 # Relative tolerance for accepting an input matrix as Hermitian.
 HERMITIAN_ATOL = 1e-8
+
+_POVM_TOL = 1e-8
+_POVM_MAX_ROUNDS = 500
 
 
 def hermitianize(a):
@@ -49,10 +51,10 @@ def _as_square(a, op):
     return a
 
 
-def _require_hermitian(a, op, tol=HERMITIAN_ATOL):
+def _require_hermitian(a, op):
     dev = float(np.max(np.abs(a - np.conj(np.swapaxes(a, -1, -2)))))
     scale = max(1.0, float(np.max(np.abs(a))))
-    if dev > tol * scale:
+    if dev > HERMITIAN_ATOL * scale:
         raise InvalidInput(f"{op}: matrix is not Hermitian (deviation {dev:.3e})")
     return hermitianize(a)
 
@@ -81,20 +83,6 @@ def project_to_simplex_rows(v):
     rho = np.count_nonzero(u * k > css, axis=-1)
     theta = np.take_along_axis(css, rho[..., None] - 1, axis=-1) / rho[..., None]
     return np.maximum(v - theta, 0.0)
-
-
-def eigh(a):
-    """Eigendecomposition of a Hermitian matrix.
-
-    Returns (w, v) with eigenvalues w sorted descending and orthonormal
-    eigenvector columns v[:, k] matching w[k], so a = v @ diag(w) @ v^dagger.
-    """
-    a = _as_square(a, "eigh")
-    if a.ndim != 2:
-        raise InvalidInput(f"eigh: expected a single matrix, got shape {a.shape}")
-    a = _require_hermitian(a, "eigh")
-    w, v = np.linalg.eigh(a)
-    return w[::-1].copy(), v[:, ::-1].copy()
 
 
 def _recompose(w, v):
@@ -145,7 +133,7 @@ def _psd_part(a):
     return _spectral_map(a, lambda w: np.maximum(w, 0.0))
 
 
-def project_to_povm(es, *, max_rounds=500, tol=1e-8):
+def project_to_povm(es):
     """Project a tuple of Hermitian matrices onto the POVM set by Dykstra.
 
     Alternates between the product of psd cones and the affine set of tuples
@@ -153,8 +141,9 @@ def project_to_povm(es, *, max_rounds=500, tol=1e-8):
     converge to the Euclidean-nearest POVM. A valid POVM is returned unchanged
     within tolerance. Deterministic.
 
-    Raises ConvergenceFailure carrying the last residual if max_rounds is
-    exhausted before the residual drops below tol.
+    Stops once the psd violation and the gap between the two sets' iterates
+    are at most _POVM_TOL (1e-8). Raises ConvergenceFailure carrying the last
+    residual if _POVM_MAX_ROUNDS (500) rounds do not get there.
     """
     try:
         e = np.stack([np.asarray(x) for x in es])
@@ -173,7 +162,7 @@ def project_to_povm(es, *, max_rounds=500, tol=1e-8):
     p = np.zeros_like(x)
     q = np.zeros_like(x)
     residual = np.inf
-    for _ in range(max_rounds):
+    for _ in range(_POVM_MAX_ROUNDS):
         y = _psd_part(x + p)
         p = x + p - y
         t = y + q
@@ -184,10 +173,10 @@ def project_to_povm(es, *, max_rounds=500, tol=1e-8):
         wmin = float(np.min(np.linalg.eigvalsh(x)))
         gap = float(np.max(np.abs(x - y)))
         residual = max(0.0, -wmin, gap)
-        if residual <= tol:
+        if residual <= _POVM_TOL:
             return tuple(hermitianize(x))
     raise ConvergenceFailure(
-        f"project_to_povm: residual {residual:.3e} after {max_rounds} rounds",
+        f"project_to_povm: residual {residual:.3e} after {_POVM_MAX_ROUNDS} rounds",
         residual=residual,
     )
 

@@ -69,7 +69,8 @@ def recall_at_n(m, ds, split, n):
     For each test entry rated z_star, the test item's like score is ranked
     among all items the user has not rated in training (the test item
     included). Ties are pessimistic: rank = 1 + #{strictly greater} +
-    #{equal, other item}. A hit is rank <= n.
+    #{equal, other item}, which is the number of candidates scoring at least
+    the test item's score. A hit is rank <= n.
     """
     if n < 1:
         raise InvalidInput(f"recall_at_n: n must be positive, got {n}")
@@ -87,16 +88,12 @@ def recall_at_n(m, ds, split, n):
     hits = 0
     for u in np.flatnonzero(np.diff(test_ptr)).tolist():
         scores = score_items(m, u)
-        candidate = np.ones(ds.I, dtype=bool)
-        candidate[rated[rated_ptr[u] : rated_ptr[u + 1]]] = False
-        cand_scores = scores[candidate]
-        for i in test_items[test_ptr[u] : test_ptr[u + 1]]:
-            s = scores[i]
-            greater = int(np.count_nonzero(cand_scores > s))
-            equal_other = int(np.count_nonzero(cand_scores == s)) - 1
-            rank = 1 + greater + equal_other
-            if rank <= n:
-                hits += 1
+        held_out = scores[test_items[test_ptr[u] : test_ptr[u + 1]]]
+        # Train and test entries are disjoint, so each held-out item counts
+        # itself among the candidates scoring at least its score.
+        scores[rated[rated_ptr[u] : rated_ptr[u + 1]]] = -np.inf
+        rank = np.count_nonzero(scores >= held_out[:, None], axis=1)
+        hits += int(np.count_nonzero(rank <= n))
     value = hits / relevant.size
     return MetricReport(
         "recall",

@@ -63,11 +63,29 @@ class _Model:
     A kind states its constraint geometry once: `project_users` and
     `project_likes` map flat rows onto its user set and its like-effect set,
     `_one` is the sum its outcome effects must reach, and `_violations`
-    yields (message, value, tolerance) for each constraint.
+    yields (message, value, tolerance) for each constraint. `_rank` is the
+    number of D-sized axes of one state (1 for vectors, 2 for matrices), and
+    `_dtype` the dtype both arrays are cast to (None keeps the given field).
     """
 
     users: np.ndarray
     items: np.ndarray
+    _dtype = None
+
+    def __post_init__(self):
+        name = type(self).__name__
+        users = np.asarray(self.users, dtype=self._dtype)
+        items = np.asarray(self.items, dtype=self._dtype)
+        state = users.shape[1:]
+        if users.ndim != 1 + self._rank or items.shape[2:] != state or len(set(state)) != 1:
+            dims = ", D" * self._rank
+            raise InvalidInput(
+                f"{name}: expected users (U{dims}) and items (I, Z{dims}), got {users.shape} and {items.shape}"
+            )
+        if items.shape[1] < 2:
+            raise InvalidInput(f"{name}: need Z >= 2 outcomes")
+        object.__setattr__(self, "users", users)
+        object.__setattr__(self, "items", items)
 
     @property
     def U(self):
@@ -104,9 +122,9 @@ class _Model:
         return type(self)(self.users, np.stack([likes, self._one - likes], axis=1))
 
     def validate(self):
-        """Raise InvalidInput on the first constraint violated beyond its tolerance."""
+        """Raise InvalidInput on the first constraint violated beyond its tolerance or NaN."""
         for message, value, tol in self._violations():
-            if value > tol:
+            if not value <= tol:
                 raise InvalidInput(message)
 
     def residual(self):
@@ -120,19 +138,9 @@ class NnmModel(_Model):
     of every item summing to the all-ones vector entrywise. Like effects are
     projected onto the box [0, 1]^D."""
 
+    _rank = 1
+    _dtype = float
     _one = 1.0
-
-    def __post_init__(self):
-        users = np.asarray(self.users, dtype=float)
-        items = np.asarray(self.items, dtype=float)
-        if users.ndim != 2 or items.ndim != 3 or items.shape[2] != users.shape[1]:
-            raise InvalidInput(
-                f"NnmModel: expected users (U, D) and items (I, Z, D), got {users.shape} and {items.shape}"
-            )
-        if items.shape[1] < 2:
-            raise InvalidInput("NnmModel: need Z >= 2 outcomes")
-        object.__setattr__(self, "users", users)
-        object.__setattr__(self, "items", items)
 
     def project_users(self, rows):
         return linalg.project_to_simplex_rows(rows)
@@ -157,22 +165,7 @@ class QuantumModel(_Model):
     effects are projected onto 0 <= E <= I, so the binary POVM projection
     keeps the dislike effect I - E implicit and clamps E's eigenvalues."""
 
-    def __post_init__(self):
-        users = np.asarray(self.users)
-        items = np.asarray(self.items)
-        if (
-            users.ndim != 3
-            or items.ndim != 4
-            or users.shape[1] != users.shape[2]
-            or items.shape[2:] != users.shape[1:]
-        ):
-            raise InvalidInput(
-                f"QuantumModel: expected users (U, D, D) and items (I, Z, D, D), got {users.shape} and {items.shape}"
-            )
-        if items.shape[1] < 2:
-            raise InvalidInput("QuantumModel: need Z >= 2 outcomes")
-        object.__setattr__(self, "users", users)
-        object.__setattr__(self, "items", items)
+    _rank = 2
 
     @property
     def _one(self):
@@ -197,13 +190,20 @@ class QuantumModel(_Model):
         yield "QuantumModel: item effects do not sum to the identity", _max_abs(sums), 1e-8
 
 
-def _check_indices(m, u, i, z):
+def _predict(op, kind, m, u, i, z):
+    """clip(Re <users[u], items[i, z - 1]>, 0, 1), as score_items scores flat views."""
+    if not isinstance(m, kind):
+        raise InvalidInput(f"{op}: unsupported model type {type(m).__name__}")
     if not (isinstance(u, (int, np.integer)) and 0 <= u < m.U):
         raise InvalidInput(f"user index {u} out of range [0, {m.U})")
     if not (isinstance(i, (int, np.integer)) and 0 <= i < m.I):
         raise InvalidInput(f"item index {i} out of range [0, {m.I})")
     if not (isinstance(z, (int, np.integer)) and 1 <= z <= m.Z):
         raise InvalidInput(f"outcome {z} out of range [1, {m.Z}]")
+    p = float(np.real(np.vdot(m.users[u], m.items[i, z - 1])))
+    if not np.isfinite(p):
+        raise InvalidInput(f"{op}: non-finite prediction for user {u}, item {i}")
+    return float(np.clip(p, 0.0, 1.0))
 
 
 def nnm_predict(m, u, i, z):
@@ -211,23 +211,17 @@ def nnm_predict(m, u, i, z):
 
     Outcomes z are 1-based rating values.
     """
-    _check_indices(m, u, i, z)
-    return float(np.clip(np.dot(m.items[i, z - 1], m.users[u]), 0.0, 1.0))
+    return _predict("nnm_predict", NnmModel, m, u, i, z)
 
 
 def quantum_predict(m, u, i, z):
     """P[user u rates item i as z] = tr(rho_u E_iz), clamped to [0, 1]."""
-    _check_indices(m, u, i, z)
-    return float(np.clip(linalg.trace_inner(m.users[u], m.items[i, z - 1]), 0.0, 1.0))
+    return _predict("quantum_predict", QuantumModel, m, u, i, z)
 
 
 def predict(m, u, i, z):
-    """Dispatch to nnm_predict or quantum_predict by model type."""
-    if isinstance(m, QuantumModel):
-        return quantum_predict(m, u, i, z)
-    if isinstance(m, NnmModel):
-        return nnm_predict(m, u, i, z)
-    raise InvalidInput(f"predict: unsupported model type {type(m).__name__}")
+    """nnm_predict or quantum_predict, by model type."""
+    return _predict("predict", _Model, m, u, i, z)
 
 
 def score_items(m, u):
@@ -238,8 +232,12 @@ def score_items(m, u):
     return np.real(m.flat_likes() @ uf)
 
 
-def score_entries(m, uu, ii, chunk=1 << 18):
-    """Raw like scores for paired index arrays (uu[k], ii[k])."""
+_SCORE_CHUNK = 1 << 18
+
+
+def score_entries(m, uu, ii):
+    """Raw like scores for paired index arrays (uu[k], ii[k]), gathered
+    _SCORE_CHUNK entries at a time."""
     uu = np.asarray(uu)
     ii = np.asarray(ii)
     if uu.shape != ii.shape or uu.ndim != 1:
@@ -251,8 +249,8 @@ def score_entries(m, uu, ii, chunk=1 << 18):
     uf = m.flat_users()
     ef = m.flat_likes()
     out = np.empty(uu.shape[0])
-    for s in range(0, uu.shape[0], chunk):
-        sl = slice(s, s + chunk)
+    for s in range(0, uu.shape[0], _SCORE_CHUNK):
+        sl = slice(s, s + _SCORE_CHUNK)
         out[sl] = np.einsum("nk,nk->n", np.conj(uf[uu[sl]]), ef[ii[sl]]).real
     return out
 
@@ -380,27 +378,30 @@ class RankProfile:
     """Numerical ranks of item effects.
 
     effect_ranks[i, z] is the rank of effect z of item i (eigenvalues above
-    tau_rank times the largest one). pivot_max[i, zp] is the maximum rank
+    _TAU_RANK times the largest one). pivot_max[i, zp] is the maximum rank
     among the other effects when zp is designated the pivot outcome; the
     per-item diagnostic is the minimum of that row.
     """
 
     effect_ranks: np.ndarray
     pivot_max: np.ndarray
-    tau_rank: float
 
     @property
     def item_rank(self):
         return self.pivot_max.min(axis=1)
 
 
-def rank_profile(m, tau_rank=1e-8):
-    """Numerical rank profile of a quantum model's item effects."""
+_TAU_RANK = 1e-8
+
+
+def rank_profile(m):
+    """Numerical rank profile of a quantum model's item effects: an effect's
+    rank counts its eigenvalues above _TAU_RANK (1e-8) times its largest."""
     if not isinstance(m, QuantumModel):
         raise InvalidInput("rank_profile: expected a QuantumModel")
     ev = np.linalg.eigvalsh(m.items)
     lam_max = ev[..., -1]
-    counts = np.count_nonzero(ev > tau_rank * lam_max[..., None], axis=-1)
+    counts = np.count_nonzero(ev > _TAU_RANK * lam_max[..., None], axis=-1)
     ranks = np.where(lam_max > 0.0, counts, 0)
     srt = np.sort(ranks, axis=1)
     top1 = srt[:, -1]
@@ -409,19 +410,20 @@ def rank_profile(m, tau_rank=1e-8):
     pivot_max = np.where(
         (ranks == top1[:, None]) & (n_top[:, None] == 1), top2[:, None], top1[:, None]
     )
-    return RankProfile(effect_ranks=ranks, pivot_max=pivot_max, tau_rank=float(tau_rank))
+    return RankProfile(effect_ranks=ranks, pivot_max=pivot_max)
 
 
 # ---------------------------------------------------------------------------
 # Persistence: line-oriented text format.
 #
 # Header:  PSDREC v1 | kind=quantum | D | U | I | Z | field=complex
-# Records: "user <u> <entries>" and "item <i> <z> <entries>", one per line,
-# entries row-major, z 1-based, reals with 17 significant digits, complex
-# entries as "re,im".
+# Records: "user <u> <entries>" and "item <i> <z> <entries>", one per line
+# and each exactly once, entries row-major, z 1-based, reals with 17
+# significant digits, complex entries as "re,im".
 # ---------------------------------------------------------------------------
 
 FORMAT_MAGIC = "PSDREC v1"
+KINDS = {"quantum": QuantumModel, "nnm": NnmModel}
 
 
 def _fmt_entries(vec, complex_field):
@@ -432,11 +434,8 @@ def _fmt_entries(vec, complex_field):
 
 def save_model(m, path):
     """Write a model to a text file; see load_model for the format."""
-    if isinstance(m, QuantumModel):
-        kind = "quantum"
-    elif isinstance(m, NnmModel):
-        kind = "nnm"
-    else:
+    kind = next((k for k, cls in KINDS.items() if isinstance(m, cls)), None)
+    if kind is None:
         raise InvalidInput(f"save_model: unsupported model type {type(m).__name__}")
     complex_field = bool(np.iscomplexobj(m.users) or np.iscomplexobj(m.items))
     field = "complex" if complex_field else "real"
@@ -468,7 +467,11 @@ def _parse_index(token, path, ln):
 
 
 def load_model(path):
-    """Read a model written by save_model; validates all invariants."""
+    """Read a model written by save_model; validates all invariants.
+
+    The file must hold the U + I Z records its header calls for, each exactly
+    once; a header claiming more than the file can hold allocates nothing.
+    """
     try:
         with open(path, "r", encoding="ascii") as fh:
             raw = fh.read().splitlines()
@@ -485,43 +488,49 @@ def load_model(path):
         field = head[6].split("=", 1)[1]
     except (IndexError, ValueError):
         raise ParseError(f"{path} line 1: bad header {raw[0]!r}") from None
-    if kind not in ("quantum", "nnm") or field not in ("real", "complex"):
+    if kind not in KINDS or field not in ("real", "complex") or (kind, field) == ("nnm", "complex"):
         raise ParseError(f"{path} line 1: bad header {raw[0]!r}")
     if min(d, u_n, i_n) < 1 or z_n < 2:
         raise ParseError(f"{path} line 1: bad sizes in header")
 
     complex_field = field == "complex"
-    dtype = complex if complex_field else float
-    per_record = d * d if kind == "quantum" else d
-    users = np.full((u_n, per_record), np.nan, dtype=dtype)
-    items = np.full((i_n, z_n, per_record), np.nan, dtype=dtype)
+    cls = KINDS[kind]
+    per_record = d**cls._rank
+    n_records = u_n + i_n * z_n
+    found = sum(1 for line in raw[1:] if line and not line.isspace())
+    if found != n_records:
+        raise ParseError(f"{path}: expected {n_records} records, found {found}")
+    # An entry and its separator take at least two characters, so sizes the
+    # file cannot hold are rejected before anything is allocated.
+    if 2 * n_records * per_record > sum(map(len, raw)):
+        raise ParseError(f"{path}: {n_records} records of {per_record} entries cannot fit the file")
+    flat = np.empty((n_records, per_record), dtype=complex if complex_field else float)
+    seen = bytearray(n_records)
     for ln, line in enumerate(raw[1:], start=2):
-        if not line.strip():
-            continue
         tokens = line.split()
+        if not tokens:
+            continue
         role = tokens[0]
+        if role not in ("user", "item"):
+            raise ParseError(f"{path} line {ln}: unknown record {role!r}")
+        n_head = 2 if role == "user" else 3
+        if len(tokens) != n_head + per_record:
+            raise ParseError(f"{path} line {ln}: expected {per_record} entries")
         if role == "user":
-            if len(tokens) != 2 + per_record:
-                raise ParseError(f"{path} line {ln}: expected {per_record} entries")
-            u = _parse_index(tokens[1], path, ln)
-            if not 0 <= u < u_n:
-                raise ParseError(f"{path} line {ln}: user index {u} out of range")
-            users[u] = [_parse_value(t, complex_field, path, ln) for t in tokens[2:]]
-        elif role == "item":
-            if len(tokens) != 3 + per_record:
-                raise ParseError(f"{path} line {ln}: expected {per_record} entries")
+            row = _parse_index(tokens[1], path, ln)
+            if not 0 <= row < u_n:
+                raise ParseError(f"{path} line {ln}: user index {row} out of range")
+        else:
             i, z = _parse_index(tokens[1], path, ln), _parse_index(tokens[2], path, ln)
             if not (0 <= i < i_n and 1 <= z <= z_n):
                 raise ParseError(f"{path} line {ln}: item record ({i}, {z}) out of range")
-            items[i, z - 1] = [_parse_value(t, complex_field, path, ln) for t in tokens[3:]]
-        else:
-            raise ParseError(f"{path} line {ln}: unknown record {role!r}")
-    if np.any(np.isnan(users)) or np.any(np.isnan(items)):
-        raise ParseError(f"{path}: missing user or item records")
+            row = u_n + i * z_n + z - 1
+        if seen[row]:
+            raise ParseError(f"{path} line {ln}: repeated record {' '.join(tokens[:n_head])!r}")
+        seen[row] = 1
+        flat[row] = [_parse_value(t, complex_field, path, ln) for t in tokens[-per_record:]]
 
-    if kind == "quantum":
-        model = QuantumModel(users.reshape(u_n, d, d), items.reshape(i_n, z_n, d, d))
-    else:
-        model = NnmModel(users.real, items.real)
+    state = (d,) * cls._rank
+    model = cls(flat[:u_n].reshape(u_n, *state), flat[u_n:].reshape(i_n, z_n, *state))
     model.validate()
     return model

@@ -31,7 +31,7 @@ import scipy.sparse as sp
 
 from .exceptions import InvalidInput, NumericalFailure, ParseError
 from .data import group_entries
-from .models import NnmModel, QuantumModel
+from .models import KINDS, NnmModel, QuantumModel
 from .models import score_entries  # noqa: F401  perfbench/spans.py wraps train.score_entries
 
 __all__ = [
@@ -41,9 +41,7 @@ __all__ = [
     "init_quantum_users",
     "effective_targets",
     "objective",
-    "user_objective",
     "user_gradient",
-    "item_objective",
     "item_gradient",
     "update_users",
     "update_items",
@@ -54,7 +52,6 @@ __all__ = [
 
 MODES = ("mae", "recall")
 FIELDS = ("real", "complex")
-KINDS = ("quantum", "nnm")
 
 
 @dataclass(frozen=True)
@@ -65,7 +62,8 @@ class TrainConfig:
     recall mode. Each half-sweep takes inner_iters projected-gradient steps
     of length 1/L per unit, L the Lipschitz bound of the unit's gradient, so
     no step increases the unit's subobjective (Beck & Teboulle, SIAM J.
-    Imaging Sci. 2009) and there is no step size to tune.
+    Imaging Sci. 2009) and there is no step size to tune. Targets are
+    scaled by the dataset's own top rating (`effective_targets`).
     """
 
     D: int = 2
@@ -75,7 +73,6 @@ class TrainConfig:
     inner_iters: int = 5
     seed: int = 0
     field: str = "complex"
-    z_star: int = 5
     kind: str = "quantum"
 
     def __post_init__(self):
@@ -91,10 +88,8 @@ class TrainConfig:
             raise InvalidInput("TrainConfig: inner_iters must be at least 1")
         if self.field not in FIELDS:
             raise InvalidInput(f"TrainConfig: field must be one of {FIELDS}")
-        if self.z_star < 2:
-            raise InvalidInput("TrainConfig: z_star must be at least 2")
         if self.kind not in KINDS:
-            raise InvalidInput(f"TrainConfig: kind must be one of {KINDS}")
+            raise InvalidInput(f"TrainConfig: kind must be one of {tuple(KINDS)}")
 
     def resolved_zero_fill(self):
         if self.zero_fill_sweeps is not None:
@@ -286,29 +281,14 @@ def _quadratic(m, targets, side):
     return own, _Quadratic(gram, cvec, const, lips)
 
 
-def _unit_objective(m, targets, idx, side):
-    own, quad = _quadratic(m, targets, side)
-    return float(quad.value(own)[idx])
-
-
 def _unit_gradient(m, targets, idx, side):
     own, quad = _quadratic(m, targets, side)
     return quad.gradient(own)[idx].reshape(m.users.shape[1:])
 
 
-def user_objective(m, targets, u):
-    """Subobjective of user u with items fixed."""
-    return _unit_objective(m, targets, u, "user")
-
-
 def user_gradient(m, targets, u):
     """Gradient 2 sum_i (P_like(u, i) - t_ui) E_i1 of user u's subobjective."""
     return _unit_gradient(m, targets, u, "user")
-
-
-def item_objective(m, targets, i):
-    """Subobjective of item i with users fixed."""
-    return _unit_objective(m, targets, i, "item")
 
 
 def item_gradient(m, targets, i):

@@ -3,7 +3,7 @@ import os
 import numpy as np
 import pytest
 
-from psdrec import cli, models
+from psdrec import cli, models, train
 
 
 def write_ratings(tmp_path, rows, name="u.data"):
@@ -83,6 +83,29 @@ class TestTrainCommand:
         cli.main(["train", "--data", data_path, "--config", str(cfg_path), "--model-out", p2, "--seed", "9"])
         a, b = models.load_model(p1), models.load_model(p2)
         assert np.array_equal(a.users, b.users)
+
+    def test_only_train_seed_overrides_config(self, tmp_path, monkeypatch, capsys):
+        # evaluate's and topn's --seed picks folds and holdouts; the model's
+        # initial state keeps the config's seed.
+        data_path = small_corpus(tmp_path)
+        cfg_path = tmp_path / "train.cfg"
+        cfg_path.write_text("D = 2\nmax_iter = 1\nseed = 7\n")
+        seeds = []
+        fit = train.train_quantum
+
+        def recording(ds, cfg):
+            seeds.append(cfg.seed)
+            return fit(ds, cfg)
+
+        monkeypatch.setattr(train, "train_quantum", recording)
+        common = ["--data", data_path, "--config", str(cfg_path)]
+        assert cli.main(["evaluate", *common, "--folds", "2", "--seed", "3"]) == 0
+        assert cli.main(["topn", *common, "--fraction", "0.3"]) == 0
+        assert seeds == [7, 7, 7]
+        out = str(tmp_path / "m.psdrec")
+        assert cli.main(["train", *common, "--model-out", out, "--seed", "9"]) == 0
+        assert cli.main(["train", *common, "--model-out", out]) == 0
+        assert seeds[3:] == [9, 7]
 
     def test_bad_config_exit_1(self, tmp_path, capsys):
         data_path = small_corpus(tmp_path)
@@ -166,6 +189,18 @@ class TestRecoverOverfitCommands:
         assert cli.main(["recover", "--model-in", ov_path, "--model-out", nnm_path]) == 0
         m = models.load_model(nnm_path)
         assert isinstance(m, models.NnmModel)
+
+    def test_recover_rejects_oversized_header(self, tmp_path, capsys):
+        # A 70-byte file claiming 10^11 users is a ParseError, not an
+        # allocation failure with a traceback.
+        path = tmp_path / "huge.psdrec"
+        path.write_text(
+            "PSDREC v1 | kind=quantum | 2 | 100000000000 | 1 | 2 | field=real\nuser 0 1 0 0 0\n"
+        )
+        rc = cli.main(["recover", "--model-in", str(path), "--model-out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.splitlines() == [f"error: {path}: expected 100000000002 records, found 1"]
 
     def test_overfit_respects_size_cap(self, tmp_path, monkeypatch, capsys):
         data_path = small_corpus(tmp_path)

@@ -70,21 +70,18 @@ class TestProjectToSimplexRows:
             np.testing.assert_allclose(rows[k], linalg.project_to_simplex(x[k]), atol=1e-14)
 
 
-class TestEigh:
-    def test_descending_and_reconstructs(self):
-        rng = np.random.default_rng(3)
-        a = random_density(rng, 4) * 3
-        w, v = linalg.eigh(a)
-        assert np.all(np.diff(w) <= 1e-14)
-        np.testing.assert_allclose((v * w) @ np.conj(v.T), a, atol=1e-12)
+class TestSpectralInputs:
+    PROJECTIONS = (linalg.project_to_spectrahedron, linalg.project_to_effect)
 
     def test_rejects_non_hermitian(self):
-        with pytest.raises(InvalidInput):
-            linalg.eigh(np.array([[0.0, 1.0], [0.0, 0.0]]))
+        for project in self.PROJECTIONS:
+            with pytest.raises(InvalidInput, match="not Hermitian"):
+                project(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
     def test_rejects_non_square(self):
-        with pytest.raises(InvalidInput):
-            linalg.eigh(np.zeros((2, 3)))
+        for project in self.PROJECTIONS:
+            with pytest.raises(InvalidInput, match="square"):
+                project(np.zeros((2, 3)))
 
 
 class TestProjectToSpectrahedron:
@@ -210,12 +207,14 @@ class TestProjectToPovm:
         p = np.stack(linalg.project_to_povm(povm))
         np.testing.assert_allclose(p, povm, atol=1e-7)
 
-    def test_convergence_failure_carries_residual(self):
+    def test_convergence_failure_carries_residual(self, monkeypatch):
         rng = np.random.default_rng(15)
         g = rng.standard_normal((3, 4, 4))
         x = 0.5 * (g + np.swapaxes(g, -1, -2)) * 5
+        monkeypatch.setattr(linalg, "_POVM_MAX_ROUNDS", 1)
+        monkeypatch.setattr(linalg, "_POVM_TOL", 1e-14)
         with pytest.raises(ConvergenceFailure) as exc_info:
-            linalg.project_to_povm(x, max_rounds=1, tol=1e-14)
+            linalg.project_to_povm(x)
         assert exc_info.value.residual is not None
         assert exc_info.value.residual > 0
 

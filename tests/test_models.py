@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -72,11 +74,27 @@ class TestModelValidation:
         with pytest.raises(InvalidInput):
             models.NnmModel(users=m.users, items=items).validate()
 
+    def test_non_finite_entries_fail(self):
+        rng = np.random.default_rng(33)
+        for m in (random_quantum_model(rng, 2, 2, 2), random_nnm_model(rng, 2, 2, 2)):
+            for stack in (m.users, m.items):
+                bad = stack.copy()
+                bad.flat[0] = np.nan
+                parts = (bad, m.items) if stack is m.users else (m.users, bad)
+                with pytest.raises(InvalidInput):
+                    type(m)(*parts).validate()
+
     def test_shape_checks(self):
         with pytest.raises(InvalidInput):
             models.QuantumModel(users=np.zeros((2, 2, 2)), items=np.zeros((2, 1, 2, 2)))
         with pytest.raises(InvalidInput):
             models.NnmModel(users=np.zeros((2, 3)), items=np.zeros((2, 2, 4)))
+        with pytest.raises(InvalidInput, match="NnmModel: need Z >= 2"):
+            models.NnmModel(users=np.zeros((2, 3)), items=np.zeros((2, 1, 3)))
+        with pytest.raises(InvalidInput, match=r"QuantumModel: expected users \(U, D, D\)"):
+            models.QuantumModel(users=np.zeros((2, 2, 3)), items=np.zeros((2, 2, 2, 3)))
+        with pytest.raises(InvalidInput, match=r"NnmModel: expected users \(U, D\)"):
+            models.NnmModel(users=np.zeros((2, 3, 3)), items=np.zeros((2, 2, 3, 3)))
 
     def test_properties(self):
         rng = np.random.default_rng(7)
@@ -107,6 +125,18 @@ class TestPredict:
         assert isinstance(models.predict(n, 0, 0, 1), float)
         with pytest.raises(InvalidInput):
             models.predict("nope", 0, 0, 1)
+        with pytest.raises(InvalidInput):
+            models.nnm_predict(q, 0, 0, 1)
+        with pytest.raises(InvalidInput):
+            models.quantum_predict(n, 0, 0, 1)
+
+    def test_non_finite_rejected(self):
+        rng = np.random.default_rng(30)
+        for m in (random_quantum_model(rng, 2, 2, 2), random_nnm_model(rng, 2, 2, 2)):
+            users = m.users.copy()
+            users[0].flat[0] = np.nan
+            with pytest.raises(InvalidInput, match="non-finite"):
+                models.predict(type(m)(users, m.items), 0, 1, 1)
 
     def test_index_validation(self):
         rng = np.random.default_rng(11)
@@ -151,14 +181,14 @@ class TestScores:
                 want = models.score_items(m, int(uu[k]))[ii[k]]
                 assert abs(got[k] - want) <= 1e-12
 
-    def test_score_entries_chunking(self):
+    def test_score_entries_chunking(self, monkeypatch):
         rng = np.random.default_rng(14)
         m = random_quantum_model(rng, 3, 3, 2)
         uu = rng.integers(0, 3, size=17)
         ii = rng.integers(0, 3, size=17)
-        np.testing.assert_allclose(
-            models.score_entries(m, uu, ii, chunk=4), models.score_entries(m, uu, ii), atol=0
-        )
+        whole = models.score_entries(m, uu, ii)
+        monkeypatch.setattr(models, "_SCORE_CHUNK", 4)
+        np.testing.assert_allclose(models.score_entries(m, uu, ii), whole, atol=0)
 
     def test_score_entries_validates(self):
         rng = np.random.default_rng(15)
@@ -343,6 +373,16 @@ class TestPersistence:
         with pytest.raises(ParseError):
             models.load_model(str(path))
 
+    def test_complex_nnm_rejected(self, tmp_path):
+        # Loading it would drop the imaginary parts without a word.
+        path = tmp_path / "model.psdrec"
+        path.write_text(
+            "PSDREC v1 | kind=nnm | 2 | 1 | 1 | 2 | field=complex\n"
+            "user 0 0.5,7 0.5,0\nitem 0 1 0.5,3 0.5,0\nitem 0 2 0.5,0 0.5,0\n"
+        )
+        with pytest.raises(ParseError, match="line 1: bad header"):
+            models.load_model(str(path))
+
     def test_corrupt_value_fails_validation(self, tmp_path):
         rng = np.random.default_rng(27)
         m = random_quantum_model(rng, 2, 2, 2)
@@ -356,6 +396,11 @@ class TestPersistence:
                 parts[2] = "9.5,0"
                 lines[k] = " ".join(parts)
                 break
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises((InvalidInput, ParseError)):
+            models.load_model(str(path))
+        parts[2] = "nan,0"
+        lines[k] = " ".join(parts)
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises((InvalidInput, ParseError)):
             models.load_model(str(path))
@@ -374,3 +419,47 @@ class TestPersistence:
         path.write_bytes(path.read_bytes().replace(b"user 1", b"user\xe9 1"))
         with pytest.raises(ParseError):
             models.load_model(str(path))
+
+    @pytest.mark.parametrize(
+        "header",
+        [
+            "PSDREC v1 | kind=quantum | 2 | 100000000000 | 1 | 2 | field=complex",
+            "PSDREC v1 | kind=quantum | 1000000 | 1 | 1 | 2 | field=complex",
+        ],
+    )
+    def test_header_sizes_allocate_nothing(self, tmp_path, header):
+        # A header claiming 13 TiB of users, or records of 10^12 entries,
+        # fails on the records it does not have, not on an allocation. The
+        # second file does hold the header's three records.
+        entries = " 1,0 0,0 0,0 0,0\n"
+        path = tmp_path / "model.psdrec"
+        path.write_text(header + "\nuser 0" + entries + "item 0 1" + entries + "item 0 2" + entries)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ParseError):
+                models.load_model(str(path))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
+    def test_repeated_record(self, tmp_path):
+        rng = np.random.default_rng(31)
+        path = tmp_path / "model.psdrec"
+        models.save_model(random_quantum_model(rng, 2, 2, 2), str(path))
+        lines = path.read_text().splitlines()
+        # A second `user 0` line in place of user 1's, holding its valid state.
+        lines[2] = "user 0 " + lines[2].split(" ", 2)[2]
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ParseError, match="line 3: repeated record 'user 0'"):
+            models.load_model(str(path))
+
+    def test_extra_record(self, tmp_path):
+        rng = np.random.default_rng(32)
+        path = tmp_path / "model.psdrec"
+        for m in (random_quantum_model(rng, 2, 2, 2), random_nnm_model(rng, 2, 2, 2)):
+            models.save_model(m, str(path))
+            lines = path.read_text().splitlines()
+            path.write_text("\n".join(lines + [lines[-1]]) + "\n")
+            with pytest.raises(ParseError, match=f"expected {len(lines) - 1} records, found {len(lines)}"):
+                models.load_model(str(path))

@@ -1,13 +1,30 @@
 import dataclasses
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from psdrec import data, linalg, models, train
+from psdrec import cli, data, linalg, models, train
 from psdrec.exceptions import InvalidInput, NumericalFailure, ParseError
 
 from _oracles import fd_coefficients, hermitian_basis, naive_objective, naive_pg_update
 from conftest import planted_dataset, random_dataset, random_nnm_model, random_quantum_model
+
+
+# A valid non-default value for every TrainConfig field; a new field must be
+# added here, so it cannot go without a from_file converter or an effect on
+# training unnoticed.
+NON_DEFAULT = {
+    "D": 3,
+    "max_iter": 7,
+    "mode": "recall",
+    "zero_fill_sweeps": 1,
+    "inner_iters": 2,
+    "seed": 4,
+    "field": "real",
+    "kind": "nnm",
+}
 
 
 class TestTrainConfig:
@@ -15,7 +32,6 @@ class TestTrainConfig:
         cfg = train.TrainConfig()
         assert cfg.D == 2 and cfg.max_iter == 16 and cfg.mode == "mae"
         assert cfg.inner_iters == 5 and cfg.field == "complex" and cfg.kind == "quantum"
-        assert cfg.z_star == 5
 
     def test_zero_fill_schedule(self):
         assert train.TrainConfig(mode="mae", max_iter=10).resolved_zero_fill() == 2
@@ -30,7 +46,6 @@ class TestTrainConfig:
             {"mode": "nope"},
             {"inner_iters": 0},
             {"field": "quaternion"},
-            {"z_star": 1},
             {"kind": "classical"},
             {"zero_fill_sweeps": -1},
         ):
@@ -45,31 +60,44 @@ class TestTrainConfig:
 
     def test_from_file_unknown_key(self, tmp_path):
         path = tmp_path / "train.cfg"
-        # Removed step keys are unknown like any other.
-        for key in ("banana", "step_init", "step_shrink", "max_backtracks"):
+        # Removed keys are unknown like any other.
+        for key in ("banana", "step_init", "step_shrink", "max_backtracks", "z_star"):
             path.write_text(f"{key} = 0.5\n")
             with pytest.raises(ParseError, match="unknown key"):
                 train.TrainConfig.from_file(str(path))
 
     def test_from_file_sets_every_field(self, tmp_path):
-        # A valid non-default value for every field; a new field must be added
-        # here, so it cannot go without a from_file converter unnoticed.
-        values = {
-            "D": 3,
-            "max_iter": 7,
-            "mode": "recall",
-            "zero_fill_sweeps": 1,
-            "inner_iters": 2,
-            "seed": 4,
-            "field": "real",
-            "z_star": 10,
-            "kind": "nnm",
-        }
         path = tmp_path / "train.cfg"
         for f in dataclasses.fields(train.TrainConfig):
-            assert values[f.name] != f.default
-            path.write_text(f"{f.name} = {values[f.name]}\n")
-            assert getattr(train.TrainConfig.from_file(str(path)), f.name) == values[f.name]
+            assert NON_DEFAULT[f.name] != f.default
+            path.write_text(f"{f.name} = {NON_DEFAULT[f.name]}\n")
+            assert getattr(train.TrainConfig.from_file(str(path)), f.name) == NON_DEFAULT[f.name]
+
+    def test_every_key_changes_the_trained_model(self, tmp_path):
+        # No config key may be read and then ignored: setting any one of them
+        # alone must change the model `psdrec train` writes.
+        rng = np.random.default_rng(5)
+        ratings = tmp_path / "u.data"
+        ratings.write_text("".join(
+            f"{u}\t{i}\t{int(rng.integers(1, 6))}\t0\n" for u in range(1, 7) for i in range(1, 6)
+        ))
+
+        def trained(name, text):
+            cfg, out = tmp_path / f"{name}.cfg", tmp_path / f"{name}.psdrec"
+            cfg.write_text(text)
+            argv = ["train", "--data", str(ratings), "--config", str(cfg), "--model-out", str(out)]
+            assert cli.main(argv) == 0
+            return out.read_bytes()
+
+        default = trained("default", "")
+        for f in dataclasses.fields(train.TrainConfig):
+            assert trained(f.name, f"{f.name} = {NON_DEFAULT[f.name]}\n") != default, f.name
+
+    def test_readme_lists_every_key(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        para = next(p for p in readme.split("\n\n") if p.startswith("Config files are"))
+        keys = re.findall(r"`([^`]+)`", re.sub(r"\([^)]*\)", "", para.split("TrainConfig`:", 1)[1]))
+        assert keys == [f.name for f in dataclasses.fields(train.TrainConfig)]
 
     def test_from_file_bad_value(self, tmp_path):
         path = tmp_path / "train.cfg"
@@ -162,10 +190,9 @@ class TestObjective:
         m = random_quantum_model(rng, 5, 4, 2)
         for zero_fill in (False, True):
             t = train.effective_targets(ds, zero_fill)
-            total = sum(train.user_objective(m, t, u) for u in range(m.U))
-            assert abs(total - train.objective(m, t)) <= 1e-9
-            total = sum(train.item_objective(m, t, i) for i in range(m.I))
-            assert abs(total - train.objective(m, t)) <= 1e-9
+            for side in ("user", "item"):
+                own, quad = train._quadratic(m, t, side)
+                assert abs(sum(quad.value(own)) - train.objective(m, t)) <= 1e-9
 
 
 class TestGradients:
