@@ -7,6 +7,10 @@ unit simplex, the spectrahedron (density matrices), the operator interval
 All functions are pure. Matrices may be real symmetric or complex Hermitian;
 the dtype of the input is preserved. Functions documented as batched accept
 arbitrary leading axes over the last two matrix axes.
+
+The spectral projections and `min_eigvalsh` take the closed-form eigenvalues
+m -+ r of a 2 x 2 Hermitian matrix (its Bloch form) at D = 2, and batched
+LAPACK eigh or eigvalsh at any other D.
 """
 
 from __future__ import annotations
@@ -23,6 +27,7 @@ __all__ = [
     "project_to_effect",
     "project_to_binary_povm",
     "project_to_povm",
+    "min_eigvalsh",
     "trace_inner",
 ]
 
@@ -90,10 +95,51 @@ def _recompose(w, v):
     return hermitianize((v * w[..., None, :]) @ np.conj(np.swapaxes(v, -1, -2)))
 
 
+def _bloch(a):
+    """Bloch parts of the Hermitian part [[p, b], [conj(b), q]] of each 2 x 2
+    matrix along the last two axes: m = (p + q) / 2, h = (p - q) / 2, b, and
+    r = sqrt(h^2 + |b|^2). The eigenvalues are m - r and m + r."""
+    p = a[..., 0, 0].real
+    q = a[..., 1, 1].real
+    b = 0.5 * (a[..., 0, 1] + np.conj(a[..., 1, 0]))
+    h = 0.5 * (p - q)
+    return 0.5 * (p + q), h, b, np.hypot(h, np.abs(b))
+
+
 def _spectral_map(a, f):
-    """Apply f to the eigenvalues of each Hermitian matrix along the last two axes."""
-    w, v = np.linalg.eigh(a)
-    return _recompose(f(w), v)
+    """Apply f to the eigenvalues of each Hermitian matrix along the last two axes.
+
+    D = 2 takes the closed form of `_bloch`: f maps the eigenvalues m -+ r to
+    w0, w1, and the result is (w0 + w1)/2 I + (w1 - w0)/(2r) (A - m I), the
+    second term dropped where r = 0. Larger D goes through batched LAPACK eigh.
+    """
+    if a.shape[-1] != 2:
+        w, v = np.linalg.eigh(a)
+        return _recompose(f(w), v)
+    m, h, b, r = _bloch(a)
+    w = f(np.stack([m - r, m + r], axis=-1))
+    mean = 0.5 * (w[..., 0] + w[..., 1])
+    scale = np.divide(0.5 * (w[..., 1] - w[..., 0]), r, out=np.zeros_like(r), where=r > 0)
+    out = np.empty_like(a)
+    out[..., 0, 0] = mean + scale * h
+    out[..., 1, 1] = mean - scale * h
+    out[..., 0, 1] = scale * b
+    out[..., 1, 0] = np.conj(out[..., 0, 1])
+    return out
+
+
+def min_eigvalsh(a):
+    """Smallest eigenvalue of each Hermitian matrix along the last two axes.
+
+    m - r from `_bloch` at D = 2, batched LAPACK eigvalsh otherwise. Unchecked,
+    like `hermitianize`: the model checks call it on stacks whose NaN entries
+    their Hermitian check reports.
+    """
+    a = np.asarray(a)
+    if a.shape[-1] == 2:
+        m, _, _, r = _bloch(a)
+        return m - r
+    return np.linalg.eigvalsh(a)[..., 0]
 
 
 def project_to_spectrahedron(a):
@@ -170,7 +216,7 @@ def project_to_povm(es):
         q = t - x
         # x sums to the identity exactly; check psd violation and the gap
         # between the two sets' iterates.
-        wmin = float(np.min(np.linalg.eigvalsh(x)))
+        wmin = float(np.min(min_eigvalsh(x)))
         gap = float(np.max(np.abs(x - y)))
         residual = max(0.0, -wmin, gap)
         if residual <= _POVM_TOL:

@@ -128,8 +128,9 @@ class _Model:
                 raise InvalidInput(message)
 
     def residual(self):
-        """Worst violation over all user and item constraints."""
-        return max((value for _, value, _ in self._violations()), default=0.0)
+        """Worst violation over all user and item constraints; NaN exactly
+        when `validate` fails on NaN."""
+        return float(np.max([value for _, value, _ in self._violations()]))
 
 
 @dataclass(frozen=True, eq=False)
@@ -184,7 +185,7 @@ class QuantumModel(_Model):
         traces = np.einsum("ukk->u", self.users).real
         yield "QuantumModel: a user state does not have unit trace", _max_abs(traces - 1.0), 1e-8
         for what, stack in (("a user state", self.users), ("an item effect", self.items)):
-            low = float(np.min(np.linalg.eigvalsh(stack))) if stack.size else 0.0
+            low = float(np.min(linalg.min_eigvalsh(stack))) if stack.size else 0.0
             yield f"QuantumModel: {what} is not psd", -low, 1e-8
         sums = self.items.sum(axis=1) - self._one
         yield "QuantumModel: item effects do not sum to the identity", _max_abs(sums), 1e-8
@@ -378,17 +379,10 @@ class RankProfile:
     """Numerical ranks of item effects.
 
     effect_ranks[i, z] is the rank of effect z of item i (eigenvalues above
-    _TAU_RANK times the largest one). pivot_max[i, zp] is the maximum rank
-    among the other effects when zp is designated the pivot outcome; the
-    per-item diagnostic is the minimum of that row.
+    _TAU_RANK times the largest one).
     """
 
     effect_ranks: np.ndarray
-    pivot_max: np.ndarray
-
-    @property
-    def item_rank(self):
-        return self.pivot_max.min(axis=1)
 
 
 _TAU_RANK = 1e-8
@@ -402,15 +396,7 @@ def rank_profile(m):
     ev = np.linalg.eigvalsh(m.items)
     lam_max = ev[..., -1]
     counts = np.count_nonzero(ev > _TAU_RANK * lam_max[..., None], axis=-1)
-    ranks = np.where(lam_max > 0.0, counts, 0)
-    srt = np.sort(ranks, axis=1)
-    top1 = srt[:, -1]
-    top2 = srt[:, -2]
-    n_top = np.count_nonzero(ranks == top1[:, None], axis=1)
-    pivot_max = np.where(
-        (ranks == top1[:, None]) & (n_top[:, None] == 1), top2[:, None], top1[:, None]
-    )
-    return RankProfile(effect_ranks=ranks, pivot_max=pivot_max)
+    return RankProfile(effect_ranks=np.where(lam_max > 0.0, counts, 0))
 
 
 # ---------------------------------------------------------------------------

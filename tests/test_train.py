@@ -575,3 +575,31 @@ class TestTrainLoop:
         assert len(hist) == 3
         for zero_fill in (True, False):
             assert np.isfinite(train.objective(m, train.effective_targets(ds, zero_fill)))
+
+    @pytest.mark.parametrize("d", [2, 3])
+    @pytest.mark.parametrize("field", ["real", "complex"])
+    def test_d2_never_reaches_lapack_eigensolvers(self, monkeypatch, field, d):
+        # D = 2 projections and residual checks take the closed form; only the
+        # 2-d Gram eigvalsh of the zero-fill step bound may call LAPACK. The
+        # D = 3 run shows the dispatch stops at D = 2.
+        eigvalsh = np.linalg.eigvalsh
+
+        def no_eigh(a, *args, **kwargs):
+            raise AssertionError(f"eigh on shape {np.shape(a)}")
+
+        def gram_eigvalsh_only(a, *args, **kwargs):
+            if np.ndim(a) > 2:
+                raise AssertionError(f"eigvalsh on shape {np.shape(a)}")
+            return eigvalsh(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", no_eigh)
+        monkeypatch.setattr(np.linalg, "eigvalsh", gram_eigvalsh_only)
+        ds = random_dataset(np.random.default_rng(23), 7, 6, density=0.6)
+        cfg = train.TrainConfig(D=d, max_iter=3, zero_fill_sweeps=1, field=field, seed=4)
+        if d == 3:
+            with pytest.raises(AssertionError, match="eigh on shape"):
+                train.train_quantum(ds, cfg)
+            return
+        m, hist = train.train_quantum(ds, cfg)
+        assert hist.phase == ["zero_fill", "observed", "observed"]
+        assert train.constraint_residual(m) <= 1e-8
