@@ -71,19 +71,6 @@ class RatingDataset:
         if len(self.user_ids) != self.U or len(self.item_ids) != self.I:
             raise InvalidInput("RatingDataset: id maps must cover all internal indices")
 
-    @classmethod
-    def from_arrays(cls, uu, ii, rr, z_star=5, U=None, I=None, user_ids=None, item_ids=None):
-        """Build a dataset from already 0-based index arrays."""
-        uu = np.asarray(uu, dtype=np.int64)
-        ii = np.asarray(ii, dtype=np.int64)
-        u_n = int(U) if U is not None else (int(uu.max()) + 1 if len(uu) else 0)
-        i_n = int(I) if I is not None else (int(ii.max()) + 1 if len(ii) else 0)
-        if user_ids is None:
-            user_ids = np.arange(u_n)
-        if item_ids is None:
-            item_ids = np.arange(i_n)
-        return cls(uu, ii, np.asarray(rr), u_n, i_n, int(z_star), user_ids, item_ids)
-
     def __len__(self):
         return len(self.uu)
 

@@ -27,13 +27,5 @@ class NotSimultaneouslyDiagonalizable(PsdrecError):
     """Model matrices do not commute, so no common eigenbasis exists."""
 
 
-class RecoveryFailed(PsdrecError):
-    """A common eigenbasis was computed but did not diagonalize the model."""
-
-    def __init__(self, message: str, residual: float | None = None):
-        super().__init__(message)
-        self.residual = residual
-
-
 class ParseError(PsdrecError):
     """A data or model file is malformed."""

@@ -27,12 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .exceptions import (
-    InvalidInput,
-    NotSimultaneouslyDiagonalizable,
-    ParseError,
-    RecoveryFailed,
-)
+from .exceptions import InvalidInput, NotSimultaneouslyDiagonalizable, ParseError
 
 __all__ = [
     "NnmModel",
@@ -302,67 +297,35 @@ def overfit_model(ds):
     return embed_nnm(NnmModel(np.eye(u_n), items))
 
 
-def _pairwise_commutator_norm(mats):
-    prod = np.einsum("kab,lbc->klac", mats, mats, optimize=True)
-    comm = prod - np.transpose(prod, (1, 0, 2, 3))
-    return float(np.sqrt(np.max(np.sum(np.abs(comm) ** 2, axis=(2, 3)))))
-
-
 def recover_nnm(m, tol=1e-6, *, seed=0):
     """Recover an NNM from a quantum model whose matrices all commute.
 
-    Finds one unitary that diagonalizes every user state and item effect by
-    eigendecomposing a random strictly-positive linear combination of all
-    model matrices (near-degenerate eigenvalue blocks are refined with a
-    second combination), then reads the NNM off the rotated diagonals. The
-    recovered model reproduces all predictions within tol, up to a global
-    coordinate permutation.
+    Commuting Hermitian matrices share an eigenbasis. One that diagonalizes
+    every user state and item effect is the eigenbasis of a random, strictly
+    positive combination of them all: with continuous weights, two distinct
+    joint eigenvalues collide with probability zero, and on a joint
+    eigenspace any basis will do. Every matrix is rotated into that basis,
+    and the NNM is read off the diagonals. The recovered model reproduces all
+    predictions within tol, up to a global coordinate permutation. The
+    matrices are held once, in O(k D^2) memory for k = U + I Z of them.
 
-    Raises NotSimultaneouslyDiagonalizable if some pair of model matrices has
-    commutator Frobenius norm above tol, and RecoveryFailed if the rotated
-    matrices are not diagonal within tol.
+    Raises NotSimultaneouslyDiagonalizable if some rotated matrix has an
+    off-diagonal Frobenius norm above tol (or NaN).
     """
     if not isinstance(m, QuantumModel):
         raise InvalidInput("recover_nnm: expected a QuantumModel")
     d = m.D
     mats = np.concatenate([m.users, m.items.reshape(m.I * m.Z, d, d)])
-    comm = _pairwise_commutator_norm(mats)
-    if comm > tol:
-        raise NotSimultaneouslyDiagonalizable(
-            f"recover_nnm: max pairwise commutator norm {comm:.3e} exceeds tol {tol:.3e}"
-        )
-
-    rng = np.random.default_rng(seed)
-    k = mats.shape[0]
-    combo = linalg.hermitianize(np.tensordot(rng.uniform(0.5, 1.5, k), mats, axes=1))
-    w, basis = np.linalg.eigh(combo)
-
-    # Refine near-degenerate eigenvalue blocks with a second combination so
-    # the basis also diagonalizes matrices that the first combination cannot
-    # separate.
-    gap_tol = 1e-7 * max(1.0, float(np.max(np.abs(w))))
-    boundaries = np.nonzero(np.diff(w) > gap_tol)[0] + 1
-    groups = np.split(np.arange(d), boundaries)
-    if any(len(g) > 1 for g in groups):
-        combo2 = linalg.hermitianize(np.tensordot(rng.uniform(0.5, 1.5, k), mats, axes=1))
-        for g in groups:
-            if len(g) < 2:
-                continue
-            sub = basis[:, g]
-            block = linalg.hermitianize(np.conj(sub.T) @ combo2 @ sub)
-            _, q = np.linalg.eigh(block)
-            basis[:, g] = sub @ q
-
-    rotated = np.einsum("ji,kjl,lm->kim", np.conj(basis), mats, basis, optimize=True)
-    diags = np.einsum("kii->ki", rotated).real.copy()
-    off = rotated.copy()
+    weights = np.random.default_rng(seed).uniform(0.5, 1.5, mats.shape[0])
+    _, basis = np.linalg.eigh(linalg.hermitianize(np.tensordot(weights, mats, axes=1)))
+    rotated = np.conj(basis.T) @ mats @ basis
     idx = np.arange(d)
-    off[:, idx, idx] = 0.0
-    residual = float(np.sqrt(np.max(np.sum(np.abs(off) ** 2, axis=(1, 2)))))
-    if residual > tol:
-        raise RecoveryFailed(
-            f"recover_nnm: off-diagonal residual {residual:.3e} exceeds tol {tol:.3e}",
-            residual=residual,
+    diags = rotated[:, idx, idx].real
+    rotated[:, idx, idx] = 0.0
+    residual = float(np.max(np.linalg.norm(rotated, axis=(1, 2))))
+    if not residual <= tol:
+        raise NotSimultaneouslyDiagonalizable(
+            f"recover_nnm: a rotated model matrix has off-diagonal norm {residual:.3e}, above tol {tol:.3e}"
         )
 
     users = linalg.project_to_simplex_rows(diags[: m.U])
@@ -412,12 +375,6 @@ FORMAT_MAGIC = "PSDREC v1"
 KINDS = {"quantum": QuantumModel, "nnm": NnmModel}
 
 
-def _fmt_entries(vec, complex_field):
-    if complex_field:
-        return " ".join(f"{x.real:.17g},{x.imag:.17g}" for x in vec)
-    return " ".join(f"{float(x):.17g}" for x in vec)
-
-
 def save_model(m, path):
     """Write a model to a text file; see load_model for the format."""
     kind = next((k for k, cls in KINDS.items() if isinstance(m, cls)), None)
@@ -425,14 +382,18 @@ def save_model(m, path):
         raise InvalidInput(f"save_model: unsupported model type {type(m).__name__}")
     complex_field = bool(np.iscomplexobj(m.users) or np.iscomplexobj(m.items))
     field = "complex" if complex_field else "real"
-    lines = [f"{FORMAT_MAGIC} | kind={kind} | {m.D} | {m.U} | {m.I} | {m.Z} | field={field}"]
-    for u in range(m.U):
-        lines.append(f"user {u} " + _fmt_entries(m.users[u].ravel(), complex_field))
-    for i in range(m.I):
-        for z in range(m.Z):
-            lines.append(f"item {i} {z + 1} " + _fmt_entries(m.items[i, z].ravel(), complex_field))
+    per_record = m.D**m._rank
+    rows = np.concatenate([m.users.reshape(-1, per_record), m.items.reshape(-1, per_record)])
+    record = " ".join(["%.17g,%.17g" if complex_field else "%.17g"] * per_record) + "\n"
+    if complex_field:
+        # An entry's "re,im" pair is two neighbours in the interleaved float view.
+        rows = rows.astype(complex, copy=False).view(float)
+    labels = [f"user {u} " for u in range(m.U)]
+    labels += [f"item {i} {z} " for i in range(m.I) for z in range(1, m.Z + 1)]
     with open(path, "w", encoding="ascii") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(f"{FORMAT_MAGIC} | kind={kind} | {m.D} | {m.U} | {m.I} | {m.Z} | field={field}\n")
+        for label, row in zip(labels, rows):
+            fh.write(label + record % tuple(row.tolist()))
 
 
 def _parse_value(token, complex_field, path, ln):

@@ -62,13 +62,18 @@ def random_nnm_model(rng, n_users, n_items, d, z=2):
     return models.NnmModel(users=users, items=items)
 
 
+def from_arrays(uu, ii, rr, *, U, I, z_star=5):
+    """Dataset over 0-based index arrays, with ids equal to the indices."""
+    return data.RatingDataset(uu, ii, rr, U, I, z_star, np.arange(U), np.arange(I))
+
+
 def random_dataset(rng, n_users=10, n_items=8, density=0.5, z_star=5):
     mask = rng.random((n_users, n_items)) < density
     if not mask.any():
         mask[0, 0] = True
     uu, ii = np.nonzero(mask)
     rr = rng.integers(1, z_star + 1, size=uu.shape[0])
-    return data.RatingDataset.from_arrays(uu, ii, rr, z_star=z_star, U=n_users, I=n_items)
+    return from_arrays(uu, ii, rr, z_star=z_star, U=n_users, I=n_items)
 
 
 def planted_dataset(rng, n_users=12, n_items=10, z_star=5):
@@ -80,7 +85,7 @@ def planted_dataset(rng, n_users=12, n_items=10, z_star=5):
     uu, ii = np.meshgrid(np.arange(n_users), np.arange(n_items), indexing="ij")
     uu, ii = uu.ravel(), ii.ravel()
     rr = diag[ii, ks[uu]]
-    return data.RatingDataset.from_arrays(uu, ii, rr, z_star=z_star, U=n_users, I=n_items)
+    return from_arrays(uu, ii, rr, z_star=z_star, U=n_users, I=n_items)
 
 
 # --- MovieLens discovery ------------------------------------------------------

@@ -202,6 +202,20 @@ class TestRecoverOverfitCommands:
         assert rc == 1
         assert err.splitlines() == [f"error: {path}: expected 100000000002 records, found 1"]
 
+    def test_recover_rejects_noncommuting_model(self, tmp_path, capsys):
+        # The |+><+| user does not commute with the diagonal effects.
+        path = tmp_path / "q.psdrec"
+        path.write_text(
+            "PSDREC v1 | kind=quantum | 2 | 2 | 1 | 2 | field=real\n"
+            "user 0 0.5 0.5 0.5 0.5\nuser 1 1 0 0 0\nitem 0 1 1 0 0 0\nitem 0 2 0 0 0 1\n"
+        )
+        out = tmp_path / "out"
+        rc = cli.main(["recover", "--model-in", str(path), "--model-out", str(out)])
+        err = capsys.readouterr().err.splitlines()
+        assert rc == 1
+        assert len(err) == 1 and err[0].startswith("error: recover_nnm: ")
+        assert not out.exists()
+
     def test_overfit_respects_size_cap(self, tmp_path, monkeypatch, capsys):
         data_path = small_corpus(tmp_path)
         monkeypatch.setattr(models, "_OVERFIT_MAX_BYTES", 1000)

@@ -11,7 +11,7 @@ from psdrec import data
 from psdrec.exceptions import InvalidInput, ParseError
 
 from _oracles import naive_ratings
-from conftest import random_dataset
+from conftest import from_arrays, random_dataset
 
 
 @st.composite
@@ -323,25 +323,25 @@ class TestBlockParser:
 
 class TestRatingDataset:
     def test_from_arrays_and_len(self):
-        ds = data.RatingDataset.from_arrays([0, 1], [1, 0], [5, 3], U=2, I=2)
+        ds = from_arrays([0, 1], [1, 0], [5, 3], U=2, I=2)
         assert len(ds) == 2 and ds.U == 2 and ds.I == 2
 
     def test_rejects_out_of_range(self):
         with pytest.raises(InvalidInput):
-            data.RatingDataset.from_arrays([0, 2], [0, 0], [1, 1], U=2, I=1)
+            from_arrays([0, 2], [0, 0], [1, 1], U=2, I=1)
         with pytest.raises(InvalidInput):
-            data.RatingDataset.from_arrays([0], [0], [9], U=1, I=1)
+            from_arrays([0], [0], [9], U=1, I=1)
 
     def test_rejects_duplicates(self):
         with pytest.raises(InvalidInput):
-            data.RatingDataset.from_arrays([0, 0], [1, 1], [5, 4], U=1, I=2)
+            from_arrays([0, 0], [1, 1], [5, 4], U=1, I=2)
 
     @given(pairs=st.lists(st.tuples(st.integers(0, 4), st.integers(0, 3)), max_size=14))
     @settings(max_examples=200, deadline=None)
     def test_duplicates_rejected_exactly(self, pairs):
         uu = [u for u, _ in pairs]
         ii = [i for _, i in pairs]
-        build = lambda: data.RatingDataset.from_arrays(uu, ii, [3] * len(pairs), U=5, I=4)
+        build = lambda: from_arrays(uu, ii, [3] * len(pairs), U=5, I=4)
         if len(set(pairs)) < len(pairs):
             with pytest.raises(InvalidInput, match="duplicate"):
                 build()
@@ -350,7 +350,7 @@ class TestRatingDataset:
 
     def test_rejects_length_mismatch(self):
         with pytest.raises(InvalidInput):
-            data.RatingDataset.from_arrays([0, 1], [0], [5], U=2, I=1)
+            from_arrays([0, 1], [0], [5], U=2, I=1)
 
     def test_subset_keeps_universe(self):
         rng = np.random.default_rng(0)

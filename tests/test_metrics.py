@@ -5,7 +5,7 @@ from psdrec import data, metrics, models
 from psdrec.exceptions import InvalidInput
 
 from _oracles import naive_recall
-from conftest import random_dataset, random_quantum_model
+from conftest import from_arrays, random_dataset, random_quantum_model
 
 
 def full_split(ds, test_idx):
@@ -26,7 +26,7 @@ class TestErrorMetrics:
     def test_mae_hand_computed(self):
         # one user, two items with like scores 1.0 and 0.2 -> stars 5.0, 1.0
         m = diag_model([1.0, 0.2], 1)
-        ds = data.RatingDataset.from_arrays([0, 0], [0, 1], [4, 3], U=1, I=2)
+        ds = from_arrays([0, 0], [0, 1], [4, 3], U=1, I=2)
         split = data.DataSplit(train=np.array([], dtype=np.int64), test=np.array([0, 1]))
         report = metrics.mae(m, ds, split)
         assert abs(report.value - (abs(5.0 - 4) + abs(1.0 - 3)) / 2) <= 1e-12
@@ -35,7 +35,7 @@ class TestErrorMetrics:
 
     def test_rmse_hand_computed(self):
         m = diag_model([1.0, 0.2], 1)
-        ds = data.RatingDataset.from_arrays([0, 0], [0, 1], [4, 3], U=1, I=2)
+        ds = from_arrays([0, 0], [0, 1], [4, 3], U=1, I=2)
         split = data.DataSplit(train=np.array([], dtype=np.int64), test=np.array([0, 1]))
         report = metrics.rmse(m, ds, split)
         assert abs(report.value - np.sqrt((1.0 + 4.0) / 2)) <= 1e-12
@@ -43,13 +43,13 @@ class TestErrorMetrics:
     def test_star_mapping_clamps(self):
         # like score 0 maps to star 1 (never 0), like score 1 maps to z_star
         m = diag_model([0.0], 1)
-        ds = data.RatingDataset.from_arrays([0], [0], [1], U=1, I=1)
+        ds = from_arrays([0], [0], [1], U=1, I=1)
         split = data.DataSplit(train=np.array([], dtype=np.int64), test=np.array([0]))
         assert metrics.mae(m, ds, split).value == 0.0
 
     def test_empty_test_rejected(self):
         m = diag_model([0.5], 1)
-        ds = data.RatingDataset.from_arrays([0], [0], [3], U=1, I=1)
+        ds = from_arrays([0], [0], [3], U=1, I=1)
         split = data.DataSplit(train=np.array([0]), test=np.array([], dtype=np.int64))
         with pytest.raises(InvalidInput):
             metrics.mae(m, ds, split)
@@ -58,7 +58,7 @@ class TestErrorMetrics:
 
     def test_report_as_line(self):
         m = diag_model([1.0], 1)
-        ds = data.RatingDataset.from_arrays([0], [0], [5], U=1, I=1)
+        ds = from_arrays([0], [0], [5], U=1, I=1)
         split = data.DataSplit(train=np.array([], dtype=np.int64), test=np.array([0]))
         line = metrics.mae(m, ds, split).as_line()
         assert "metric=mae" in line and "value=" in line and "count=1" in line
@@ -83,7 +83,7 @@ class TestRecall:
     def test_perfect_model_hits(self):
         # user 0 holds out item 0 rated 5; the model scores it top
         m = diag_model([1.0, 0.1, 0.2], 1)
-        ds = data.RatingDataset.from_arrays([0, 0, 0], [0, 1, 2], [5, 3, 2], U=1, I=3)
+        ds = from_arrays([0, 0, 0], [0, 1, 2], [5, 3, 2], U=1, I=3)
         split = full_split(ds, [0])
         assert metrics.recall_at_n(m, ds, split, 1).value == 1.0
 
@@ -91,7 +91,7 @@ class TestRecall:
         # every item scores equally; rank of the held-out item equals the
         # number of candidates, so it misses any smaller n
         m = diag_model([0.5, 0.5, 0.5], 1)
-        ds = data.RatingDataset.from_arrays([0, 0, 0], [0, 1, 2], [5, 3, 2], U=1, I=3)
+        ds = from_arrays([0, 0, 0], [0, 1, 2], [5, 3, 2], U=1, I=3)
         split = data.DataSplit(train=np.array([1, 2]), test=np.array([0]))
         # candidates: item 0 only (items 1, 2 are in train) -> rank 1
         assert metrics.recall_at_n(m, ds, split, 1).value == 1.0
@@ -102,14 +102,14 @@ class TestRecall:
 
     def test_no_relevant_rejected(self):
         m = diag_model([0.5, 0.5], 1)
-        ds = data.RatingDataset.from_arrays([0, 0], [0, 1], [4, 3], U=1, I=2)
+        ds = from_arrays([0, 0], [0, 1], [4, 3], U=1, I=2)
         split = full_split(ds, [0])
         with pytest.raises(InvalidInput):
             metrics.recall_at_n(m, ds, split, 1)
 
     def test_bad_n_rejected(self):
         m = diag_model([0.5], 1)
-        ds = data.RatingDataset.from_arrays([0], [0], [5], U=1, I=1)
+        ds = from_arrays([0], [0], [5], U=1, I=1)
         split = data.DataSplit(train=np.array([], dtype=np.int64), test=np.array([0]))
         with pytest.raises(InvalidInput):
             metrics.recall_at_n(m, ds, split, 0)
@@ -128,6 +128,6 @@ class TestRecall:
 
 class TestHistogram:
     def test_counts(self):
-        ds = data.RatingDataset.from_arrays([0, 0, 1, 1], [0, 1, 0, 1], [5, 5, 1, 3], U=2, I=2)
+        ds = from_arrays([0, 0, 1, 1], [0, 1, 0, 1], [5, 5, 1, 3], U=2, I=2)
         counts = metrics.rating_histogram(ds)
         assert counts.tolist() == [1, 0, 1, 0, 2]

@@ -3,16 +3,12 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from psdrec import data, models
-from psdrec.exceptions import (
-    InvalidInput,
-    NotSimultaneouslyDiagonalizable,
-    ParseError,
-    RecoveryFailed,
-)
+from psdrec import models
+from psdrec.exceptions import InvalidInput, NotSimultaneouslyDiagonalizable, ParseError
 
 from _oracles import best_permutation_error
 from conftest import (
+    from_arrays,
     random_dataset,
     random_density,
     random_nnm_model,
@@ -258,7 +254,7 @@ class TestOverfit:
 
     def test_memory_bound_checked_before_allocating(self, monkeypatch):
         # ML-100K shape: 8 (U^3 + I Z U^2) bytes is 6.7 + 59.8 GB.
-        ds = data.RatingDataset.from_arrays([0, 1, 942], [0, 5, 1681], [5, 3, 1], U=943, I=1682)
+        ds = from_arrays([0, 1, 942], [0, 5, 1681], [5, 3, 1], U=943, I=1682)
 
         def no_alloc(*args, **kwargs):
             raise AssertionError("overfit_model allocated before checking its size")
@@ -288,20 +284,51 @@ class TestRecover:
         q, r = np.linalg.qr(g)
         return q * (np.diagonal(r) / np.abs(np.diagonal(r)))
 
+    def _rotated(self, q, u):
+        return models.QuantumModel(
+            users=np.einsum("ab,kbc,dc->kad", u, q.users, np.conj(u)),
+            items=np.einsum("ab,kzbc,dc->kzad", u, q.items, np.conj(u)),
+        )
+
     def test_round_trip_up_to_permutation(self):
         rng = np.random.default_rng(22)
         for trial in range(5):
             d = z = int(rng.integers(2, 5))
             nnm = self._planted(rng, d, z, n_items=3)
-            q = models.embed_nnm(nnm)
-            u = self._haar_unitary(rng, d)
-            users = np.einsum("ab,kbc,dc->kad", u, q.users, np.conj(u))
-            items = np.einsum("ab,kzbc,dc->kzad", u, q.items, np.conj(u))
-            rotated = models.QuantumModel(users=users, items=items)
+            rotated = self._rotated(models.embed_nnm(nnm), self._haar_unitary(rng, d))
             rotated.validate()
             rec = models.recover_nnm(rotated, tol=1e-6, seed=trial)
             rec.validate()
             assert best_permutation_error(rec, nnm) <= 1e-6
+
+    def test_memory_linear_in_matrix_count(self):
+        # k = U + I Z = 2000 matrices of D=2 take 128 KB; all k^2 pairwise
+        # products of them would take about 400 MB.
+        rng = np.random.default_rng(33)
+        nnm = self._planted(rng, 2, 2, n_items=500)
+        rotated = self._rotated(models.embed_nnm(nnm), self._haar_unitary(rng, 2))
+        tracemalloc.start()
+        try:
+            rec = models.recover_nnm(rotated)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
+        assert best_permutation_error(rec, nnm) <= 1e-6
+
+    def test_rejects_one_item_off_the_common_basis(self):
+        # Among 2000 commuting matrices, one item's POVM turned by 45 degrees
+        # stays a POVM but has off-diagonal entries 0.35 in the common basis.
+        rng = np.random.default_rng(34)
+        q = models.embed_nnm(self._planted(rng, 2, 2, n_items=500))
+        turn = np.array([[1.0, -1.0], [1.0, 1.0]]) / np.sqrt(2.0)
+        like = turn @ np.diag([0.9, 0.2]) @ turn.T
+        items = q.items.copy()
+        items[7] = [like, np.eye(2) - like]
+        m = self._rotated(models.QuantumModel(q.users, items), self._haar_unitary(rng, 2))
+        m.validate()
+        with pytest.raises(NotSimultaneouslyDiagonalizable, match="off-diagonal norm"):
+            models.recover_nnm(m)
 
     def test_rejects_noncommuting(self):
         plus = np.full((2, 2), 0.5, dtype=complex)
@@ -311,6 +338,12 @@ class TestRecover:
         m = models.QuantumModel(users=users, items=items)
         with pytest.raises(NotSimultaneouslyDiagonalizable):
             models.recover_nnm(m)
+
+    def test_rejects_nan(self):
+        users = np.array([[[np.nan, 0.0], [0.0, 1.0]]])
+        items = np.array([[np.eye(2), np.zeros((2, 2))]])
+        with pytest.raises(NotSimultaneouslyDiagonalizable, match="norm nan"):
+            models.recover_nnm(models.QuantumModel(users=users, items=items))
 
     def test_rejects_nnm_input(self):
         rng = np.random.default_rng(23)
@@ -325,7 +358,7 @@ class TestRecover:
         users = np.stack([np.diag([0.4, 0.6]).astype(complex)])
         items = np.stack([np.stack([e1, np.eye(2) - e1])])
         m = models.QuantumModel(users=users, items=items)
-        with pytest.raises((NotSimultaneouslyDiagonalizable, RecoveryFailed)):
+        with pytest.raises(NotSimultaneouslyDiagonalizable, match="off-diagonal norm"):
             models.recover_nnm(m, tol=1e-12)
 
 
@@ -357,6 +390,75 @@ class TestPersistence:
             assert type(loaded) is type(m)
             assert np.array_equal(loaded.users, m.users)
             assert np.array_equal(loaded.items, m.items)
+
+    def test_golden_bytes(self, tmp_path):
+        # 17 significant digits, "re,im" pairs in a complex file (real
+        # matrices included), and -0 and 1e-300 kept as written.
+        q = models.QuantumModel(
+            users=np.array([[[0.75, 0.25j], [-0.25j, 0.25]]]),
+            items=np.array([[[[1 / 3, 0.0], [0.0, 1e-300]], [[2 / 3, -0.0], [-0.0, 1.0]]]]),
+        )
+        n = models.NnmModel(users=np.array([[0.1, 0.9]]), items=np.array([[[0.1, 1e-300], [0.9, 1.0]]]))
+        path = tmp_path / "model.psdrec"
+        models.save_model(q, str(path))
+        assert path.read_bytes() == (
+            b"PSDREC v1 | kind=quantum | 2 | 1 | 1 | 2 | field=complex\n"
+            b"user 0 0.75,0 0,0.25 -0,-0.25 0.25,0\n"
+            b"item 0 1 0.33333333333333331,0 0,0 0,0 1e-300,0\n"
+            b"item 0 2 0.66666666666666663,0 -0,0 -0,0 1,0\n"
+        )
+        models.save_model(n, str(path))
+        assert path.read_bytes() == (
+            b"PSDREC v1 | kind=nnm | 2 | 1 | 1 | 2 | field=real\n"
+            b"user 0 0.10000000000000001 0.90000000000000002\n"
+            b"item 0 1 0.10000000000000001 1e-300\n"
+            b"item 0 2 0.90000000000000002 1\n"
+        )
+
+    _VALID = (
+        "PSDREC v1 | kind=quantum | 2 | 1 | 1 | 2 | field=real\n"
+        "user 0 1 0 0 0\nitem 0 1 1 0 0 0\nitem 0 2 0 0 0 1\n"
+    )
+
+    @pytest.mark.parametrize(
+        "old, new, message",
+        [
+            pytest.param(_VALID, "", ": empty model file", id="empty"),
+            pytest.param(
+                "| 2 |",
+                "| two |",
+                " line 1: bad header 'PSDREC v1 | kind=quantum | two | 1 | 1 | 2 | field=real'",
+                id="header-number",
+            ),
+            pytest.param(
+                "kind=quantum",
+                "quantum",
+                " line 1: bad header 'PSDREC v1 | quantum | 2 | 1 | 1 | 2 | field=real'",
+                id="header-key",
+            ),
+            pytest.param("| 1 | 1 |", "| 0 | 1 |", " line 1: bad sizes in header", id="no-users"),
+            pytest.param("| 2 | field", "| 1 | field", " line 1: bad sizes in header", id="one-outcome"),
+            pytest.param("user 0", "usr 0", " line 2: unknown record 'usr'", id="unknown-record"),
+            pytest.param("item 0 1 1 0 0 0", "item 0 1 1 0 0", " line 3: expected 4 entries", id="entry-count"),
+            pytest.param("user 0", "user 1", " line 2: user index 1 out of range", id="user-range"),
+            pytest.param("item 0 2", "item 0 3", " line 4: item record (0, 3) out of range", id="item-range"),
+            # The blank line counts: the bad token sits on line 3.
+            pytest.param("real\nuser 0 1 0", "real\n\nuser 0 1 x", " line 3: bad numeric token 'x'", id="numeric-token"),
+        ],
+    )
+    def test_parse_errors_name_their_line(self, tmp_path, old, new, message):
+        path = tmp_path / "model.psdrec"
+        path.write_text(self._VALID.replace(old, new, 1))
+        with pytest.raises(ParseError) as exc_info:
+            models.load_model(str(path))
+        assert str(exc_info.value) == f"{path}{message}"
+
+    def test_blank_record_lines_skipped(self, tmp_path):
+        path = tmp_path / "model.psdrec"
+        path.write_text(self._VALID.replace("\n", "\n\n  \n", 2))
+        m = models.load_model(str(path))
+        assert np.array_equal(m.users, [np.diag([1.0, 0.0])])
+        assert np.array_equal(m.items, [[np.diag([1.0, 0.0]), np.diag([0.0, 1.0])]])
 
     def test_header_contents(self, tmp_path):
         rng = np.random.default_rng(25)

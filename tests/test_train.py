@@ -5,11 +5,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from psdrec import cli, data, linalg, models, train
+from psdrec import cli, linalg, models, train
 from psdrec.exceptions import InvalidInput, NumericalFailure, ParseError
 
 from _oracles import fd_coefficients, hermitian_basis, naive_objective, naive_pg_update
-from conftest import planted_dataset, random_dataset, random_nnm_model, random_quantum_model
+from conftest import from_arrays, planted_dataset, random_dataset, random_nnm_model, random_quantum_model
 
 
 # A valid non-default value for every TrainConfig field; a new field must be
@@ -117,14 +117,14 @@ class TestTrainConfig:
 
 class TestTargets:
     def test_values_are_rating_fractions(self):
-        ds = data.RatingDataset.from_arrays([0, 1], [0, 1], [5, 2], U=2, I=2)
+        ds = from_arrays([0, 1], [0, 1], [5, 2], U=2, I=2)
         t = train.effective_targets(ds, False)
         np.testing.assert_allclose(t.values, [1.0, 0.4])
         assert t.uu.tolist() == [0, 1] and t.ii.tolist() == [0, 1]
         assert not t.zero_fill
 
     def test_zero_fill_reads_zero(self):
-        ds = data.RatingDataset.from_arrays([0], [0], [5], U=2, I=2)
+        ds = from_arrays([0], [0], [5], U=2, I=2)
         t = train.effective_targets(ds, True)
         assert t.zero_fill
         assert (t.U, t.I) == (2, 2)
@@ -322,7 +322,7 @@ def _update_dataset(rng, holes):
     if not holes:
         return ds
     keep = (ds.uu != 0) & (ds.ii != 3)
-    return data.RatingDataset.from_arrays(ds.uu[keep], ds.ii[keep], ds.rr[keep], U=5, I=4)
+    return from_arrays(ds.uu[keep], ds.ii[keep], ds.rr[keep], U=5, I=4)
 
 
 # Cases without holes keep their plain kind-zero_fill ids.
@@ -372,7 +372,7 @@ class TestUpdates:
         # reaches a fixed point, where a step can raise it by rounding; each
         # unit must still be projected exactly once per inner iteration.
         rng = np.random.default_rng(0)
-        ds = data.RatingDataset.from_arrays(
+        ds = from_arrays(
             rng.integers(0, 6, 12), np.arange(12), rng.integers(1, 6, 12), U=6, I=12
         )
         m = random_quantum_model(rng, 6, 12, 2)
