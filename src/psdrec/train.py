@@ -11,12 +11,13 @@ of observed ratings.
 
 With one side frozen, each unit's subobjective is the quadratic
 x^H G x - 2 Re(c^H x) + k in its flattened state x (K = D entries for vector
-models, D^2 for matrix models), built once per half-sweep for both target
-phases. Zero-filled sweeps share one K x K Gram matrix G of the whole frozen
-side, so the dense user-item target matrix is never materialized;
-observed-only sweeps give each unit its own G, summed over the frozen rows of
-its own entries. Either way, no inner iteration revisits the ratings, and the
-per-sweep objective sums the user side's quadratics instead of rescoring them.
+models, D^2 for matrix models). Each side's sparse target incidence and k
+are built once per `Targets` and cached on it; c, G and the step bounds are
+rebuilt per half-sweep. Zero-filled sweeps share one K x K Gram matrix G of
+the whole frozen side, so the dense user-item target matrix is never
+materialized; observed-only sweeps give each unit its own G over its own
+entries. No inner iteration revisits the ratings, and the per-sweep
+objective sums the user side's quadratics instead of rescoring them.
 """
 
 from __future__ import annotations
@@ -149,11 +150,22 @@ class TrainHistory:
         return len(self.objective)
 
 
-@dataclass(eq=False)
+class _Incidence(NamedTuple):
+    """One side's targets: CSR `coef` (unit x frozen row), `const` = sum t^2 per
+    unit, and for observed-only targets the 0/1 `indicator` sharing coef's indices."""
+
+    coef: sp.csr_matrix
+    const: np.ndarray
+    indicator: sp.csr_matrix | None
+
+
+@dataclass(frozen=True, eq=False)
 class Targets:
     """Sparse target map. With zero_fill the map is conceptually defined on
     all (u, i) pairs, the listed entries carrying their values and every
-    other pair carrying 0; otherwise only the listed entries exist."""
+    other pair carrying 0; otherwise only the listed entries exist. Entries
+    lie in [0, U) x [0, I) with finite values. Each side's incidence is cached
+    on first use, so the entry arrays must not be edited in place."""
 
     uu: np.ndarray
     ii: np.ndarray
@@ -163,19 +175,31 @@ class Targets:
     I: int
 
     def __post_init__(self):
-        self.uu = np.asarray(self.uu, dtype=np.int64)
-        self.ii = np.asarray(self.ii, dtype=np.int64)
-        self.values = np.asarray(self.values, dtype=float)
+        for name, dtype in (("uu", np.int64), ("ii", np.int64), ("values", float)):
+            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=dtype))
         if not (self.uu.shape == self.ii.shape == self.values.shape) or self.uu.ndim != 1:
             raise InvalidInput("Targets: entry arrays must be parallel 1-d arrays")
+        lo = min(self.U, self.I, self.uu.min(initial=0), self.ii.min(initial=0))
+        if lo < 0 or self.uu.max(initial=-1) >= self.U or self.ii.max(initial=-1) >= self.I:
+            raise InvalidInput(f"Targets: entries must lie in [0, {self.U}) x [0, {self.I})")
+        if not np.isfinite(self.values).all():
+            raise InvalidInput("Targets: values must be finite")
+
+    def _incidence(self, unit, n, other, n_other):
+        indptr, other_sorted, t_sorted = group_entries(unit, n, other, self.values)
+        coef = sp.csr_matrix((t_sorted, other_sorted, indptr), shape=(n, n_other))
+        const = np.bincount(unit, weights=self.values**2, minlength=n)
+        pattern = (np.ones(coef.nnz), coef.indices, coef.indptr)
+        indicator = None if self.zero_fill else sp.csr_matrix(pattern, shape=coef.shape)
+        return _Incidence(coef, const, indicator)
 
     @cached_property
     def by_user(self):
-        return group_entries(self.uu, self.U, self.ii, self.values)
+        return self._incidence(self.uu, self.U, self.ii, self.I)
 
     @cached_property
     def by_item(self):
-        return group_entries(self.ii, self.I, self.uu, self.values)
+        return self._incidence(self.ii, self.I, self.uu, self.U)
 
 
 def effective_targets(ds, zero_fill):
@@ -251,34 +275,35 @@ def _quadratic(m, targets, side):
     entries, or over all frozen rows when zero-filled. The step bound L_r is
     2 lambda_max(G) when zero-filled and 2 tr(G_r) >= 2 lambda_max(G_r)
     otherwise; either bounds the Lipschitz constant of the unit's gradient.
+    The incidence matrices and k are cached on `targets`; only c, G and L,
+    which depend on the model, are rebuilt per call.
     """
     _require_binary(m)
     uf, ef = m.flat_users(), m.flat_likes()
     if (targets.U, targets.I) != (m.U, m.I):
         raise InvalidInput(f"targets are {targets.U} x {targets.I}, the model {m.U} x {m.I}")
     own, fix_flat = (uf, ef) if side == "user" else (ef, uf)
-    indptr, fix_of_entry, t_sorted = targets.by_user if side == "user" else targets.by_item
-    n_var, n_fix = len(indptr) - 1, fix_flat.shape[0]
-    var_of_entry = np.repeat(np.arange(n_var), np.diff(indptr))
+    inc = targets.by_user if side == "user" else targets.by_item
     # Real targets times the frozen rows' real and imaginary parts side by side.
-    coef = sp.csr_matrix((t_sorted, fix_of_entry, indptr), shape=(n_var, n_fix))
     fix_flat = np.ascontiguousarray(fix_flat, dtype=np.result_type(fix_flat, float))
-    cvec = (coef @ fix_flat.view(float)).view(fix_flat.dtype)
-    const = np.bincount(var_of_entry, weights=t_sorted**2, minlength=n_var)
+    cvec = (inc.coef @ fix_flat.view(float)).view(fix_flat.dtype)
     if targets.zero_fill:
         # gram[a, b] = sum_f conj(f_a) f_b, so (sum_f <f, x> f) per row is x @ gram.
         gram = np.conj(fix_flat).T @ fix_flat
         lam = float(np.linalg.eigvalsh(gram)[-1].real) if gram.size else 0.0
-        lips = np.full(n_var, max(2.0 * lam, 1e-12))
+        lips = np.full(len(own), max(2.0 * lam, 1e-12))
     else:
+        # Sum the upper-triangle products conj(f_a) f_b as real columns; the lower
+        # triangle is their conjugate, written first so the sums overwrite it on the diagonal.
         k = fix_flat.shape[1]
-        outer = (np.conj(fix_flat)[:, :, None] * fix_flat[:, None, :]).reshape(n_fix, k * k)
-        indicator = sp.csr_matrix(
-            (np.ones(len(fix_of_entry)), fix_of_entry, indptr), shape=(n_var, n_fix)
-        )
-        gram = (indicator @ outer).reshape(n_var, k, k)
+        a, b = np.triu_indices(k)
+        upper = np.multiply(np.conj(fix_flat[:, a]), fix_flat[:, b], order="C")
+        upper = (inc.indicator @ upper.view(float)).view(upper.dtype)
+        gram = np.empty((len(own), k, k), dtype=upper.dtype)
+        gram[:, b, a] = np.conj(upper)
+        gram[:, a, b] = upper
         lips = np.maximum(2.0 * np.real(np.trace(gram, axis1=1, axis2=2)), 1e-12)
-    return own, _Quadratic(gram, cvec, const, lips)
+    return own, _Quadratic(gram, cvec, inc.const, lips)
 
 
 def _unit_gradient(m, targets, idx, side):

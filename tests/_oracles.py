@@ -87,6 +87,26 @@ def naive_objective(m, ds, zero_fill):
     return total
 
 
+def naive_observed_quadratic(fix, units, others, values, n_units):
+    """Each unit r's observed-only subproblem by loops over its entries
+    (r, j, t), f = fix[j]: G_r = sum conj(f) f^T, c_r = sum t f, k_r = sum t^2,
+    and the step bound max(2 tr G_r, 1e-12)."""
+    k = fix.shape[1]
+    gram = np.zeros((n_units, k, k), dtype=np.result_type(fix, float))
+    cvec = np.zeros((n_units, k), dtype=gram.dtype)
+    const = np.zeros(n_units)
+    for r, j, t in zip(units, others, values):
+        for a in range(k):
+            for b in range(k):
+                gram[r, a, b] += np.conj(fix[j, a]) * fix[j, b]
+            cvec[r, a] += t * fix[j, a]
+        const[r] += t * t
+    lips = np.zeros(n_units)
+    for r in range(n_units):
+        lips[r] = max(2.0 * sum(float(np.real(gram[r, a, a])) for a in range(k)), 1e-12)
+    return gram, cvec, const, lips
+
+
 def hermitian_basis(d):
     """Orthonormal basis of d x d Hermitians under <A, B> = Re tr(A^H B)."""
     basis = []

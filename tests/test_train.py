@@ -8,7 +8,13 @@ import pytest
 from psdrec import cli, linalg, models, train
 from psdrec.exceptions import InvalidInput, NumericalFailure, ParseError
 
-from _oracles import fd_coefficients, hermitian_basis, naive_objective, naive_pg_update
+from _oracles import (
+    fd_coefficients,
+    hermitian_basis,
+    naive_objective,
+    naive_observed_quadratic,
+    naive_pg_update,
+)
 from conftest import from_arrays, planted_dataset, random_dataset, random_nnm_model, random_quantum_model
 
 
@@ -130,6 +136,75 @@ class TestTargets:
         assert (t.U, t.I) == (2, 2)
         assert t.values.tolist() == [1.0]
 
+    @pytest.mark.parametrize("zero_fill", [False, True])
+    @pytest.mark.parametrize(
+        "uu, ii, values",
+        [
+            ([0, 2], [0, 1], [1.0, 1.0]),
+            ([0, 1], [0, 5], [1.0, 1.0]),
+            ([0, -1], [0, 1], [1.0, 1.0]),
+            ([0, 1], [-1, 1], [1.0, 1.0]),
+            ([0, 1], [0, 1], [np.nan, 1.0]),
+            ([0, 1], [0, 1], [1.0, np.inf]),
+            ([0, 1], [0, 1], [1.0, -np.inf]),
+        ],
+        ids=["user>=U", "item>=I", "user<0", "item<0", "nan", "inf", "-inf"],
+    )
+    def test_rejects_invalid_entries(self, zero_fill, uu, ii, values):
+        # Each would otherwise reach the unchecked sparse kernels, where an
+        # item index past I reads outside the model.
+        with pytest.raises(InvalidInput, match="Targets"):
+            train.Targets(uu, ii, values, zero_fill, 2, 2)
+
+    @pytest.mark.parametrize("shape", [(-1, 2), (2, -1)])
+    def test_rejects_negative_shape(self, shape):
+        with pytest.raises(InvalidInput, match="Targets"):
+            train.Targets([], [], [], False, *shape)
+
+    def test_fields_cannot_be_reassigned(self):
+        t = train.Targets([0, 1], [1, 0], [0.2, 0.4], False, 2, 2)
+        inc = t.by_user
+        for name, value in (("uu", [1, 0]), ("ii", [0, 1]), ("values", [1.0, 1.0]), ("zero_fill", True)):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(t, name, value)
+        assert t.by_user is inc
+
+    def test_indicator_shares_the_coefficient_indices(self):
+        rng = np.random.default_rng(25)
+        ds = random_dataset(rng, 6, 5, density=0.6)
+        for side in ("by_user", "by_item"):
+            inc = getattr(train.effective_targets(ds, False), side)
+            assert np.shares_memory(inc.indicator.indices, inc.coef.indices)
+            assert np.shares_memory(inc.indicator.indptr, inc.coef.indptr)
+            assert np.array_equal(inc.indicator.data, np.ones(len(ds)))
+
+    @pytest.mark.parametrize("mode, builds", [("recall", 2), ("mae", 4)])
+    def test_each_side_grouped_once_per_targets(self, monkeypatch, mode, builds):
+        calls, made = [], []
+        group, effective = train.group_entries, train.effective_targets
+
+        def counted_group(*args):
+            calls.append(args)
+            return group(*args)
+
+        def recorded_targets(*args):
+            made.append(effective(*args))
+            return made[-1]
+
+        monkeypatch.setattr(train, "group_entries", counted_group)
+        monkeypatch.setattr(train, "effective_targets", recorded_targets)
+        ds = random_dataset(np.random.default_rng(26), 6, 5, density=0.6)
+        cfg = train.TrainConfig(D=2, max_iter=4, mode=mode, seed=0)
+        train.train_quantum(ds, cfg)
+        assert len(calls) == builds
+        used = [t for t in made if "by_user" in vars(t)]
+        assert len(used) == builds // 2
+        assert all("by_item" in vars(t) for t in used)
+        for t in used:
+            assert (t.by_user.indicator is None) == t.zero_fill
+            assert (t.by_item.indicator is None) == t.zero_fill
+        assert len(calls) == builds  # reading the cache groups nothing again
+
 
 class TestInit:
     def test_unit_trace_rank_one(self):
@@ -193,6 +268,44 @@ class TestObjective:
             for side in ("user", "item"):
                 own, quad = train._quadratic(m, t, side)
                 assert abs(sum(quad.value(own)) - train.objective(m, t)) <= 1e-9
+
+
+# Quantum models over every D and field the trainer offers, and the NNM kind.
+_QUADRATIC_MODELS = [
+    pytest.param("quantum", d, field, id=f"quantum-D{d}-{field}")
+    for d in (1, 2, 3)
+    for field in ("real", "complex")
+] + [pytest.param("nnm", 3, "real", id="nnm-D3")]
+
+
+class TestObservedQuadratic:
+    @pytest.mark.parametrize("empty", [False, True], ids=["entries", "no-entries"])
+    @pytest.mark.parametrize("side", ["user", "item"])
+    @pytest.mark.parametrize("kind, d, field", _QUADRATIC_MODELS)
+    def test_matches_naive_gram_stack(self, kind, d, field, side, empty):
+        # User 0 and item 5 have no entries, so their subproblems are zero.
+        rng = np.random.default_rng(27)
+        ds = random_dataset(rng, 7, 6, density=0.6)
+        keep = (ds.uu != 0) & (ds.ii != 5) & (not empty)
+        t = train.Targets(ds.uu[keep], ds.ii[keep], ds.rr[keep] / 5.0, False, 7, 6)
+        if kind == "quantum":
+            m = random_quantum_model(rng, 7, 6, d, field=field)
+        else:
+            m = random_nnm_model(rng, 7, 6, d)
+        own, quad = train._quadratic(m, t, side)
+        fix, units, others, n = (
+            (m.flat_likes(), t.uu, t.ii, m.U) if side == "user" else (m.flat_users(), t.ii, t.uu, m.I)
+        )
+        want = naive_observed_quadratic(fix, units, others, t.values, n)
+        for name, got, ref in zip(("gram", "cvec", "const", "lips"), quad, want):
+            assert got.shape == ref.shape, name
+            assert np.linalg.norm(got - ref) <= 1e-12 * np.linalg.norm(ref), name
+        empty_unit = 0 if side == "user" else 5
+        assert not np.any(quad.gram[empty_unit]) and quad.lips[empty_unit] == 1e-12
+        k = fix.shape[1]
+        lower = np.tril_indices(k, -1)
+        assert np.array_equal(quad.gram[:, lower[0], lower[1]], np.conj(quad.gram[:, lower[1], lower[0]]))
+        assert np.array_equal(own, m.flat_users() if side == "user" else m.flat_likes())
 
 
 class TestGradients:
