@@ -276,7 +276,7 @@ def main(argv=None):
 
     try:
         return _HANDLERS[args.command](args)
-    except (FileNotFoundError, IsADirectoryError) as exc:
+    except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except PsdrecError as exc:

@@ -21,6 +21,7 @@ import numpy as np
 
 from . import linalg
 from .exceptions import InvalidInput, NumericalFailure
+from .models import QuantumModel
 
 __all__ = [
     "TagOperator",
@@ -94,6 +95,8 @@ class HierarchyGraph:
 
 def tag_operator(m, members, name=""):
     """Arithmetic mean of the like-effects of the member items."""
+    if not isinstance(m, QuantumModel):
+        raise InvalidInput("tag_operator: expected a QuantumModel")
     members = np.asarray(members, dtype=np.int64)
     if members.size == 0:
         raise InvalidInput("tag_operator: empty member set")

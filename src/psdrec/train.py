@@ -11,9 +11,10 @@ of observed ratings.
 
 With one side frozen, each unit's subobjective is the quadratic
 x^H G x - 2 Re(c^H x) + k in its flattened state x (K = D entries for vector
-models, D^2 for matrix models). Each side's sparse target incidence and k
-are built once per `Targets` and cached on it; c, G and the step bounds are
-rebuilt per half-sweep. Zero-filled sweeps share one K x K Gram matrix G of
+models, D^2 for matrix models). A training run builds one `Targets`, and
+each side's sparse target incidence and k are built once on it and serve
+both target phases; recall mode never builds observed-only targets. c, G and
+the step bounds are rebuilt per half-sweep. Zero-filled sweeps share one G of
 the whole frozen side, so the dense user-item target matrix is never
 materialized; observed-only sweeps give each unit its own G over its own
 entries. No inner iteration revisits the ratings, and the per-sweep
@@ -22,9 +23,9 @@ objective sums the user side's quadratics instead of rescoring them.
 
 from __future__ import annotations
 
+import copy
 import time
 from dataclasses import dataclass, field, fields, replace
-from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -120,6 +121,8 @@ class TrainConfig:
             name = canonical.get(key.lower())
             if name is None:
                 raise ParseError(f"{path} line {ln}: unknown key {key!r}")
+            if name in values:
+                raise ParseError(f"{path} line {ln}: repeated key {key!r}")
             try:
                 values[name] = converters[name](val)
             except ValueError:
@@ -151,21 +154,19 @@ class TrainHistory:
 
 
 class _Incidence(NamedTuple):
-    """One side's targets: CSR `coef` (unit x frozen row), `const` = sum t^2 per
-    unit, and for observed-only targets the 0/1 `indicator` sharing coef's indices."""
+    """One side's targets in both phases: CSR `coef` (unit x frozen row), `const` = sum t^2 per unit."""
 
     coef: sp.csr_matrix
     const: np.ndarray
-    indicator: sp.csr_matrix | None
 
 
 @dataclass(frozen=True, eq=False)
 class Targets:
-    """Sparse target map. With zero_fill the map is conceptually defined on
-    all (u, i) pairs, the listed entries carrying their values and every
-    other pair carrying 0; otherwise only the listed entries exist. Entries
-    lie in [0, U) x [0, I) with finite values. Each side's incidence is cached
-    on first use, so the entry arrays must not be edited in place."""
+    """Sparse target map. With zero_fill it covers all (u, i) pairs, the
+    unlisted ones carrying 0; otherwise only the listed entries exist.
+    Entries lie in [0, U) x [0, I) with finite values. Each side's
+    incidence, the same in both phases, is cached on first use and shared
+    with `_observed()` copies, so the entry arrays must not be edited in place."""
 
     uu: np.ndarray
     ii: np.ndarray
@@ -173,6 +174,7 @@ class Targets:
     zero_fill: bool
     U: int
     I: int
+    _incidences: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
         for name, dtype in (("uu", np.int64), ("ii", np.int64), ("values", float)):
@@ -185,33 +187,32 @@ class Targets:
         if not np.isfinite(self.values).all():
             raise InvalidInput("Targets: values must be finite")
 
-    def _incidence(self, unit, n, other, n_other):
-        indptr, other_sorted, t_sorted = group_entries(unit, n, other, self.values)
-        coef = sp.csr_matrix((t_sorted, other_sorted, indptr), shape=(n, n_other))
-        const = np.bincount(unit, weights=self.values**2, minlength=n)
-        pattern = (np.ones(coef.nnz), coef.indices, coef.indptr)
-        indicator = None if self.zero_fill else sp.csr_matrix(pattern, shape=coef.shape)
-        return _Incidence(coef, const, indicator)
+    def _observed(self):
+        """These entries as observed-only targets, sharing arrays and incidence cache."""
+        twin = copy.copy(self)
+        object.__setattr__(twin, "zero_fill", False)
+        return twin
 
-    @cached_property
+    def _incidence(self, side, unit, n, other, n_other):
+        if side not in self._incidences:
+            indptr, other_sorted, t_sorted = group_entries(unit, n, other, self.values)
+            coef = sp.csr_matrix((t_sorted, other_sorted, indptr), shape=(n, n_other))
+            const = np.bincount(unit, weights=self.values**2, minlength=n)
+            self._incidences[side] = _Incidence(coef, const)
+        return self._incidences[side]
+
+    @property
     def by_user(self):
-        return self._incidence(self.uu, self.U, self.ii, self.I)
+        return self._incidence("user", self.uu, self.U, self.ii, self.I)
 
-    @cached_property
+    @property
     def by_item(self):
-        return self._incidence(self.ii, self.I, self.uu, self.U)
+        return self._incidence("item", self.ii, self.I, self.uu, self.U)
 
 
 def effective_targets(ds, zero_fill):
     """Targets R_ui / z_star on the observed entries, optionally zero-filled."""
-    return Targets(
-        uu=ds.uu,
-        ii=ds.ii,
-        values=ds.rr.astype(float) / ds.z_star,
-        zero_fill=bool(zero_fill),
-        U=ds.U,
-        I=ds.I,
-    )
+    return Targets(ds.uu, ds.ii, ds.rr.astype(float) / ds.z_star, bool(zero_fill), ds.U, ds.I)
 
 
 def init_quantum_users(n_users, d, seed, field="complex"):
@@ -275,8 +276,9 @@ def _quadratic(m, targets, side):
     entries, or over all frozen rows when zero-filled. The step bound L_r is
     2 lambda_max(G) when zero-filled and 2 tr(G_r) >= 2 lambda_max(G_r)
     otherwise; either bounds the Lipschitz constant of the unit's gradient.
-    The incidence matrices and k are cached on `targets`; only c, G and L,
-    which depend on the model, are rebuilt per call.
+    The incidence matrices and k are cached on `targets` and read by both
+    phases; the observed phase takes its 0/1 entry pattern from coef's index
+    arrays. Only c, G and L, which depend on the model, are rebuilt per call.
     """
     _require_binary(m)
     uf, ef = m.flat_users(), m.flat_likes()
@@ -298,7 +300,8 @@ def _quadratic(m, targets, side):
         k = fix_flat.shape[1]
         a, b = np.triu_indices(k)
         upper = np.multiply(np.conj(fix_flat[:, a]), fix_flat[:, b], order="C")
-        upper = (inc.indicator @ upper.view(float)).view(upper.dtype)
+        pattern = sp.csr_matrix((np.ones(inc.coef.nnz), inc.coef.indices, inc.coef.indptr), inc.coef.shape)
+        upper = (pattern @ upper.view(float)).view(upper.dtype)
         gram = np.empty((len(own), k, k), dtype=upper.dtype)
         gram[:, b, a] = np.conj(upper)
         gram[:, a, b] = upper
@@ -325,12 +328,10 @@ def _update_side(m, targets, cfg, side, project_rows):
     """cfg.inner_iters projected-gradient steps for every unit on one side, the
     other side frozen.
 
-    Both target phases run on the quadratics of `_quadratic`, built once per
-    call: one shared Gram matrix when zero-filled, and when observed-only a
-    per-unit Gram stack G_r = sum conj(f) f^T over unit r's own entries. So
-    each gradient costs O(K^2) per unit however many ratings the unit has.
-    Each step has length 1/L_r, and L_r bounds the Lipschitz constant of unit
-    r's gradient, so by the descent lemma for projected gradient (Beck &
+    Both target phases run on the quadratics `_quadratic` builds once per
+    call, so each gradient costs O(K^2) per unit however many ratings the
+    unit has. Each step has length 1/L_r, L_r a Lipschitz bound of unit r's
+    gradient, so by the descent lemma for projected gradient (Beck &
     Teboulle, SIAM J. Imaging Sci. 2009) no step increases a subobjective
     beyond rounding.
     """
@@ -382,11 +383,10 @@ def _train(ds, cfg):
     model = _init_model(ds, cfg)
     history = TrainHistory()
     zf = cfg.resolved_zero_fill()
-    zero_targets = effective_targets(ds, True)
-    gamma_targets = effective_targets(ds, False)
+    targets = effective_targets(ds, zf > 0)
     for sweep in range(cfg.max_iter):
-        in_zero = sweep < zf
-        targets = zero_targets if in_zero else gamma_targets
+        if sweep == zf and targets.zero_fill:
+            targets = targets._observed()
         tic = time.perf_counter()
         model = update_items(model, targets, cfg)
         model = update_users(model, targets, cfg)
@@ -394,7 +394,7 @@ def _train(ds, cfg):
         obj = objective(model, targets)
         if not np.isfinite(obj):
             raise NumericalFailure(f"sweep {sweep + 1}: non-finite objective")
-        history.append(obj, wall, constraint_residual(model), "zero_fill" if in_zero else "observed")
+        history.append(obj, wall, constraint_residual(model), "zero_fill" if targets.zero_fill else "observed")
     return model, history
 
 

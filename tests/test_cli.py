@@ -3,7 +3,7 @@ import os
 import numpy as np
 import pytest
 
-from psdrec import cli, models, train
+from psdrec import cli, data, models, train
 
 
 def write_ratings(tmp_path, rows, name="u.data"):
@@ -21,6 +21,27 @@ def small_corpus(tmp_path):
                 rows.append((u, i, int(rng.integers(1, 6))))
     rows.append((1, 9, 5))  # keep a 5-star entry for recall runs
     return write_ratings(tmp_path, rows)
+
+
+def hierarchy_inputs(tmp_path, kind="quantum"):
+    """ML-1M ratings and genres files, and a D=2 model of the given kind trained on them."""
+    rng = np.random.default_rng(2)
+    rows = [(u, i, int(rng.integers(1, 6))) for u in range(1, 7) for i in range(1, 7)]
+    ratings = tmp_path / "ratings.dat"
+    ratings.write_text("".join(f"{u}::{i}::{r}::0\n" for u, i, r in rows))
+    genres = tmp_path / "movies.dat"
+    genres.write_text(
+        "1::A::Comedy\n2::B::Comedy|Drama\n3::C::Drama\n4::D::Drama\n5::E::Horror\n6::F::Horror\n"
+    )
+    cfg_path = tmp_path / "train.cfg"
+    cfg_path.write_text(f"D = 2\nmax_iter = 2\nkind = {kind}\n")
+    model_path = str(tmp_path / "model.psdrec")
+    argv = ["train", "--data", str(ratings), "--format", "ml1m", "--config", str(cfg_path), "--model-out", model_path]
+    assert cli.main(argv) == 0
+    return [
+        "hierarchy", "--model-in", model_path, "--data", str(ratings),
+        "--format", "ml1m", "--genres", str(genres), "--epsilon", "0.5",
+    ]
 
 
 class TestDemo:
@@ -45,6 +66,41 @@ class TestHistogram:
     def test_missing_file_exit_2(self, capsys):
         assert cli.main(["histogram", "--data", "/no/such/file"]) == 2
         assert "error" in capsys.readouterr().err
+
+
+class TestFileErrors:
+    """Any OSError on a named path ends the command with exit 2 and one line."""
+
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ["histogram", "--data", "{file}/x"],
+            ["train", "--data", "{data}", "--model-out", "{file}/m"],
+            ["train", "--data", "{data}", "--config", "{file}/c", "--model-out", "{tmp}/m"],
+            ["recover", "--model-in", "{file}/m", "--model-out", "{tmp}/o"],
+            ["hierarchy", "--dot-out", "{file}/g.dot"],
+        ],
+        ids=["data", "model-out", "config", "model-in", "dot-out"],
+    )
+    def test_path_under_a_file_exit_2(self, tmp_path, capsys, command):
+        # Each path runs through a regular file, so opening it raises NotADirectoryError.
+        data_path = small_corpus(tmp_path)
+        if command[0] == "hierarchy":
+            command = hierarchy_inputs(tmp_path) + command[1:]
+        paths = {"file": data_path, "data": data_path, "tmp": str(tmp_path)}
+        capsys.readouterr()
+        assert cli.main([arg.format(**paths) for arg in command]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: "), err
+
+    def test_permission_error_exit_2(self, tmp_path, monkeypatch, capsys):
+        def refuse(path):
+            raise PermissionError(13, "Permission denied", path)
+
+        monkeypatch.setattr(data, "load_movielens_100k", refuse)
+        assert cli.main(["histogram", "--data", str(tmp_path / "u.data")]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ") and "Permission denied" in err[0]
 
 
 class TestTrainCommand:
@@ -226,42 +282,24 @@ class TestRecoverOverfitCommands:
 
 class TestHierarchyCommand:
     def test_end_to_end(self, tmp_path, capsys):
-        rng = np.random.default_rng(2)
-        rows = []
-        for u in range(1, 7):
-            for i in range(1, 7):
-                rows.append((u, i, int(rng.integers(1, 6))))
-        ratings = tmp_path / "ratings.dat"
-        ratings.write_text("".join(f"{u}::{i}::{r}::0\n" for u, i, r in rows))
-        genres = tmp_path / "movies.dat"
-        genres.write_text(
-            "1::A::Comedy\n2::B::Comedy|Drama\n3::C::Drama\n4::D::Drama\n5::E::Horror\n6::F::Horror\n"
-        )
-        cfg_path = tmp_path / "train.cfg"
-        cfg_path.write_text("D = 2\nmax_iter = 2\n")
-        model_path = str(tmp_path / "model.psdrec")
-        rc = cli.main(
-            [
-                "train", "--data", str(ratings), "--format", "ml1m",
-                "--config", str(cfg_path), "--model-out", model_path,
-            ]
-        )
-        assert rc == 0
+        command = hierarchy_inputs(tmp_path)
         capsys.readouterr()
         dot_path = str(tmp_path / "graph.dot")
-        rc = cli.main(
-            [
-                "hierarchy", "--model-in", model_path, "--data", str(ratings),
-                "--format", "ml1m", "--genres", str(genres), "--epsilon", "0.5",
-                "--method", "simple", "--exclude", "Horror", "--dot-out", dot_path,
-            ]
-        )
+        rc = cli.main(command + ["--method", "simple", "--exclude", "Horror", "--dot-out", dot_path])
         out = capsys.readouterr()
         assert rc == 0, out.err
         assert "tags=2" in out.out
         text = open(dot_path).read()
         assert text.startswith("digraph {")
         assert "Horror" not in text
+
+    def test_nnm_model_exit_1(self, tmp_path, capsys):
+        # Tag operators need effect matrices; an NNM model is a domain error, not a traceback.
+        command = hierarchy_inputs(tmp_path, kind="nnm")
+        capsys.readouterr()
+        assert cli.main(command) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["error: tag_operator: expected a QuantumModel"]
 
 
 class TestParser:

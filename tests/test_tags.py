@@ -5,7 +5,7 @@ from psdrec import data, models, tags
 from psdrec.exceptions import InvalidInput
 
 from _oracles import bloch_subset_oracle
-from conftest import random_effect, random_quantum_model
+from conftest import random_effect, random_nnm_model, random_quantum_model
 
 
 def operator(matrix, name="t"):
@@ -40,6 +40,13 @@ class TestTagOperator:
             tags.tag_operator(m, [3])
         with pytest.raises(InvalidInput):
             tags.tag_operator(m, [-1])
+
+    def test_rejects_nnm_model(self):
+        # An NNM's items are probability vectors, not effect matrices, so it
+        # has no tag operators.
+        m = random_nnm_model(np.random.default_rng(2), 2, 3, 2)
+        with pytest.raises(InvalidInput, match="expected a QuantumModel"):
+            tags.tag_operator(m, [0, 1])
 
 
 class TestSubsetSimple:

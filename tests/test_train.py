@@ -72,6 +72,15 @@ class TestTrainConfig:
             with pytest.raises(ParseError, match="unknown key"):
                 train.TrainConfig.from_file(str(path))
 
+    @pytest.mark.parametrize("text", ["D = 2\nD = 3\n", "d=2\n# comment\nD = 3\n"], ids=["same-case", "mixed-case"])
+    def test_from_file_repeated_key(self, tmp_path, text):
+        # Keys match case-insensitively, so the second line sets D again.
+        path = tmp_path / "train.cfg"
+        path.write_text(text)
+        line = len(text.splitlines())
+        with pytest.raises(ParseError, match=f"line {line}: repeated key 'D'"):
+            train.TrainConfig.from_file(str(path))
+
     def test_from_file_sets_every_field(self, tmp_path):
         path = tmp_path / "train.cfg"
         for f in dataclasses.fields(train.TrainConfig):
@@ -169,41 +178,56 @@ class TestTargets:
                 setattr(t, name, value)
         assert t.by_user is inc
 
-    def test_indicator_shares_the_coefficient_indices(self):
-        rng = np.random.default_rng(25)
-        ds = random_dataset(rng, 6, 5, density=0.6)
-        for side in ("by_user", "by_item"):
-            inc = getattr(train.effective_targets(ds, False), side)
-            assert np.shares_memory(inc.indicator.indices, inc.coef.indices)
-            assert np.shares_memory(inc.indicator.indptr, inc.coef.indptr)
-            assert np.array_equal(inc.indicator.data, np.ones(len(ds)))
+    def test_observed_sweeps_read_the_zero_fill_incidence(self, monkeypatch):
+        # One mae-mode run: the observed sweeps must read the very coef/const
+        # objects the zero-fill sweeps built, and no 0/1 pattern is cached.
+        read = []
+        quadratic = train._quadratic
 
-    @pytest.mark.parametrize("mode, builds", [("recall", 2), ("mae", 4)])
+        def recorded(m, targets, side):
+            out = quadratic(m, targets, side)
+            read.append((targets.zero_fill, side, getattr(targets, f"by_{side}")))
+            return out
+
+        monkeypatch.setattr(train, "_quadratic", recorded)
+        ds = random_dataset(np.random.default_rng(25), 6, 5, density=0.6)
+        train.train_quantum(ds, train.TrainConfig(D=2, max_iter=4, mode="mae", seed=0))
+        assert train._Incidence._fields == ("coef", "const")
+        for side in ("user", "item"):
+            by_phase = {zero_fill: inc for zero_fill, s, inc in read if s == side}
+            assert set(by_phase) == {True, False}
+            assert by_phase[False].coef is by_phase[True].coef
+            assert by_phase[False].const is by_phase[True].const
+            assert len({id(inc) for _, s, inc in read if s == side}) == 1
+
+    @pytest.mark.parametrize("mode, builds", [("recall", 2), ("mae", 2)])
     def test_each_side_grouped_once_per_targets(self, monkeypatch, mode, builds):
-        calls, made = [], []
-        group, effective = train.group_entries, train.effective_targets
+        # One validation and one grouping per side per run, in both modes;
+        # recall mode never makes observed-only targets.
+        calls, validated, phases = [], [], set()
+        group, post_init, update_users = train.group_entries, train.Targets.__post_init__, train.update_users
 
         def counted_group(*args):
             calls.append(args)
             return group(*args)
 
-        def recorded_targets(*args):
-            made.append(effective(*args))
-            return made[-1]
+        def counted_post_init(self):
+            validated.append(self)
+            post_init(self)
+
+        def recorded_update(m, targets, cfg):
+            phases.add(targets.zero_fill)
+            return update_users(m, targets, cfg)
 
         monkeypatch.setattr(train, "group_entries", counted_group)
-        monkeypatch.setattr(train, "effective_targets", recorded_targets)
+        monkeypatch.setattr(train.Targets, "__post_init__", counted_post_init)
+        monkeypatch.setattr(train, "update_users", recorded_update)
         ds = random_dataset(np.random.default_rng(26), 6, 5, density=0.6)
         cfg = train.TrainConfig(D=2, max_iter=4, mode=mode, seed=0)
         train.train_quantum(ds, cfg)
         assert len(calls) == builds
-        used = [t for t in made if "by_user" in vars(t)]
-        assert len(used) == builds // 2
-        assert all("by_item" in vars(t) for t in used)
-        for t in used:
-            assert (t.by_user.indicator is None) == t.zero_fill
-            assert (t.by_item.indicator is None) == t.zero_fill
-        assert len(calls) == builds  # reading the cache groups nothing again
+        assert len(validated) == 1
+        assert phases == ({True} if mode == "recall" else {True, False})
 
 
 class TestInit:
