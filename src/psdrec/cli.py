@@ -182,8 +182,11 @@ def _cmd_topn(args):
 
 def _cmd_hierarchy(args):
     from . import data, models, tags
+    from .exceptions import InvalidInput
 
     model = models.load_model(args.model_in)
+    if not isinstance(model, models.QuantumModel):
+        raise InvalidInput(f"hierarchy: expected a QuantumModel, got {type(model).__name__}")
     ds = _load_dataset(args)
     catalog = data.load_genres_1m(args.genres, ds, exclude=tuple(args.exclude or ()))
     graph = tags.build_hierarchy(model, catalog, args.epsilon, method=args.method)

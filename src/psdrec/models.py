@@ -220,12 +220,38 @@ def predict(m, u, i, z):
     return _predict("predict", _Model, m, u, i, z)
 
 
+def _real_rows(x, dtype):
+    """Rows of x cast to dtype; complex rows read as interleaved (re, im)
+    float rows, so that Re <a, b> is the real dot product of two such rows."""
+    x = x.astype(dtype, copy=False)
+    if dtype.kind != "c":
+        return x
+    if x.strides[-1] != x.itemsize:
+        x = np.ascontiguousarray(x)
+    return x.view(np.finfo(dtype).dtype)
+
+
 def score_items(m, u):
-    """Raw like scores (outcome 1, unclamped) of user u against every item."""
-    if not (isinstance(u, (int, np.integer)) and 0 <= u < m.U):
-        raise InvalidInput(f"user index {u} out of range [0, {m.U})")
-    uf = np.conj(m.flat_users()[u])
-    return np.real(m.flat_likes() @ uf)
+    """Raw like scores (outcome 1, unclamped) Re <users[u], items[i, 0]> of
+    every item i.
+
+    u is one user index, giving an (I,) row, or a 1-D integer array of user
+    indices, giving one row per index, shape (len(u), I). Either way the
+    scores come from one real matrix product. recall_at_n ranks a block of
+    users at once from these rows: a held-out item is in a user's top n
+    exactly when its score is above the (n+1)-th largest score of the row.
+    """
+    idx = np.asarray(u)
+    if idx.ndim > 1 or idx.dtype.kind not in "iu":
+        raise InvalidInput(
+            f"score_items: expected a user index or a 1-D integer index array, got {idx.dtype} of shape {idx.shape}"
+        )
+    bad = idx[(idx < 0) | (idx >= m.U)]
+    if bad.size:
+        raise InvalidInput(f"user index {bad[0]} out of range [0, {m.U})")
+    uf, ef = m.flat_users()[idx], m.flat_likes()
+    dtype = np.result_type(uf, ef)
+    return _real_rows(uf, dtype) @ _real_rows(ef, dtype).T
 
 
 _SCORE_CHUNK = 1 << 18

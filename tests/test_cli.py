@@ -293,13 +293,22 @@ class TestHierarchyCommand:
         assert text.startswith("digraph {")
         assert "Horror" not in text
 
-    def test_nnm_model_exit_1(self, tmp_path, capsys):
-        # Tag operators need effect matrices; an NNM model is a domain error, not a traceback.
+    def test_nnm_model_exit_1(self, tmp_path, capsys, monkeypatch):
+        # Tag operators need effect matrices; an NNM model is a domain error,
+        # not a traceback, and it is rejected before the ratings are parsed.
         command = hierarchy_inputs(tmp_path, kind="nnm")
         capsys.readouterr()
+        calls = []
+
+        def loader(*args):
+            calls.append(args)
+            raise AssertionError("ratings parsed for an NNM model")
+
+        monkeypatch.setattr(data, "load_movielens_1m", loader)
         assert cli.main(command) == 1
         err = capsys.readouterr().err.splitlines()
-        assert err == ["error: tag_operator: expected a QuantumModel"]
+        assert err == ["error: hierarchy: expected a QuantumModel, got NnmModel"]
+        assert calls == []
 
 
 class TestParser:

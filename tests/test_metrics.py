@@ -1,5 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from psdrec import data, metrics, models
 from psdrec.exceptions import InvalidInput
@@ -124,6 +128,127 @@ class TestRecall:
         split = full_split(ds, relevant_entries)
         values = [metrics.recall_at_n(m, ds, split, n).value for n in (1, 2, 4, 8, 12)]
         assert all(b >= a - 1e-12 for a, b in zip(values, values[1:]))
+
+
+def dyadic_model(rng, kind, n_users, n_items, d, n_distinct):
+    """Model with entries on a 1/4 grid, so every score is exact in any
+    summation order; items share n_distinct like effects, so scores tie exactly."""
+
+    def grid(*shape):
+        return rng.integers(-4, 5, size=shape) / 4.0
+
+    if kind == "nnm":
+        users, likes = grid(n_users, d), grid(n_distinct, d)
+    else:
+        users, likes = grid(n_users, d, d), grid(n_distinct, d, d)
+        if kind == "complex":
+            users, likes = users + 1j * grid(n_users, d, d), likes + 1j * grid(n_distinct, d, d)
+        # Hermitian, so that tr(rho E) is the flat inner product the library scores
+        users = users + np.conj(np.swapaxes(users, -1, -2))
+        likes = likes + np.conj(np.swapaxes(likes, -1, -2))
+    likes = likes[rng.integers(0, n_distinct, size=n_items)]
+    items = np.stack([likes, 1.0 - likes], axis=1)
+    return (models.NnmModel if kind == "nnm" else models.QuantumModel)(users, items)
+
+
+@st.composite
+def _recall_cases(draw):
+    kind = draw(st.sampled_from(["nnm", "real", "complex"]))
+    n_users, n_items = draw(st.integers(1, 8)), draw(st.integers(1, 7))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    m = dyadic_model(rng, kind, n_users, n_items, draw(st.integers(1, 2)), draw(st.integers(1, n_items)))
+    # each pair is unrated, in training, or held out; a user's row may be all training
+    cells = rng.choice(3, size=(n_users, n_items), p=draw(st.sampled_from([(0.3, 0.4, 0.3), (0.0, 0.8, 0.2)])))
+    cells[rng.integers(n_users), rng.integers(n_items)] = 2  # at least one held-out entry
+    uu, ii = np.nonzero(cells)
+    rr = rng.integers(1, 6, size=uu.size)
+    held = cells[uu, ii] == 2
+    rr[np.flatnonzero(held)[0]] = 5
+    ds = from_arrays(uu, ii, rr, U=n_users, I=n_items)
+    split = data.DataSplit(train=np.flatnonzero(~held), test=np.flatnonzero(held))
+    return m, ds, split, draw(st.integers(1, n_items + 2)), draw(st.integers(1, 3))
+
+
+class TestBlockedRecall:
+    @given(case=_recall_cases())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_naive(self, case):
+        m, ds, split, n, block_users = case
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(metrics, "_RECALL_BLOCK", block_users * m.I)
+            report = metrics.recall_at_n(m, ds, split, n)
+        hits, relevant = naive_recall(m, ds, split, n)
+        assert report.count == relevant
+        assert report.value == hits / relevant
+
+    @pytest.mark.parametrize("block_users", [1, 2, 3])
+    def test_exact_ties_at_each_block_size(self, monkeypatch, block_users):
+        # items 0, 2 and 4 share one like effect; pessimistic ties count every equal candidate
+        m = diag_model([0.5, 0.25, 0.5, 0.75, 0.5], 4)
+        monkeypatch.setattr(metrics, "_RECALL_BLOCK", block_users * m.I)
+        uu = [0, 0, 1, 1, 2, 3, 3]
+        ii = [0, 3, 0, 2, 4, 0, 1]
+        ds = from_arrays(uu, ii, [5, 2, 5, 3, 5, 5, 5], U=4, I=5)
+        split = data.DataSplit(train=np.array([1, 3]), test=np.array([0, 2, 4, 5, 6]))
+        for n in (1, 2, 3, 4, 5):
+            hits, relevant = naive_recall(m, ds, split, n)
+            assert metrics.recall_at_n(m, ds, split, n).value == hits / relevant
+
+    @pytest.mark.parametrize("n", [3, 4, 100])
+    def test_n_at_least_items_hits_everything(self, n):
+        m = diag_model([0.9, 0.1, 0.5], 2)
+        ds = from_arrays([0, 0, 1], [1, 2, 1], [5, 5, 5], U=2, I=3)
+        split = data.DataSplit(train=np.array([], dtype=np.int64), test=np.array([0, 1, 2]))
+        assert metrics.recall_at_n(m, ds, split, n).value == 1.0
+
+    def test_users_without_held_out_items(self, monkeypatch):
+        # user 0 rated every item in training, user 1 rated nothing, user 3
+        # rated only non-top stars; only users 2 and 4 are ranked
+        m = diag_model([0.2, 0.9, 0.4], 5)
+        monkeypatch.setattr(metrics, "_RECALL_BLOCK", m.I)
+        uu = [0, 0, 0, 2, 2, 3, 4, 4, 4]
+        ii = [0, 1, 2, 0, 1, 2, 0, 1, 2]
+        rr = [5, 5, 5, 5, 1, 3, 2, 4, 5]
+        ds = from_arrays(uu, ii, rr, U=5, I=3)
+        split = data.DataSplit(train=np.array([0, 1, 2, 4, 6, 7]), test=np.array([3, 5, 8]))
+        # user 2: item 0 against item 2 (item 1 in training) -> rank 2; user 4: item 2 alone -> rank 1
+        assert metrics.recall_at_n(m, ds, split, 1).value == 0.5
+        assert metrics.recall_at_n(m, ds, split, 2).value == 1.0
+        hits, relevant = naive_recall(m, ds, split, 1)
+        assert (hits, relevant) == (1, 2)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_score_raises(self, bad):
+        users = np.array([[[1.0, 0.0], [0.0, bad]]], dtype=complex)
+        likes = np.array([np.diag([0.9, 0.1]), np.diag([0.1, 0.2])], dtype=complex)
+        m = models.QuantumModel(users, np.stack([likes, np.eye(2) - likes], axis=1))
+        ds = from_arrays([0], [0], [5], U=1, I=2)
+        split = data.DataSplit(train=np.array([], dtype=np.int64), test=np.array([0]))
+        with pytest.raises(InvalidInput, match="non-finite"):
+            metrics.recall_at_n(m, ds, split, 1)
+        if np.isnan(bad):  # mae clips infinite scores to the star scale
+            with pytest.raises(InvalidInput, match="non-finite"):
+                metrics.mae(m, ds, split)
+
+    def test_peak_memory_bounded_by_the_block(self):
+        # all 2000 x 1000 scores at once would take 16 MB; a block takes 0.5 MB
+        rng = np.random.default_rng(5)
+        n_users, n_items = 2000, 1000
+        users = rng.random((n_users, 2))
+        likes = rng.random((n_items, 2))
+        m = models.NnmModel(users / users.sum(axis=1, keepdims=True), np.stack([likes, 1.0 - likes], axis=1))
+        uu = np.repeat(np.arange(n_users), 2)
+        ii = rng.integers(0, n_items // 2, size=uu.size) * 2 + np.tile([0, 1], n_users)
+        ds = from_arrays(uu, ii, np.tile([5, 3], n_users), U=n_users, I=n_items)
+        split = data.DataSplit(train=np.arange(1, uu.size, 2), test=np.arange(0, uu.size, 2))
+        assert n_users * n_items >= 10 * metrics._RECALL_BLOCK
+        tracemalloc.start()
+        try:
+            metrics.recall_at_n(m, ds, split, 20)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4e6
 
 
 class TestHistogram:

@@ -205,6 +205,30 @@ class TestScores:
         with pytest.raises(InvalidInput):
             models.score_entries(m, np.array([0, 1]), np.array([0]))
 
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda rng: random_nnm_model(rng, 5, 7, 3),
+            lambda rng: random_quantum_model(rng, 5, 7, 3, field="real"),
+            lambda rng: random_quantum_model(rng, 5, 7, 3),
+        ],
+        ids=["nnm", "real", "complex"],
+    )
+    def test_score_items_index_array_stacks_rows(self, make):
+        m = make(np.random.default_rng(17))
+        for idx in (np.array([4, 0, 4, 2]), np.arange(5, dtype=np.int32), [1]):
+            got = models.score_items(m, idx)
+            want = np.stack([models.score_items(m, int(u)) for u in idx])
+            assert got.shape == (len(idx), m.I)
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-14)
+        assert models.score_items(m, np.array([], dtype=np.int64)).shape == (0, m.I)
+        for bad in (-1, 5, np.int64(5), np.array([0, 5]), np.array([-1, 2])):
+            with pytest.raises(InvalidInput, match="out of range"):
+                models.score_items(m, bad)
+        for bad in (1.0, np.array([0.0, 1.0]), np.array([True]), np.array([[0, 1]]), "0"):
+            with pytest.raises(InvalidInput, match="integer index"):
+                models.score_items(m, bad)
+
 
 class TestEmbed:
     def test_diagonal_structure(self):
