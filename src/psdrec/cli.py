@@ -25,8 +25,8 @@ _DEMO_E1 = (
 )
 
 
-def _add_data_args(sub, required=True):
-    sub.add_argument("--data", required=required, help="ratings file path")
+def _add_data_args(sub):
+    sub.add_argument("--data", required=True, help="ratings file path")
     sub.add_argument(
         "--format",
         choices=("ml100k", "ml1m"),
@@ -205,10 +205,10 @@ def _cmd_hierarchy(args):
 def _cmd_demo(args):
     import numpy as np
 
-    rho = np.asarray(_DEMO_RHO, dtype=float)
-    e1 = np.asarray(_DEMO_E1, dtype=float)
-    like = float(np.real(np.trace(rho @ e1)))
-    dislike = float(np.real(np.trace(rho @ (np.eye(2) - e1))))
+    from . import models
+
+    model = models.QuantumModel(np.asarray([_DEMO_RHO]), np.asarray([[_DEMO_E1, np.eye(2) - _DEMO_E1]]))
+    like, dislike = (models.quantum_predict(model, 0, 0, z) for z in (1, 2))
     print(f"p(like) = {like:.17g}")
     print(f"p(dislike) = {dislike:.17g}")
     if abs(like - 49.0 / 50.0) > 1e-12 or abs(dislike - 1.0 / 50.0) > 1e-12:

@@ -1,7 +1,7 @@
 """Evaluation metrics: MAE, RMSE, recall@N under the all-items protocol, and
 the rating histogram.
 
-MAE and RMSE are computed in star units on clamped star-scale predictions.
+MAE and RMSE are star errors of clamped star-scale predictions; a non-finite score raises.
 recall@N ranks each held-out top-rated item among all items the user has not
 rated in training, with pessimistic tie handling.
 """
@@ -45,10 +45,10 @@ def _star_errors(m, ds, split):
     test = np.asarray(split.test, dtype=np.int64)
     if test.size == 0:
         raise InvalidInput("empty test set")
-    uu, ii, rr = ds.uu[test], ds.ii[test], ds.rr[test]
-    scores = score_entries(m, uu, ii)
-    stars = np.clip(ds.z_star * np.clip(scores, 0.0, 1.0), 1.0, float(ds.z_star))
-    return stars - rr
+    scores = score_entries(m, ds.uu[test], ds.ii[test])
+    if not np.isfinite(scores).all():
+        raise InvalidInput("non-finite like score")
+    return np.clip(ds.z_star * scores, 1.0, float(ds.z_star)) - ds.rr[test]
 
 
 def mae(m, ds, split):

@@ -136,17 +136,15 @@ class TrainConfig:
 @dataclass
 class TrainHistory:
     """Per-sweep objective (on that sweep's targets, summed over the user
-    quadratics), wall time, worst constraint residual, and target phase."""
+    quadratics), wall time and target phase; `constraint_residual` checks feasibility."""
 
     objective: list = field(default_factory=list)
     wall_time: list = field(default_factory=list)
-    max_residual: list = field(default_factory=list)
     phase: list = field(default_factory=list)
 
-    def append(self, obj, wall, residual, phase):
+    def append(self, obj, wall, phase):
         self.objective.append(float(obj))
         self.wall_time.append(float(wall))
-        self.max_residual.append(float(residual))
         self.phase.append(phase)
 
     def __len__(self):
@@ -394,7 +392,7 @@ def _train(ds, cfg):
         obj = objective(model, targets)
         if not np.isfinite(obj):
             raise NumericalFailure(f"sweep {sweep + 1}: non-finite objective")
-        history.append(obj, wall, constraint_residual(model), "zero_fill" if targets.zero_fill else "observed")
+        history.append(obj, wall, "zero_fill" if targets.zero_fill else "observed")
     return model, history
 
 

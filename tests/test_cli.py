@@ -55,6 +55,11 @@ class TestDemo:
         assert cli.main(["demo"]) == 1
         assert "failed" in capsys.readouterr().err
 
+    def test_checks_the_library_born_rule(self, monkeypatch, capsys):
+        monkeypatch.setattr(models, "quantum_predict", lambda m, u, i, z: 0.5)
+        assert cli.main(["demo"]) == 1
+        assert "failed" in capsys.readouterr().err
+
 
 class TestHistogram:
     def test_counts(self, tmp_path, capsys):

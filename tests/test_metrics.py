@@ -51,6 +51,24 @@ class TestErrorMetrics:
         split = data.DataSplit(train=np.array([], dtype=np.int64), test=np.array([0]))
         assert metrics.mae(m, ds, split).value == 0.0
 
+    @given(
+        scores=st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=8),
+        z_star=st.integers(2, 10),
+        data_=st.data(),
+    )
+    @settings(max_examples=200, deadline=None)
+    # z_star * score overflows to inf for |score| near the float maximum; the clip still maps it to a star.
+    @pytest.mark.filterwarnings("ignore:overflow encountered in multiply:RuntimeWarning")
+    def test_star_errors_match_double_clip(self, scores, z_star, data_):
+        # A finite score gives the same star error as clipping it to [0, 1] before the star scale.
+        rr = data_.draw(st.lists(st.integers(1, z_star), min_size=len(scores), max_size=len(scores)))
+        ds = from_arrays([0] * len(scores), range(len(scores)), rr, U=1, I=len(scores), z_star=z_star)
+        split = data.DataSplit(train=np.array([], dtype=np.int64), test=np.arange(len(scores)))
+        s = np.asarray(scores)
+        expected = np.clip(z_star * np.clip(s, 0.0, 1.0), 1.0, float(z_star)) - np.asarray(rr)
+        got = metrics._star_errors(diag_model(scores, 1), ds, split)
+        assert got.tobytes() == expected.tobytes()
+
     def test_empty_test_rejected(self):
         m = diag_model([0.5], 1)
         ds = from_arrays([0], [0], [3], U=1, I=1)
@@ -224,11 +242,9 @@ class TestBlockedRecall:
         m = models.QuantumModel(users, np.stack([likes, np.eye(2) - likes], axis=1))
         ds = from_arrays([0], [0], [5], U=1, I=2)
         split = data.DataSplit(train=np.array([], dtype=np.int64), test=np.array([0]))
-        with pytest.raises(InvalidInput, match="non-finite"):
-            metrics.recall_at_n(m, ds, split, 1)
-        if np.isnan(bad):  # mae clips infinite scores to the star scale
+        for metric in (metrics.mae, metrics.rmse, lambda *a: metrics.recall_at_n(*a, 1)):
             with pytest.raises(InvalidInput, match="non-finite"):
-                metrics.mae(m, ds, split)
+                metric(m, ds, split)
 
     def test_peak_memory_bounded_by_the_block(self):
         # all 2000 x 1000 scores at once would take 16 MB; a block takes 0.5 MB

@@ -623,8 +623,48 @@ class TestTrainLoop:
         assert len(hist) == 5
         assert hist.phase == ["zero_fill", "zero_fill", "observed", "observed", "observed"]
         assert all(w >= 0 for w in hist.wall_time)
-        assert max(hist.max_residual) <= 1e-8
+        assert train.constraint_residual(m) <= 1e-8
         assert m.D == 2 and m.Z == 2
+
+    @pytest.mark.parametrize(
+        "kind, d, field", [("quantum", 2, "complex"), ("quantum", 3, "real"), ("nnm", 3, "complex")]
+    )
+    def test_every_update_stays_feasible(self, monkeypatch, kind, d, field):
+        # Training records no residual; every half-sweep's model is checked here instead.
+        checked = []
+
+        def feasible(update):
+            def wrapper(m, targets, cfg):
+                out = update(m, targets, cfg)
+                assert train.constraint_residual(out) <= 1e-8
+                checked.append(targets.zero_fill)
+                return out
+
+            return wrapper
+
+        monkeypatch.setattr(train, "update_items", feasible(train.update_items))
+        monkeypatch.setattr(train, "update_users", feasible(train.update_users))
+        ds = random_dataset(np.random.default_rng(24), 8, 6, density=0.6)
+        cfg = train.TrainConfig(D=d, max_iter=4, mode="mae", field=field, kind=kind, seed=5)
+        trainer = train.train_quantum if kind == "quantum" else train.train_nnm
+        _, hist = trainer(ds, cfg)
+        assert hist.phase == ["zero_fill", "zero_fill", "observed", "observed"]
+        assert checked == [True] * 4 + [False] * 4
+
+    @pytest.mark.parametrize("trainer", [train.train_quantum, train.train_nnm])
+    def test_training_never_checks_feasibility(self, monkeypatch, trainer):
+        calls = []
+        residual = models._Model.residual
+
+        def counted(self):
+            calls.append(type(self).__name__)
+            return residual(self)
+
+        monkeypatch.setattr(models._Model, "residual", counted)
+        ds = random_dataset(np.random.default_rng(25), 6, 5, density=0.6)
+        _, hist = trainer(ds, train.TrainConfig(D=2, max_iter=3, seed=0))
+        assert len(hist) == 3
+        assert calls == []
 
     def test_recall_mode_stays_zero_filled(self):
         rng = np.random.default_rng(14)
