@@ -12,6 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import models
 from .data import group_entries
 from .exceptions import InvalidInput
 from .models import score_entries, score_items
@@ -63,14 +64,6 @@ def rmse(m, ds, split):
     return MetricReport("rmse", float(np.sqrt(np.mean(err**2))), len(err), {"z_star": ds.z_star})
 
 
-# Largest number of scores recall_at_n holds at once (512 KiB of float64); a
-# block has max(1, _RECALL_BLOCK // I) users. Larger blocks save little time
-# and raise a recall call's peak memory: blocks of 2**18 scores with a complex
-# product took its traced peak from 2.6 to 11.2 MB, and the peak RSS of a
-# 5-fold run at ML-100K shape up by 14%.
-_RECALL_BLOCK = 1 << 16
-
-
 def _block_entries(ptr, columns, units):
     """(row, column) of every entry of the given units in a CSR grouping;
     row k belongs to units[k]."""
@@ -89,7 +82,7 @@ def recall_at_n(m, ds, split, n):
     #{equal, other item}, which is the number of candidates scoring at least
     the test item's score. A hit is rank <= n.
 
-    Users are scored a block at a time (`score_items` with an index array).
+    Users are scored by `score_items` in blocks of `models._SCORE_BLOCK` scores or one row.
     With training items set to -inf, rank <= n holds exactly when the test
     score is above the row's (n+1)-th largest score, so one partition of the
     block decides every hit; when n >= I every entry is a hit. A non-finite
@@ -109,7 +102,7 @@ def recall_at_n(m, ds, split, n):
     test_ptr, test_items = group_entries(ds.uu[relevant], ds.U, ds.ii[relevant])
     users = np.flatnonzero(np.diff(test_ptr))
     kth = m.I - n - 1  # ascending position of the (n+1)-th largest score
-    step = max(1, _RECALL_BLOCK // max(m.I, 1))
+    step = max(1, models._SCORE_BLOCK // max(m.I, 1))
 
     hits = 0
     for s in range(0, users.size, step):

@@ -254,12 +254,14 @@ def score_items(m, u):
     return _real_rows(uf, dtype) @ _real_rows(ef, dtype).T
 
 
-_SCORE_CHUNK = 1 << 18
+# Most elements any scoring temporary holds (512 KiB of float64), in
+# score_entries chunks and in metrics.recall_at_n's blocks of users.
+_SCORE_BLOCK = 1 << 16
 
 
 def score_entries(m, uu, ii):
     """Raw like scores for paired index arrays (uu[k], ii[k]), gathered
-    _SCORE_CHUNK entries at a time."""
+    max(1, _SCORE_BLOCK // K) entries at a time for flat rows of K entries."""
     uu = np.asarray(uu)
     ii = np.asarray(ii)
     if uu.shape != ii.shape or uu.ndim != 1:
@@ -271,8 +273,9 @@ def score_entries(m, uu, ii):
     uf = m.flat_users()
     ef = m.flat_likes()
     out = np.empty(uu.shape[0])
-    for s in range(0, uu.shape[0], _SCORE_CHUNK):
-        sl = slice(s, s + _SCORE_CHUNK)
+    step = max(1, _SCORE_BLOCK // uf.shape[1])
+    for s in range(0, uu.shape[0], step):
+        sl = slice(s, s + step)
         out[sl] = np.einsum("nk,nk->n", np.conj(uf[uu[sl]]), ef[ii[sl]]).real
     return out
 

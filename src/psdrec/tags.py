@@ -48,18 +48,19 @@ _BOUNDARY_SLACK = (np.finfo(float).eps / THRESHOLD_SLACK) ** 2
 
 @dataclass(frozen=True)
 class TagOperator:
-    """Mean like-effect of a tag's member items."""
+    """Mean like-effect of a tag's member items, checked and made exactly Hermitian once, here."""
 
     name: str
     matrix: np.ndarray
     members: int
 
     def __post_init__(self):
-        matrix = np.asarray(self.matrix)
-        if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
-            raise InvalidInput("TagOperator: matrix must be square")
-        w = np.linalg.eigvalsh(0.5 * (matrix + np.conj(matrix.T)))
-        if w[0] < -1e-8 or w[-1] > 1.0 + 1e-8:
+        matrix = linalg._as_square(self.matrix, "TagOperator")
+        if matrix.ndim != 2:
+            raise InvalidInput(f"TagOperator: expected one square matrix, got shape {matrix.shape}")
+        matrix = linalg._require_hermitian(matrix, "TagOperator")
+        w = np.linalg.eigvalsh(matrix)
+        if not (-1e-8 <= w[0] and w[-1] <= 1.0 + 1e-8):
             raise InvalidInput(
                 f"TagOperator: eigenvalues must lie in [0, 1], got [{w[0]:.3e}, {w[-1]:.3e}]"
             )
@@ -102,15 +103,18 @@ def tag_operator(m, members, name=""):
         raise InvalidInput("tag_operator: empty member set")
     if members.min() < 0 or members.max() >= m.I:
         raise InvalidInput("tag_operator: member index out of range")
-    e = linalg.hermitianize(np.mean(m.items[members, 0], axis=0))
-    return TagOperator(name=name, matrix=e, members=int(members.size))
+    return TagOperator(name=name, matrix=np.mean(m.items[members, 0], axis=0), members=int(members.size))
+
+
+def _check_eps(eps):
+    if not 0.0 <= eps < 1.0:
+        raise InvalidInput(f"eps must lie in [0, 1), got {eps}")
 
 
 def _check_pair(t, tp, eps):
     if t.matrix.shape != tp.matrix.shape:
         raise InvalidInput("tag operators have different dimensions")
-    if not 0.0 <= eps < 1.0:
-        raise InvalidInput(f"eps must lie in [0, 1), got {eps}")
+    _check_eps(eps)
 
 
 def subset_simple(t, tp, eps):
@@ -186,13 +190,12 @@ def subset_sdp(t, tp, eps, cfg=None):
     """
     _check_pair(t, tp, eps)
     c = 1.0 - eps / 2.0
-    et = linalg.hermitianize(t.matrix)
-    if np.linalg.eigvalsh(et)[-1] < c:
+    if np.linalg.eigvalsh(t.matrix)[-1] < c:
         return False
-    diff = linalg.hermitianize(tp.matrix - t.matrix)
+    diff = tp.matrix - t.matrix
     if float(np.max(np.abs(diff))) == 0.0:
         return True
-    upper = max(_max_over_accepting(diff, et, c)[0], _max_over_accepting(-diff, et, c)[0])
+    upper = max(_max_over_accepting(diff, t.matrix, c)[0], _max_over_accepting(-diff, t.matrix, c)[0])
     if not np.isfinite(upper):
         raise NumericalFailure("subset_sdp: dual bound is not finite")
     return upper <= eps / 2.0 + THRESHOLD_SLACK
@@ -202,6 +205,7 @@ def build_hierarchy(m, catalog, eps, method="simple", cfg=None):
     """Evaluate the chosen containment test on all ordered tag pairs."""
     if method not in ("simple", "sdp"):
         raise InvalidInput(f"build_hierarchy: unknown method {method!r}")
+    _check_eps(eps)
     ops = {tag: tag_operator(m, catalog.membership[tag], tag) for tag in catalog.tags}
     edges = []
     for a in catalog.tags:

@@ -315,6 +315,25 @@ class TestHierarchyCommand:
         assert err == ["error: hierarchy: expected a QuantumModel, got NnmModel"]
         assert calls == []
 
+    @pytest.mark.parametrize("eps", ["1.5", "nan"])
+    def test_bad_epsilon_with_one_tag_exit_1(self, tmp_path, capsys, eps):
+        # Drama is the only tag left, so no pair check ever reads eps.
+        command = hierarchy_inputs(tmp_path)
+        capsys.readouterr()
+        rc = cli.main(command[:-1] + [eps, "--exclude", "Comedy", "--exclude", "Horror"])
+        out = capsys.readouterr()
+        assert rc == 1
+        assert out.out == ""
+        assert out.err.splitlines() == [f"error: eps must lie in [0, 1), got {float(eps)}"]
+
+    def test_reports_skipped_metadata_lines(self, tmp_path, capsys):
+        command = hierarchy_inputs(tmp_path)
+        genres = tmp_path / "movies.dat"
+        genres.write_text(genres.read_text() + "7::G::Comedy\n8::H::Drama\n")
+        capsys.readouterr()
+        assert cli.main(command) == 0
+        assert capsys.readouterr().err.splitlines() == ["skipped 2 metadata lines without ratings"]
+
 
 class TestParser:
     def test_no_command_exit_2(self, capsys):

@@ -332,6 +332,23 @@ class TestRatingDataset:
         with pytest.raises(InvalidInput):
             from_arrays([0], [0], [9], U=1, I=1)
 
+    @pytest.mark.parametrize(
+        "change, message",
+        [
+            ({"z_star": 1}, "z_star must be at least 2"),
+            ({"ii": [0, 2]}, "item index out of range"),
+            ({"ii": [0, -1]}, "item index out of range"),
+            ({"user_ids": [7]}, "id maps"),
+            ({"item_ids": [7, 8, 9]}, "id maps"),
+        ],
+        ids=["z_star", "item-high", "item-negative", "user-ids", "item-ids"],
+    )
+    def test_rejects_invalid_fields(self, change, message):
+        fields = {"uu": [0, 1], "ii": [0, 1], "rr": [1, 1], "U": 2, "I": 2, "z_star": 5,
+                  "user_ids": [10, 20], "item_ids": [30, 40]}
+        with pytest.raises(InvalidInput, match=message):
+            data.RatingDataset(**{**fields, **change})
+
     def test_rejects_duplicates(self):
         with pytest.raises(InvalidInput):
             from_arrays([0, 0], [1, 1], [5, 4], U=1, I=2)
@@ -489,6 +506,12 @@ class TestTagCatalog:
         path.write_text("10::OnlyTitle\n")
         with pytest.raises(ParseError):
             data.load_genres_1m(str(path), ds)
+
+    def test_non_integer_movie_id(self, tmp_path):
+        ds = self._dataset(tmp_path)
+        path = self.write_genres(tmp_path, [(10, "A", "Comedy"), ("x1", "B", "Drama")])
+        with pytest.raises(ParseError, match="line 2: non-integer movie id"):
+            data.load_genres_1m(path, ds)
 
     def test_catalog_validation(self):
         with pytest.raises(InvalidInput):

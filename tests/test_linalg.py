@@ -83,6 +83,24 @@ class TestSpectralInputs:
             with pytest.raises(InvalidInput, match="square"):
                 project(np.zeros((2, 3)))
 
+    @pytest.mark.parametrize(
+        "call, message",
+        [
+            (lambda: linalg.project_to_spectrahedron(np.diag([np.nan, 1.0])), "non-finite"),
+            (lambda: linalg.project_to_effect(np.diag([np.inf, 1.0])), "non-finite"),
+            (lambda: linalg.project_to_binary_povm(np.eye(2), np.eye(3)), "shape mismatch"),
+            (lambda: linalg.project_to_povm((np.eye(2), np.eye(3))), "mismatched shapes"),
+            (lambda: linalg.project_to_povm((np.eye(2),)), "at least two outcomes"),
+            (lambda: linalg.project_to_povm((np.eye(2)[None], np.eye(2)[None])), "tuple of matrices"),
+            (lambda: linalg.trace_inner(np.eye(2), np.diag([np.nan, 1.0])), "non-finite"),
+        ],
+        ids=["spectrahedron-nan", "effect-inf", "binary-povm-shapes", "povm-shapes", "povm-one", "povm-ndim",
+             "trace-inner-nan"],
+    )
+    def test_rejects_bad_inputs(self, call, message):
+        with pytest.raises(InvalidInput, match=message):
+            call()
+
 
 class TestProjectToSpectrahedron:
     def test_feasible_and_idempotent(self):

@@ -193,7 +193,7 @@ class TestBlockedRecall:
     def test_matches_naive(self, case):
         m, ds, split, n, block_users = case
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(metrics, "_RECALL_BLOCK", block_users * m.I)
+            mp.setattr(models, "_SCORE_BLOCK", block_users * m.I)
             report = metrics.recall_at_n(m, ds, split, n)
         hits, relevant = naive_recall(m, ds, split, n)
         assert report.count == relevant
@@ -203,7 +203,7 @@ class TestBlockedRecall:
     def test_exact_ties_at_each_block_size(self, monkeypatch, block_users):
         # items 0, 2 and 4 share one like effect; pessimistic ties count every equal candidate
         m = diag_model([0.5, 0.25, 0.5, 0.75, 0.5], 4)
-        monkeypatch.setattr(metrics, "_RECALL_BLOCK", block_users * m.I)
+        monkeypatch.setattr(models, "_SCORE_BLOCK", block_users * m.I)
         uu = [0, 0, 1, 1, 2, 3, 3]
         ii = [0, 3, 0, 2, 4, 0, 1]
         ds = from_arrays(uu, ii, [5, 2, 5, 3, 5, 5, 5], U=4, I=5)
@@ -223,7 +223,7 @@ class TestBlockedRecall:
         # user 0 rated every item in training, user 1 rated nothing, user 3
         # rated only non-top stars; only users 2 and 4 are ranked
         m = diag_model([0.2, 0.9, 0.4], 5)
-        monkeypatch.setattr(metrics, "_RECALL_BLOCK", m.I)
+        monkeypatch.setattr(models, "_SCORE_BLOCK", m.I)
         uu = [0, 0, 0, 2, 2, 3, 4, 4, 4]
         ii = [0, 1, 2, 0, 1, 2, 0, 1, 2]
         rr = [5, 5, 5, 5, 1, 3, 2, 4, 5]
@@ -234,6 +234,17 @@ class TestBlockedRecall:
         assert metrics.recall_at_n(m, ds, split, 2).value == 1.0
         hits, relevant = naive_recall(m, ds, split, 1)
         assert (hits, relevant) == (1, 2)
+
+    def test_block_read_from_models_at_call_time(self, monkeypatch):
+        # one user per block once the models budget holds one row of scores
+        m = diag_model([0.2, 0.9, 0.4], 4)
+        ds = from_arrays([0, 1, 2, 3], [0, 1, 2, 0], [5, 5, 5, 5], U=4, I=3)
+        split = data.DataSplit(train=np.array([], dtype=np.int64), test=np.arange(4))
+        calls = []
+        monkeypatch.setattr(metrics, "score_items", lambda m, u: calls.append(len(u)) or models.score_items(m, u))
+        monkeypatch.setattr(models, "_SCORE_BLOCK", m.I)
+        metrics.recall_at_n(m, ds, split, 1)
+        assert calls == [1, 1, 1, 1]
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_score_raises(self, bad):
@@ -257,7 +268,7 @@ class TestBlockedRecall:
         ii = rng.integers(0, n_items // 2, size=uu.size) * 2 + np.tile([0, 1], n_users)
         ds = from_arrays(uu, ii, np.tile([5, 3], n_users), U=n_users, I=n_items)
         split = data.DataSplit(train=np.arange(1, uu.size, 2), test=np.arange(0, uu.size, 2))
-        assert n_users * n_items >= 10 * metrics._RECALL_BLOCK
+        assert n_users * n_items >= 10 * models._SCORE_BLOCK
         tracemalloc.start()
         try:
             metrics.recall_at_n(m, ds, split, 20)
@@ -265,6 +276,23 @@ class TestBlockedRecall:
         finally:
             tracemalloc.stop()
         assert peak < 4e6
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: metrics.MetricReport("mae", float("nan"), 1), "non-finite mae"),
+        (lambda: metrics.MetricReport("rmse", float("inf"), 1), "non-finite rmse"),
+        (lambda: metrics.MetricReport("mae", 0.5, 0), "count must be positive"),
+        (lambda: metrics.recall_at_n(diag_model([0.5], 1), from_arrays([0], [0], [5], U=1, I=1),
+                                     data.DataSplit(train=np.array([0]), test=np.array([], dtype=np.int64)), 1),
+         "empty test set"),
+    ],
+    ids=["report-nan", "report-inf", "report-count", "recall-empty-test"],
+)
+def test_rejects_invalid_reports(call, message):
+    with pytest.raises(InvalidInput, match=message):
+        call()
 
 
 class TestHistogram:

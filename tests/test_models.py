@@ -194,8 +194,22 @@ class TestScores:
         uu = rng.integers(0, 3, size=17)
         ii = rng.integers(0, 3, size=17)
         whole = models.score_entries(m, uu, ii)
-        monkeypatch.setattr(models, "_SCORE_CHUNK", 4)
+        monkeypatch.setattr(models, "_SCORE_BLOCK", 4 * m.D**2)
         np.testing.assert_allclose(models.score_entries(m, uu, ii), whole, atol=0)
+
+    def test_score_entries_peak_memory_bounded_by_the_block(self):
+        # 200k gathered entries of 9 complex values per side would take 58 MB at once
+        rng = np.random.default_rng(16)
+        m = random_quantum_model(rng, 50, 40, 3)
+        uu = rng.integers(0, m.U, size=200_000)
+        ii = rng.integers(0, m.I, size=200_000)
+        tracemalloc.start()
+        try:
+            models.score_entries(m, uu, ii)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8e6
 
     def test_score_entries_validates(self):
         rng = np.random.default_rng(15)
@@ -599,3 +613,20 @@ class TestPersistence:
             path.write_text("\n".join(lines + [lines[-1]]) + "\n")
             with pytest.raises(ParseError, match=f"expected {len(lines) - 1} records, found {len(lines)}"):
                 models.load_model(str(path))
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda m, tmp_path: models.score_entries(m, np.array([0]), np.array([m.I])), "item index out of range"),
+        (lambda m, tmp_path: models.score_entries(m, np.array([0]), np.array([-1])), "item index out of range"),
+        (lambda m, tmp_path: models.rank_profile(random_nnm_model(np.random.default_rng(34), 2, 2, 2)),
+         "expected a QuantumModel"),
+        (lambda m, tmp_path: models.save_model(object(), str(tmp_path / "x.psdrec")), "unsupported model type"),
+    ],
+    ids=["score-item-high", "score-item-negative", "rank-profile-nnm", "save-unsupported"],
+)
+def test_rejects_invalid_arguments(tmp_path, call, message):
+    m = random_quantum_model(np.random.default_rng(33), 3, 4, 2)
+    with pytest.raises(InvalidInput, match=message):
+        call(m, tmp_path)

@@ -41,6 +41,47 @@ class TestTagOperator:
         with pytest.raises(InvalidInput):
             tags.tag_operator(m, [-1])
 
+    @pytest.mark.parametrize(
+        "matrix, message",
+        [
+            (np.array([[0.5, np.nan], [np.nan, 0.5]]), "non-finite"),
+            (np.array([[0.5, np.inf], [0.0, 0.5]]), "non-finite"),
+            (np.array([[0.5, 0.1], [0.0, 0.5]]), "not Hermitian"),
+            (np.array([[0.5, 0.1j], [0.1j, 0.5]]), "not Hermitian"),
+            (np.eye(2)[None], "one square matrix"),
+            (np.ones((2, 3)), "square"),
+            (np.diag([1.5, 0.5]), r"\[0, 1\]"),
+            (np.diag([-0.5, 0.5]), r"\[0, 1\]"),
+        ],
+        ids=["nan", "inf", "upper-only", "anti-hermitian", "stacked", "rectangular", "above-one", "negative"],
+    )
+    def test_rejects_invalid_matrices(self, matrix, message):
+        with pytest.raises(InvalidInput, match=message):
+            tags.TagOperator(name="t", matrix=matrix, members=1)
+
+    def test_nan_rejected_before_either_test(self):
+        # at construction, so no containment answer is ever given for a NaN
+        # operator, whichever argument it would have been
+        valid = operator(np.diag([1.0, 0.3]))
+        nan_op = np.diag([1.0, np.nan])
+        with pytest.raises(InvalidInput, match="non-finite"):
+            tags.subset_sdp(valid, operator(nan_op), 0.3)
+        with pytest.raises(InvalidInput, match="non-finite"):
+            tags.subset_sdp(operator(nan_op), valid, 0.3)
+
+    def test_stores_the_hermitian_part(self):
+        # a drift within tolerance is removed once, so both containment
+        # tests judge the same matrix
+        drift = np.array([[0.6, 0.2 + 1e-10], [0.2, 0.3]])
+        t = tags.TagOperator(name="t", matrix=drift, members=1)
+        np.testing.assert_array_equal(t.matrix, t.matrix.T)
+        np.testing.assert_array_equal(t.matrix, 0.5 * (drift + drift.T))
+
+    def test_hermitian_input_stored_bit_for_bit(self):
+        rng = np.random.default_rng(7)
+        e = biased_effect(rng, d=3)
+        np.testing.assert_array_equal(operator(e).matrix, e)
+
     def test_rejects_nnm_model(self):
         # An NNM's items are probability vectors, not effect matrices, so it
         # has no tag operators.
@@ -247,6 +288,14 @@ class TestHierarchy:
         assert g.method == "sdp"
         for child, parent in g.edges:
             assert child != parent
+
+    @pytest.mark.parametrize("eps", [1.5, 1.0, -0.1, float("nan")])
+    def test_eps_checked_without_pairs(self, eps):
+        # one tag has no ordered pairs, so only the up-front check sees eps
+        m, catalog = self._model_and_catalog()
+        one = data.TagCatalog(tags=("top",), membership={"top": catalog.membership["top"]})
+        with pytest.raises(InvalidInput, match=r"eps must lie in \[0, 1\)"):
+            tags.build_hierarchy(m, one, eps)
 
     def test_method_validation(self):
         m, catalog = self._model_and_catalog()

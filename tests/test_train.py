@@ -230,6 +230,28 @@ class TestTargets:
         assert phases == ({True} if mode == "recall" else {True, False})
 
 
+def _from_file_text(tmp_path, text):
+    path = tmp_path / "train.cfg"
+    path.write_text(text)
+    return train.TrainConfig.from_file(str(path))
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda tmp_path: _from_file_text(tmp_path, "D = 2\nmax_iter 4\n"), ParseError, "line 2: expected key=value"),
+        (lambda tmp_path: train.Targets([0, 1], [0], [1.0, 1.0], False, 2, 2), InvalidInput, "parallel"),
+        (lambda tmp_path: train.Targets([[0]], [[0]], [[1.0]], False, 2, 2), InvalidInput, "parallel"),
+        (lambda tmp_path: train.init_quantum_users(0, 2, seed=0), InvalidInput, "positive sizes"),
+        (lambda tmp_path: train.init_quantum_users(2, 0, seed=0), InvalidInput, "positive sizes"),
+    ],
+    ids=["config-no-equals", "targets-lengths", "targets-2d", "init-no-users", "init-no-dimension"],
+)
+def test_rejects_malformed_input(tmp_path, call, error, message):
+    with pytest.raises(error, match=message):
+        call(tmp_path)
+
+
 class TestInit:
     def test_unit_trace_rank_one(self):
         users = train.init_quantum_users(6, 3, seed=0)
