@@ -136,6 +136,13 @@ def group_entries(unit, n, *columns):
     return (indptr, *(c[order] for c in columns))
 
 
+def check_seed(seed, op):
+    """Return seed, or raise on a negative integer, which np.random.default_rng refuses."""
+    if isinstance(seed, (int, np.integer)) and seed < 0:
+        raise InvalidInput(f"{op}: seed must be nonnegative, got {seed}")
+    return seed
+
+
 # Bytes read per block: large enough that per-block overhead is negligible,
 # small enough that a block's temporaries (a few bytes per byte) stay near
 # 1 MB. Larger blocks raised peak RSS on 100k-line files above the loop's.
@@ -399,7 +406,7 @@ def kfold_split(ds, k, seed):
     """
     if not 2 <= k <= len(ds):
         raise InvalidInput(f"kfold_split: need 2 <= k <= {len(ds)}, got {k}")
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(check_seed(seed, "kfold_split"))
     perm = rng.permutation(len(ds))
     folds = np.array_split(perm, k)
     splits = []
@@ -417,6 +424,6 @@ def topn_holdout(ds, fraction, seed):
     n_test = int(np.floor(fraction * len(ds)))
     if n_test < 1:
         raise InvalidInput("topn_holdout: fraction selects an empty test set")
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(check_seed(seed, "topn_holdout"))
     perm = rng.permutation(len(ds))
     return DataSplit(train=np.sort(perm[n_test:]), test=np.sort(perm[:n_test]))

@@ -27,6 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
+from .data import check_seed
 from .exceptions import InvalidInput, NotSimultaneouslyDiagonalizable, ParseError
 
 __all__ = [
@@ -345,7 +346,7 @@ def recover_nnm(m, tol=1e-6, *, seed=0):
         raise InvalidInput("recover_nnm: expected a QuantumModel")
     d = m.D
     mats = np.concatenate([m.users, m.items.reshape(m.I * m.Z, d, d)])
-    weights = np.random.default_rng(seed).uniform(0.5, 1.5, mats.shape[0])
+    weights = np.random.default_rng(check_seed(seed, "recover_nnm")).uniform(0.5, 1.5, mats.shape[0])
     _, basis = np.linalg.eigh(linalg.hermitianize(np.tensordot(weights, mats, axes=1)))
     rotated = np.conj(basis.T) @ mats @ basis
     idx = np.arange(d)

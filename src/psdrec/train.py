@@ -32,7 +32,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .exceptions import InvalidInput, NumericalFailure, ParseError
-from .data import group_entries
+from .data import check_seed, group_entries
 from .models import KINDS, NnmModel, QuantumModel
 from .models import score_entries  # noqa: F401  perfbench/spans.py wraps train.score_entries
 
@@ -92,6 +92,7 @@ class TrainConfig:
             raise InvalidInput(f"TrainConfig: field must be one of {FIELDS}")
         if self.kind not in KINDS:
             raise InvalidInput(f"TrainConfig: kind must be one of {tuple(KINDS)}")
+        check_seed(self.seed, "TrainConfig")
 
     def resolved_zero_fill(self):
         if self.zero_fill_sweeps is not None:
@@ -221,7 +222,7 @@ def init_quantum_users(n_users, d, seed, field="complex"):
     """
     if n_users < 1 or d < 1:
         raise InvalidInput("init_quantum_users: need positive sizes")
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(check_seed(seed, "init_quantum_users"))
     v = rng.standard_normal((n_users, d))
     if field == "complex":
         v = v + 1j * rng.standard_normal((n_users, d))

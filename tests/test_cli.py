@@ -179,6 +179,38 @@ class TestTrainCommand:
         assert "error" in capsys.readouterr().err
 
 
+class TestNegativeSeed:
+    """A negative seed is one `error:` line and exit 1, not a traceback from
+    np.random.default_rng."""
+
+    @pytest.mark.parametrize(
+        "command, message",
+        [
+            (["train", "--seed", "-1", "--model-out", "{tmp}/m"], "TrainConfig: seed must be nonnegative, got -1"),
+            (["train", "--config", "{cfg}", "--model-out", "{tmp}/m"],
+             "{cfg}: TrainConfig: seed must be nonnegative, got -3"),
+            (["evaluate", "--seed", "-1"], "kfold_split: seed must be nonnegative, got -1"),
+            (["topn", "--seed", "-1"], "topn_holdout: seed must be nonnegative, got -1"),
+            (["recover", "--model-in", "{model}", "--model-out", "{tmp}/o", "--seed", "-1"],
+             "recover_nnm: seed must be nonnegative, got -1"),
+        ],
+        ids=["train", "config", "evaluate", "topn", "recover"],
+    )
+    def test_exit_1(self, tmp_path, capsys, command, message):
+        cfg = tmp_path / "train.cfg"
+        cfg.write_text("max_iter = 1\nseed = -3\n")
+        model = tmp_path / "q.psdrec"
+        model.write_text(
+            "PSDREC v1 | kind=quantum | 2 | 1 | 1 | 2 | field=real\n"
+            "user 0 1 0 0 0\nitem 0 1 1 0 0 0\nitem 0 2 0 0 0 1\n"
+        )
+        paths = {"tmp": str(tmp_path), "cfg": str(cfg), "model": str(model)}
+        if command[0] != "recover":
+            command = command[:1] + ["--data", small_corpus(tmp_path)] + command[1:]
+        assert cli.main([arg.format(**paths) for arg in command]) == 1
+        assert capsys.readouterr().err.splitlines() == ["error: " + message.format(**paths)]
+
+
 class TestEvaluateCommand:
     def test_metrics_printed(self, tmp_path, capsys):
         data_path = small_corpus(tmp_path)

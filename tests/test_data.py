@@ -430,6 +430,18 @@ class TestSplits:
         with pytest.raises(InvalidInput):
             data.topn_holdout(tiny, 0.01, seed=0)
 
+    def test_negative_seed_rejected(self):
+        # np.random.default_rng refuses a negative seed with a bare ValueError.
+        ds = random_dataset(np.random.default_rng(6), 4, 4, density=1.0)
+        for split, op in ((lambda s: data.kfold_split(ds, 2, s), "kfold_split"),
+                          (lambda s: data.topn_holdout(ds, 0.5, s), "topn_holdout")):
+            for seed in (-1, np.int64(-2)):
+                with pytest.raises(InvalidInput, match=f"{op}: seed must be nonnegative"):
+                    split(seed)
+            # Every other seed default_rng takes is still taken.
+            for seed in (None, np.uint64(3), [1, 2], np.random.SeedSequence(4)):
+                split(seed)
+
     def test_split_rejects_overlap(self):
         with pytest.raises(InvalidInput):
             data.DataSplit(train=np.array([0, 1]), test=np.array([1, 2]))

@@ -383,6 +383,11 @@ class TestRecover:
         with pytest.raises(NotSimultaneouslyDiagonalizable, match="norm nan"):
             models.recover_nnm(models.QuantumModel(users=users, items=items))
 
+    def test_rejects_negative_seed(self):
+        m = models.embed_nnm(self._planted(np.random.default_rng(24), 2, 2, n_items=3))
+        with pytest.raises(InvalidInput, match="recover_nnm: seed must be nonnegative, got -1"):
+            models.recover_nnm(m, seed=-1)
+
     def test_rejects_nnm_input(self):
         rng = np.random.default_rng(23)
         with pytest.raises(InvalidInput):
