@@ -8,10 +8,10 @@ All functions are pure. Matrices may be real symmetric or complex Hermitian;
 the dtype of the input is preserved. Functions documented as batched accept
 arbitrary leading axes over the last two matrix axes.
 
-The spectral projections and `min_eigvalsh` take the closed-form eigenvalues
-m -+ r of a 2 x 2 Hermitian matrix (its Bloch form) at D = 2, and batched
-LAPACK eigh or eigvalsh at any other D. `project_to_povm` solves its dual by
-semismooth Newton on batched LAPACK eigh at every D.
+The spectral projections wrap one unchecked kernel on real coordinate rows
+(`to_coords`). It and `min_eigvalsh` take the closed-form eigenvalues m -+ r
+at D = 2, and batched LAPACK eigh or eigvalsh at any other D.
+`project_to_povm` solves its dual by semismooth Newton on LAPACK eigh.
 """
 
 from __future__ import annotations
@@ -30,12 +30,17 @@ __all__ = [
     "project_to_povm",
     "min_eigvalsh",
     "trace_inner",
+    "to_coords",
+    "from_coords",
+    "spectral_coords",
 ]
 
 # Relative tolerance for accepting an input matrix as Hermitian.
 HERMITIAN_ATOL = 1e-8
 
 _POVM_MAX_ROUNDS = 200
+
+_SQRT2 = np.sqrt(2.0)
 
 
 def hermitianize(a):
@@ -90,54 +95,73 @@ def project_to_simplex_rows(v):
     return np.maximum(v - theta, 0.0)
 
 
-def _recompose(w, v):
-    """Rebuild sum_k w_k v_k v_k^dagger from a (batched) eigensystem."""
-    return hermitianize((v * w[..., None, :]) @ np.conj(np.swapaxes(v, -1, -2)))
+def to_coords(a):
+    """Real coordinates of Hermitian matrices (last two axes) in an orthonormal
+    basis: the diagonal, then sqrt(2) Re and, for a complex dtype only,
+    sqrt(2) Im of the upper off-diagonal entries (generalized Bloch
+    coordinates; Bertlmann & Krammer, J. Phys. A 41, 2008). So Re tr(A B) is
+    the dot product of two rows. Reads the upper triangle only; unchecked."""
+    upper = _SQRT2 * a[..., ~np.tri(a.shape[-1], dtype=bool)]
+    parts = [np.diagonal(a, axis1=-2, axis2=-1).real, upper.real]
+    if np.iscomplexobj(a):
+        parts.append(upper.imag)
+    return np.concatenate(parts, axis=-1)
 
 
-def _bloch(a):
-    """Bloch parts of the Hermitian part [[p, b], [conj(b), q]] of each 2 x 2
-    matrix along the last two axes: m = (p + q) / 2, h = (p - q) / 2, b, and
-    r = sqrt(h^2 + |b|^2). The eigenvalues are m - r and m + r."""
-    p = a[..., 0, 0].real
-    q = a[..., 1, 1].real
-    b = 0.5 * (a[..., 0, 1] + np.conj(a[..., 1, 0]))
-    h = 0.5 * (p - q)
-    return 0.5 * (p + q), h, b, np.hypot(h, np.abs(b))
+def from_coords(x, d, dtype):
+    """The D x D matrices of dtype with coordinates x along the last axis,
+    exactly Hermitian by construction; inverts `to_coords`. Unchecked."""
+    above, n = ~np.tri(d, dtype=bool), d * (d - 1) // 2
+    a = np.zeros(x.shape[:-1] + (d, d), dtype)
+    a[..., range(d), range(d)] = x[..., :d]
+    upper = x[..., d : d + n] / _SQRT2
+    if a.dtype.kind == "c":
+        upper = upper + 1j * (x[..., d + n :] / _SQRT2)
+    a[..., above] = upper
+    np.swapaxes(a, -1, -2)[..., above] = np.conj(upper)
+    return a
 
 
-def _spectral_map(a, f):
-    """Apply f to the eigenvalues of each Hermitian matrix along the last two axes.
+def _two_by_two(x):
+    """m, h = (x0 -+ x1) / 2 and r of 2 x 2 coordinate rows: eigenvalues m -+ r."""
+    h = 0.5 * (x[..., 0] - x[..., 1])
+    return 0.5 * (x[..., 0] + x[..., 1]), h, np.hypot(h, np.sqrt(0.5 * np.sum(x[..., 2:] ** 2, axis=-1)))
 
-    D = 2 takes the closed form of `_bloch`: f maps the eigenvalues m -+ r to
-    w0, w1, and the result is (w0 + w1)/2 I + (w1 - w0)/(2r) (A - m I), the
-    second term dropped where r = 0. Larger D goes through batched LAPACK eigh.
-    """
-    if a.shape[-1] != 2:
-        w, v = np.linalg.eigh(a)
-        return _recompose(f(w), v)
-    m, h, b, r = _bloch(a)
-    w = f(np.stack([m - r, m + r], axis=-1))
-    mean = 0.5 * (w[..., 0] + w[..., 1])
-    scale = np.divide(0.5 * (w[..., 1] - w[..., 0]), r, out=np.zeros_like(r), where=r > 0)
-    out = np.empty_like(a)
-    out[..., 0, 0] = mean + scale * h
-    out[..., 1, 1] = mean - scale * h
-    out[..., 0, 1] = scale * b
-    out[..., 1, 0] = np.conj(out[..., 0, 1])
-    return out
+
+def spectral_coords(x, d, f):
+    """Coordinates of f applied to the eigenvalues of the D x D Hermitian
+    matrices with coordinates x. Unchecked. At D = 2 f maps m -+ r to w0, w1
+    and the result is (w0 + w1)/2 I + (w1 - w0)/(2r) (A - m I), the second term
+    dropped where r = 0; any other D assembles the matrices for batched LAPACK
+    eigh and recomposes sum_k f(w_k) v_k v_k^H."""
+    if d == 2:
+        m, h, r = _two_by_two(x)
+        w = f(np.stack([m - r, m + r], axis=-1))
+        mean = 0.5 * (w[..., 0] + w[..., 1])
+        scale = np.divide(0.5 * (w[..., 1] - w[..., 0]), r, out=np.zeros_like(r), where=r > 0)
+        out = scale[..., None] * x
+        out[..., 0] = mean + scale * h
+        out[..., 1] = mean - scale * h
+        return out
+    w, v = np.linalg.eigh(from_coords(x, d, complex if x.shape[-1] > d * (d + 1) // 2 else float))
+    return to_coords(np.einsum("...ik,...k,...jk->...ij", v, f(w), np.conj(v)))
+
+
+def _spectral_map(a, op, f):
+    a = _require_hermitian(_as_square(a, op), op)
+    return from_coords(spectral_coords(to_coords(a), a.shape[-1], f), a.shape[-1], a.dtype)
 
 
 def min_eigvalsh(a):
     """Smallest eigenvalue of each Hermitian matrix along the last two axes.
 
-    m - r from `_bloch` at D = 2, batched LAPACK eigvalsh otherwise. Unchecked,
-    like `hermitianize`: the model checks call it on stacks whose NaN entries
-    their Hermitian check reports.
+    m - r from the coordinates at D = 2, batched LAPACK eigvalsh otherwise.
+    Unchecked, like `hermitianize`: the model checks call it on stacks whose
+    NaN entries their Hermitian check reports.
     """
     a = np.asarray(a)
     if a.shape[-1] == 2:
-        m, _, _, r = _bloch(a)
+        m, _, r = _two_by_two(to_coords(a))
         return m - r
     return np.linalg.eigvalsh(a)[..., 0]
 
@@ -148,14 +172,12 @@ def project_to_spectrahedron(a):
     Eigendecompose, project the eigenvalue vector onto the simplex, recompose.
     This is the exact Euclidean projection; idempotent.
     """
-    a = _as_square(a, "project_to_spectrahedron")
-    return _spectral_map(_require_hermitian(a, "project_to_spectrahedron"), project_to_simplex_rows)
+    return _spectral_map(a, "project_to_spectrahedron", project_to_simplex_rows)
 
 
 def project_to_effect(a):
     """Frobenius-nearest effect, 0 <= E <= I, by clamping eigenvalues. Batched."""
-    a = _as_square(a, "project_to_effect")
-    return _spectral_map(_require_hermitian(a, "project_to_effect"), lambda w: np.clip(w, 0.0, 1.0))
+    return _spectral_map(a, "project_to_effect", lambda w: np.clip(w, 0.0, 1.0))
 
 
 def project_to_binary_povm(a1, a2):
@@ -208,7 +230,7 @@ def project_to_povm(es):
     def dual(y):
         w, v = np.linalg.eigh(a - y)
         wp = np.maximum(w, 0.0)
-        e = _recompose(wp, v)
+        e = hermitianize((v * wp[..., None, :]) @ np.conj(np.swapaxes(v, -1, -2)))
         grad = eye - np.sum(e, axis=0)
         return y, w, wp, v, e, grad, float(np.linalg.norm(grad)), 0.5 * np.sum(wp * wp) + np.trace(y).real
 

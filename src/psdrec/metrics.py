@@ -88,8 +88,8 @@ def recall_at_n(m, ds, split, n):
     block decides every hit; when n >= I every entry is a hit. A non-finite
     score raises InvalidInput.
     """
-    if n < 1:
-        raise InvalidInput(f"recall_at_n: n must be positive, got {n}")
+    if not isinstance(n, (int, np.integer)) or n < 1:
+        raise InvalidInput(f"recall_at_n: n must be a positive integer, got {n!r}")
     test = np.asarray(split.test, dtype=np.int64)
     if test.size == 0:
         raise InvalidInput("empty test set")

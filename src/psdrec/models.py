@@ -2,9 +2,9 @@
 
 Two interchangeable model families over a rating alphabet of Z outcomes.
 Each kind states its constraint geometry once, on its class: how its states
-flatten to rows, the projections onto its user set and its like-effect set,
-how a binary model is rebuilt from flat rows, and the list of constraint
-violations that both `validate` and `residual` read.
+map to real coordinate rows, the projections onto its user set and its
+like-effect set, how a binary model is rebuilt from rows, and the list of
+constraint violations that both `validate` and `residual` read.
 
 * NnmModel: each user is a probability vector on the unit simplex, each item
   a tuple of Z nonnegative vectors summing to the all-ones vector; the
@@ -54,10 +54,11 @@ def _max_abs(x):
 
 @dataclass(frozen=True, eq=False)
 class _Model:
-    """Sizes, flat views, rebuilds and checks shared by both model kinds.
+    """Sizes, coordinate rows, rebuilds and checks shared by both model kinds.
 
-    A kind states its constraint geometry once: `project_users` and
-    `project_likes` map flat rows onto its user set and its like-effect set,
+    A kind states its constraint geometry once: `_rows` and `_states` map
+    states to real coordinate rows and back, `project_users` and
+    `project_likes` map rows onto its user set and its like-effect set,
     `_one` is the sum its outcome effects must reach, and `_violations`
     yields (message, value, tolerance) for each constraint. `_rank` is the
     number of D-sized axes of one state (1 for vectors, 2 for matrices), and
@@ -100,21 +101,21 @@ class _Model:
         return self.items.shape[1]
 
     def flat_users(self):
-        """User states as rows of K entries: K = D for vectors, D^2 for matrices."""
-        return self.users.reshape(self.U, -1)
+        """User states as real rows of K coordinates: D, D^2 or D(D+1)/2."""
+        return self._rows(self.users)
 
     def flat_likes(self):
-        """Like effects (outcome 1) as rows of K entries."""
-        return self.items[:, 0].reshape(self.I, -1)
+        """Like effects (outcome 1) as real coordinate rows of K entries."""
+        return self._rows(self.items[:, 0])
 
     def with_users(self, rows):
-        """The same model with its user states read from flat rows."""
-        return type(self)(rows.reshape(self.users.shape), self.items)
+        """The same model with its user states read from coordinate rows."""
+        return type(self)(self._states(rows), self.items)
 
     def with_likes(self, rows):
-        """The binary model with like effects read from flat rows and each
-        dislike effect their complement `_one - E`."""
-        likes = rows.reshape(self.items[:, 0].shape)
+        """The binary model with like effects read from coordinate rows and
+        each dislike effect their complement `_one - E`."""
+        likes = self._states(rows)
         return type(self)(self.users, np.stack([likes, self._one - likes], axis=1))
 
     def validate(self):
@@ -139,11 +140,9 @@ class NnmModel(_Model):
     _dtype = float
     _one = 1.0
 
-    def project_users(self, rows):
-        return linalg.project_to_simplex_rows(rows)
-
-    def project_likes(self, rows):
-        return np.clip(rows, 0.0, 1.0)
+    _rows = _states = staticmethod(np.asarray)
+    project_users = staticmethod(linalg.project_to_simplex_rows)
+    project_likes = staticmethod(lambda rows: np.clip(rows, 0.0, 1.0))
 
     def _violations(self):
         yield "NnmModel: a user vector does not sum to 1", _max_abs(self.users.sum(axis=1) - 1.0), 1e-10
@@ -168,11 +167,21 @@ class QuantumModel(_Model):
     def _one(self):
         return np.eye(self.D)
 
+    @property
+    def _field(self):
+        return np.result_type(self.users, self.items, float)
+
+    def _rows(self, states):
+        return linalg.to_coords(states.astype(self._field, copy=False))
+
+    def _states(self, rows):
+        return linalg.from_coords(rows, self.D, self._field)
+
     def project_users(self, rows):
-        return linalg.project_to_spectrahedron(rows.reshape(-1, self.D, self.D)).reshape(rows.shape)
+        return linalg.spectral_coords(rows, self.D, NnmModel.project_users)
 
     def project_likes(self, rows):
-        return linalg.project_to_effect(rows.reshape(-1, self.D, self.D)).reshape(rows.shape)
+        return linalg.spectral_coords(rows, self.D, NnmModel.project_likes)
 
     def _violations(self):
         for name, stack in (("user", self.users), ("item", self.items)):
@@ -188,7 +197,7 @@ class QuantumModel(_Model):
 
 
 def _predict(op, kind, m, u, i, z):
-    """clip(Re <users[u], items[i, z - 1]>, 0, 1), as score_items scores flat views."""
+    """clip(Re <users[u], items[i, z - 1]>, 0, 1), the clamped score_items score."""
     if not isinstance(m, kind):
         raise InvalidInput(f"{op}: unsupported model type {type(m).__name__}")
     if not (isinstance(u, (int, np.integer)) and 0 <= u < m.U):
@@ -221,15 +230,14 @@ def predict(m, u, i, z):
     return _predict("predict", _Model, m, u, i, z)
 
 
-def _real_rows(x, dtype):
-    """Rows of x cast to dtype; complex rows read as interleaved (re, im)
-    float rows, so that Re <a, b> is the real dot product of two such rows."""
-    x = x.astype(dtype, copy=False)
-    if dtype.kind != "c":
-        return x
-    if x.strides[-1] != x.itemsize:
-        x = np.ascontiguousarray(x)
-    return x.view(np.finfo(dtype).dtype)
+def _index_array(op, idx, n, what):
+    """idx as a 0-d or 1-D integer array with every entry in [0, n)."""
+    idx = np.asarray(idx)
+    if idx.ndim > 1 or idx.dtype.kind not in "iu":
+        raise InvalidInput(f"{op}: expected an integer index or 1-D index array, got {idx.dtype} {idx.shape}")
+    if np.any((idx < 0) | (idx >= n)):
+        raise InvalidInput(f"{op}: {what} index out of range [0, {n})")
+    return idx
 
 
 def score_items(m, u):
@@ -238,21 +246,12 @@ def score_items(m, u):
 
     u is one user index, giving an (I,) row, or a 1-D integer array of user
     indices, giving one row per index, shape (len(u), I). Either way the
-    scores come from one real matrix product. recall_at_n ranks a block of
-    users at once from these rows: a held-out item is in a user's top n
-    exactly when its score is above the (n+1)-th largest score of the row.
+    scores come from one real product of coordinate rows. recall_at_n ranks
+    a block of users at once from these rows: a held-out item is in a user's
+    top n exactly when its score is above the (n+1)-th largest score of the row.
     """
-    idx = np.asarray(u)
-    if idx.ndim > 1 or idx.dtype.kind not in "iu":
-        raise InvalidInput(
-            f"score_items: expected a user index or a 1-D integer index array, got {idx.dtype} of shape {idx.shape}"
-        )
-    bad = idx[(idx < 0) | (idx >= m.U)]
-    if bad.size:
-        raise InvalidInput(f"user index {bad[0]} out of range [0, {m.U})")
-    uf, ef = m.flat_users()[idx], m.flat_likes()
-    dtype = np.result_type(uf, ef)
-    return _real_rows(uf, dtype) @ _real_rows(ef, dtype).T
+    idx = _index_array("score_items", u, m.U, "user")
+    return m._rows(m.users[idx]) @ m.flat_likes().T
 
 
 # Most elements any scoring temporary holds (512 KiB of float64), in
@@ -262,22 +261,18 @@ _SCORE_BLOCK = 1 << 16
 
 def score_entries(m, uu, ii):
     """Raw like scores for paired index arrays (uu[k], ii[k]), gathered
-    max(1, _SCORE_BLOCK // K) entries at a time for flat rows of K entries."""
-    uu = np.asarray(uu)
-    ii = np.asarray(ii)
+    max(1, _SCORE_BLOCK // K) entries at a time for rows of K coordinates."""
+    uu = _index_array("score_entries", uu, m.U, "user")
+    ii = _index_array("score_entries", ii, m.I, "item")
     if uu.shape != ii.shape or uu.ndim != 1:
-        raise InvalidInput(f"score_entries: index shapes differ: {uu.shape} vs {ii.shape}")
-    if uu.size and (uu.min() < 0 or uu.max() >= m.U):
-        raise InvalidInput(f"score_entries: user index out of range [0, {m.U})")
-    if ii.size and (ii.min() < 0 or ii.max() >= m.I):
-        raise InvalidInput(f"score_entries: item index out of range [0, {m.I})")
+        raise InvalidInput(f"score_entries: expected 1-D index arrays of one length, got {uu.shape} and {ii.shape}")
     uf = m.flat_users()
     ef = m.flat_likes()
     out = np.empty(uu.shape[0])
     step = max(1, _SCORE_BLOCK // uf.shape[1])
     for s in range(0, uu.shape[0], step):
         sl = slice(s, s + step)
-        out[sl] = np.einsum("nk,nk->n", np.conj(uf[uu[sl]]), ef[ii[sl]]).real
+        out[sl] = np.einsum("nk,nk->n", uf[uu[sl]], ef[ii[sl]])
     return out
 
 

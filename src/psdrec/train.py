@@ -10,8 +10,9 @@ sweeps (all sweeps when optimizing for ranking) to counter the selection bias
 of observed ratings.
 
 With one side frozen, each unit's subobjective is the quadratic
-x^H G x - 2 Re(c^H x) + k in its flattened state x (K = D entries for vector
-models, D^2 for matrix models). A training run builds one `Targets`, and
+x^T G x - 2 c^T x + k in the real coordinate row x of its state (K = D, D^2
+or D(D+1)/2 entries; see `models`), on which each update's steps and
+projections run. A training run builds one `Targets`, and
 each side's sparse target incidence and k are built once on it and serve
 both target phases; recall mode never builds observed-only targets. c, G and
 the step bounds are rebuilt per half-sweep. Zero-filled sweeps share one G of
@@ -24,7 +25,6 @@ objective sums the user side's quadratics instead of rescoring them.
 from __future__ import annotations
 
 import copy
-import time
 from dataclasses import dataclass, field, fields, replace
 from typing import NamedTuple
 
@@ -137,15 +137,13 @@ class TrainConfig:
 @dataclass
 class TrainHistory:
     """Per-sweep objective (on that sweep's targets, summed over the user
-    quadratics), wall time and target phase; `constraint_residual` checks feasibility."""
+    quadratics) and target phase; `constraint_residual` checks feasibility."""
 
     objective: list = field(default_factory=list)
-    wall_time: list = field(default_factory=list)
     phase: list = field(default_factory=list)
 
-    def append(self, obj, wall, phase):
+    def append(self, obj, phase):
         self.objective.append(float(obj))
-        self.wall_time.append(float(wall))
         self.phase.append(phase)
 
     def __len__(self):
@@ -243,8 +241,8 @@ def objective(m, targets):
 
 
 class _Quadratic(NamedTuple):
-    """Subobjectives x^H G_r x - 2 Re(c_r^H x) + k_r of the units r on one
-    side, with step bounds lips[r]; see `_quadratic`."""
+    """Subobjectives x^T G_r x - 2 c_r^T x + k_r of the units r on one side,
+    with step bounds lips[r]; see `_quadratic`."""
 
     gram: np.ndarray
     cvec: np.ndarray
@@ -258,20 +256,18 @@ class _Quadratic(NamedTuple):
         return (x[:, None, :] @ self.gram)[:, 0]
 
     def value(self, x):
-        quad = np.real(np.sum(np.conj(x) * self.times_gram(x), axis=1))
-        cross = np.real(np.sum(np.conj(self.cvec) * x, axis=1))
-        return quad - 2.0 * cross + self.const
+        return np.sum(x * (self.times_gram(x) - 2.0 * self.cvec), axis=1) + self.const
 
     def gradient(self, x):
         return 2.0 * (self.times_gram(x) - self.cvec)
 
 
 def _quadratic(m, targets, side):
-    """Flattened states of the units on `side` and their subproblems, the
+    """Coordinate rows of the units on `side` and their subproblems, the
     other side frozen.
 
-    With entries f (flattened frozen rows) and targets t of unit r:
-    c_r = sum t f, k_r = sum t^2, and G_r = sum conj(f) f^T over the unit's
+    With entries f (frozen coordinate rows) and targets t of unit r:
+    c_r = sum t f, k_r = sum t^2, and G_r = sum f f^T over the unit's
     entries, or over all frozen rows when zero-filled. The step bound L_r is
     2 lambda_max(G) when zero-filled and 2 tr(G_r) >= 2 lambda_max(G_r)
     otherwise; either bounds the Lipschitz constant of the unit's gradient.
@@ -283,34 +279,30 @@ def _quadratic(m, targets, side):
     uf, ef = m.flat_users(), m.flat_likes()
     if (targets.U, targets.I) != (m.U, m.I):
         raise InvalidInput(f"targets are {targets.U} x {targets.I}, the model {m.U} x {m.I}")
-    own, fix_flat = (uf, ef) if side == "user" else (ef, uf)
+    own, fix = (uf, ef) if side == "user" else (ef, uf)
     inc = targets.by_user if side == "user" else targets.by_item
-    # Real targets times the frozen rows' real and imaginary parts side by side.
-    fix_flat = np.ascontiguousarray(fix_flat, dtype=np.result_type(fix_flat, float))
-    cvec = (inc.coef @ fix_flat.view(float)).view(fix_flat.dtype)
+    cvec = inc.coef @ fix
     if targets.zero_fill:
-        # gram[a, b] = sum_f conj(f_a) f_b, so (sum_f <f, x> f) per row is x @ gram.
-        gram = np.conj(fix_flat).T @ fix_flat
-        lam = float(np.linalg.eigvalsh(gram)[-1].real) if gram.size else 0.0
+        # gram[a, b] = sum_f f_a f_b, so (sum_f <f, x> f) per row is x @ gram.
+        gram = fix.T @ fix
+        lam = float(np.linalg.eigvalsh(gram)[-1]) if gram.size else 0.0
         lips = np.full(len(own), max(2.0 * lam, 1e-12))
     else:
-        # Sum the upper-triangle products conj(f_a) f_b as real columns; the lower
-        # triangle is their conjugate, written first so the sums overwrite it on the diagonal.
-        k = fix_flat.shape[1]
+        # Sum the upper-triangle products f_a f_b per unit and mirror them.
+        k = fix.shape[1]
         a, b = np.triu_indices(k)
-        upper = np.multiply(np.conj(fix_flat[:, a]), fix_flat[:, b], order="C")
         pattern = sp.csr_matrix((np.ones(inc.coef.nnz), inc.coef.indices, inc.coef.indptr), inc.coef.shape)
-        upper = (pattern @ upper.view(float)).view(upper.dtype)
-        gram = np.empty((len(own), k, k), dtype=upper.dtype)
-        gram[:, b, a] = np.conj(upper)
+        upper = pattern @ (fix[:, a] * fix[:, b])
+        gram = np.empty((len(own), k, k))
+        gram[:, b, a] = upper
         gram[:, a, b] = upper
-        lips = np.maximum(2.0 * np.real(np.trace(gram, axis1=1, axis2=2)), 1e-12)
+        lips = np.maximum(2.0 * np.trace(gram, axis1=1, axis2=2), 1e-12)
     return own, _Quadratic(gram, cvec, inc.const, lips)
 
 
 def _unit_gradient(m, targets, idx, side):
     own, quad = _quadratic(m, targets, side)
-    return quad.gradient(own)[idx].reshape(m.users.shape[1:])
+    return m._states(quad.gradient(own)[idx])
 
 
 def user_gradient(m, targets, u):
@@ -386,14 +378,12 @@ def _train(ds, cfg):
     for sweep in range(cfg.max_iter):
         if sweep == zf and targets.zero_fill:
             targets = targets._observed()
-        tic = time.perf_counter()
         model = update_items(model, targets, cfg)
         model = update_users(model, targets, cfg)
-        wall = time.perf_counter() - tic
         obj = objective(model, targets)
         if not np.isfinite(obj):
             raise NumericalFailure(f"sweep {sweep + 1}: non-finite objective")
-        history.append(obj, wall, "zero_fill" if targets.zero_fill else "observed")
+        history.append(obj, "zero_fill" if targets.zero_fill else "observed")
     return model, history
 
 

@@ -174,6 +174,28 @@ class TestProjectToEffect:
         np.testing.assert_allclose(linalg.project_to_effect(x), np.diag([0.0, 0.25, 1.0]), atol=1e-14)
 
 
+class TestCoordinates:
+    """to_coords is an isometry from Hermitian matrices to real rows, and from_coords its inverse."""
+
+    @given(seed=st.integers(0, 2**32 - 1), d=st.integers(1, 4), field=st.sampled_from(["real", "complex"]),
+           exponent=st.integers(-6, 6))
+    @settings(max_examples=200, deadline=None)
+    def test_dot_product_and_round_trip(self, seed, d, field, exponent):
+        rng = np.random.default_rng(seed)
+        g = rng.standard_normal((2, 5, d, d))
+        if field == "complex":
+            g = g + 1j * rng.standard_normal((2, 5, d, d))
+        a, b = 0.5 * (g + np.conj(np.swapaxes(g, -1, -2))) * 10.0**exponent
+        x, y = linalg.to_coords(a), linalg.to_coords(b)
+        assert x.shape == (5, d * d if field == "complex" else d * (d + 1) // 2) and x.dtype == np.float64
+        want = np.real(np.einsum("nij,nji->n", a, b))
+        assert np.all(np.abs(np.sum(x * y, axis=1) - want) <= 1e-12 * _norms(a) * _norms(b))
+        back = linalg.from_coords(x, d, a.dtype)
+        assert back.dtype == a.dtype
+        assert np.array_equal(back, np.conj(np.swapaxes(back, -1, -2)))
+        _assert_close(back, a, _norms(a)[:, None, None])
+
+
 def _two_by_two(seed, structure, field, exponent, n=3):
     """n Hermitian 2 x 2 matrices of one structure, scaled by 10**exponent."""
     rng = np.random.default_rng(seed)

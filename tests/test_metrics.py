@@ -133,8 +133,10 @@ class TestRecall:
         m = diag_model([0.5], 1)
         ds = from_arrays([0], [0], [5], U=1, I=1)
         split = data.DataSplit(train=np.array([], dtype=np.int64), test=np.array([0]))
-        with pytest.raises(InvalidInput):
-            metrics.recall_at_n(m, ds, split, 0)
+        for n in (0, 2.5, 2.0, "2"):
+            with pytest.raises(InvalidInput):
+                metrics.recall_at_n(m, ds, split, n)
+        assert metrics.recall_at_n(m, ds, split, np.int64(2)).value == 1.0
 
     def test_non_decreasing_in_n(self):
         rng = np.random.default_rng(1)

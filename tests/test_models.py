@@ -214,10 +214,16 @@ class TestScores:
     def test_score_entries_validates(self):
         rng = np.random.default_rng(15)
         m = random_quantum_model(rng, 3, 3, 2)
-        with pytest.raises(InvalidInput):
-            models.score_entries(m, np.array([3]), np.array([0]))
-        with pytest.raises(InvalidInput):
-            models.score_entries(m, np.array([0, 1]), np.array([0]))
+        for uu, ii, message in (
+            (np.array([3]), np.array([0]), "user index out of range"),
+            (np.array([0, 1]), np.array([0]), "1-D index arrays of one length"),
+            (np.array([0.5]), np.array([0]), "integer index"),
+            (np.array([0]), np.array([True]), "integer index"),
+            (np.array([[0]]), np.array([[0]]), "integer index or 1-D index array"),
+            (np.int64(0), np.int64(0), "1-D index arrays"),
+        ):
+            with pytest.raises(InvalidInput, match=message):
+                models.score_entries(m, uu, ii)
 
     @pytest.mark.parametrize(
         "make",
