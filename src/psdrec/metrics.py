@@ -2,6 +2,7 @@
 the rating histogram.
 
 MAE and RMSE are star errors of clamped star-scale predictions; a non-finite score raises.
+Every metric checks its split's entry indices against the dataset.
 recall@N ranks each held-out top-rated item among all items the user has not
 rated in training, with pessimistic tie handling.
 """
@@ -42,10 +43,19 @@ class MetricReport:
         return " ".join(parts)
 
 
-def _star_errors(m, ds, split):
-    test = np.asarray(split.test, dtype=np.int64)
+def _split_entries(ds, split):
+    """(train, test) entry indices of split; raises unless all lie in [0, len(ds)) and test is nonempty."""
+    train, test = (np.asarray(idx, dtype=np.int64) for idx in (split.train, split.test))
+    for name, idx in (("train", train), ("test", test)):
+        if idx.size and (idx.min() < 0 or idx.max() >= len(ds)):
+            raise InvalidInput(f"{name} entry index out of range [0, {len(ds)})")
     if test.size == 0:
         raise InvalidInput("empty test set")
+    return train, test
+
+
+def _star_errors(m, ds, split):
+    _, test = _split_entries(ds, split)
     scores = score_entries(m, ds.uu[test], ds.ii[test])
     if not np.isfinite(scores).all():
         raise InvalidInput("non-finite like score")
@@ -86,18 +96,18 @@ def recall_at_n(m, ds, split, n):
     With training items set to -inf, rank <= n holds exactly when the test
     score is above the row's (n+1)-th largest score, so one partition of the
     block decides every hit; when n >= I every entry is a hit. A non-finite
-    score raises InvalidInput.
+    score, a split index outside the dataset or a dataset larger than the
+    model raises InvalidInput.
     """
     if not isinstance(n, (int, np.integer)) or n < 1:
         raise InvalidInput(f"recall_at_n: n must be a positive integer, got {n!r}")
-    test = np.asarray(split.test, dtype=np.int64)
-    if test.size == 0:
-        raise InvalidInput("empty test set")
+    if ds.U > m.U or ds.I > m.I:
+        raise InvalidInput(f"recall_at_n: dataset is {ds.U} x {ds.I}, the model {m.U} x {m.I}")
+    train, test = _split_entries(ds, split)
     relevant = test[ds.rr[test] == ds.z_star]
     if relevant.size == 0:
         raise InvalidInput("recall_at_n: no test entries with the top rating")
 
-    train = np.asarray(split.train, dtype=np.int64)
     rated_ptr, rated = group_entries(ds.uu[train], ds.U, ds.ii[train])
     test_ptr, test_items = group_entries(ds.uu[relevant], ds.U, ds.ii[relevant])
     users = np.flatnonzero(np.diff(test_ptr))

@@ -12,10 +12,11 @@ of observed ratings.
 With one side frozen, each unit's subobjective is the quadratic
 x^T G x - 2 c^T x + k in the real coordinate row x of its state (K = D, D^2
 or D(D+1)/2 entries; see `models`), on which each update's steps and
-projections run. A training run builds one `Targets`, and
-each side's sparse target incidence and k are built once on it and serve
-both target phases; recall mode never builds observed-only targets. c, G and
-the step bounds are rebuilt per half-sweep. Zero-filled sweeps share one G of
+projections run. A training run builds one `Targets`, which groups its
+entries by user once into a sparse (U x I) target matrix; the user side reads
+it by rows, the item side by columns through its transpose, in both target
+phases, and recall mode never builds observed-only targets. c, G and the step
+bounds are rebuilt per half-sweep. Zero-filled sweeps share one G of
 the whole frozen side, so the dense user-item target matrix is never
 materialized; observed-only sweeps give each unit its own G over its own
 entries. No inner iteration revisits the ratings, and the per-sweep
@@ -150,20 +151,16 @@ class TrainHistory:
         return len(self.objective)
 
 
-class _Incidence(NamedTuple):
-    """One side's targets in both phases: CSR `coef` (unit x frozen row), `const` = sum t^2 per unit."""
-
-    coef: sp.csr_matrix
-    const: np.ndarray
-
-
 @dataclass(frozen=True, eq=False)
 class Targets:
     """Sparse target map. With zero_fill it covers all (u, i) pairs, the
     unlisted ones carrying 0; otherwise only the listed entries exist.
-    Entries lie in [0, U) x [0, I) with finite values. Each side's
-    incidence, the same in both phases, is cached on first use and shared
-    with `_observed()` copies, so the entry arrays must not be edited in place."""
+    Entries lie in [0, U) x [0, I) with finite values; a repeated (u, i)
+    pair stays two entries. Construction groups the entries by user once
+    into the (U x I) CSR `matrix` and sums t^2 per user and per item
+    (`sq_sums`); the item side reads `matrix.T`, a CSC view of the same
+    arrays. Both are shared with `_observed()` copies, so the entry arrays
+    must not be edited in place."""
 
     uu: np.ndarray
     ii: np.ndarray
@@ -171,9 +168,12 @@ class Targets:
     zero_fill: bool
     U: int
     I: int
-    _incidences: dict = field(default_factory=dict, init=False, repr=False)
+    matrix: sp.csr_matrix = field(init=False, repr=False)
+    sq_sums: dict = field(init=False, repr=False)
 
     def __post_init__(self):
+        if not all(isinstance(n, (int, np.integer)) and not isinstance(n, bool) for n in (self.U, self.I)):
+            raise InvalidInput(f"Targets: U and I must be integers, got {self.U!r} and {self.I!r}")
         for name, dtype in (("uu", np.int64), ("ii", np.int64), ("values", float)):
             object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=dtype))
         if not (self.uu.shape == self.ii.shape == self.values.shape) or self.uu.ndim != 1:
@@ -183,28 +183,17 @@ class Targets:
             raise InvalidInput(f"Targets: entries must lie in [0, {self.U}) x [0, {self.I})")
         if not np.isfinite(self.values).all():
             raise InvalidInput("Targets: values must be finite")
+        indptr, items, values = group_entries(self.uu, self.U, self.ii, self.values)
+        object.__setattr__(self, "matrix", sp.csr_matrix((values, items, indptr), shape=(self.U, self.I)))
+        sq = self.values**2
+        sums = {"user": np.bincount(self.uu, sq, self.U), "item": np.bincount(self.ii, sq, self.I)}
+        object.__setattr__(self, "sq_sums", sums)
 
     def _observed(self):
-        """These entries as observed-only targets, sharing arrays and incidence cache."""
+        """These entries as observed-only targets, sharing arrays and the matrix."""
         twin = copy.copy(self)
         object.__setattr__(twin, "zero_fill", False)
         return twin
-
-    def _incidence(self, side, unit, n, other, n_other):
-        if side not in self._incidences:
-            indptr, other_sorted, t_sorted = group_entries(unit, n, other, self.values)
-            coef = sp.csr_matrix((t_sorted, other_sorted, indptr), shape=(n, n_other))
-            const = np.bincount(unit, weights=self.values**2, minlength=n)
-            self._incidences[side] = _Incidence(coef, const)
-        return self._incidences[side]
-
-    @property
-    def by_user(self):
-        return self._incidence("user", self.uu, self.U, self.ii, self.I)
-
-    @property
-    def by_item(self):
-        return self._incidence("item", self.ii, self.I, self.uu, self.U)
 
 
 def effective_targets(ds, zero_fill):
@@ -271,17 +260,17 @@ def _quadratic(m, targets, side):
     entries, or over all frozen rows when zero-filled. The step bound L_r is
     2 lambda_max(G) when zero-filled and 2 tr(G_r) >= 2 lambda_max(G_r)
     otherwise; either bounds the Lipschitz constant of the unit's gradient.
-    The incidence matrices and k are cached on `targets` and read by both
-    phases; the observed phase takes its 0/1 entry pattern from coef's index
-    arrays. Only c, G and L, which depend on the model, are rebuilt per call.
+    The user side reads `targets.matrix` and the item side its transpose,
+    in both phases; the observed phase takes its 0/1 entry pattern from the
+    same index arrays. Only c, G and L, which depend on the model, are
+    rebuilt per call.
     """
     _require_binary(m)
     uf, ef = m.flat_users(), m.flat_likes()
     if (targets.U, targets.I) != (m.U, m.I):
         raise InvalidInput(f"targets are {targets.U} x {targets.I}, the model {m.U} x {m.I}")
-    own, fix = (uf, ef) if side == "user" else (ef, uf)
-    inc = targets.by_user if side == "user" else targets.by_item
-    cvec = inc.coef @ fix
+    own, fix, coef = (uf, ef, targets.matrix) if side == "user" else (ef, uf, targets.matrix.T)
+    cvec = coef @ fix
     if targets.zero_fill:
         # gram[a, b] = sum_f f_a f_b, so (sum_f <f, x> f) per row is x @ gram.
         gram = fix.T @ fix
@@ -291,13 +280,13 @@ def _quadratic(m, targets, side):
         # Sum the upper-triangle products f_a f_b per unit and mirror them.
         k = fix.shape[1]
         a, b = np.triu_indices(k)
-        pattern = sp.csr_matrix((np.ones(inc.coef.nnz), inc.coef.indices, inc.coef.indptr), inc.coef.shape)
+        pattern = type(coef)((np.ones(coef.nnz), coef.indices, coef.indptr), coef.shape)
         upper = pattern @ (fix[:, a] * fix[:, b])
         gram = np.empty((len(own), k, k))
         gram[:, b, a] = upper
         gram[:, a, b] = upper
         lips = np.maximum(2.0 * np.trace(gram, axis1=1, axis2=2), 1e-12)
-    return own, _Quadratic(gram, cvec, inc.const, lips)
+    return own, _Quadratic(gram, cvec, targets.sq_sums[side], lips)
 
 
 def _unit_gradient(m, targets, idx, side):

@@ -297,6 +297,25 @@ def test_rejects_invalid_reports(call, message):
         call()
 
 
+@pytest.mark.parametrize(
+    "metric",
+    [metrics.mae, metrics.rmse, lambda m, ds, split: metrics.recall_at_n(m, ds, split, 2)],
+    ids=["mae", "rmse", "recall"],
+)
+@pytest.mark.parametrize(
+    "train, test, model_items",
+    [([0, 1], [-1], 5), ([0, 1], [5], 5), ([5], [2], 5), ([0, 1], [4], 3)],
+    ids=["test-negative", "test-past-end", "train-past-end", "item-outside-model"],
+)
+def test_rejects_entries_outside_dataset_or_model(metric, train, test, model_items):
+    # Five top-rated entries; without the checks -1 would score the last
+    # entry and the others would raise a bare IndexError.
+    ds = from_arrays([0, 0, 1, 1, 1], [0, 1, 2, 3, 4], [5, 5, 5, 5, 5], U=2, I=5)
+    m = diag_model(np.linspace(0.1, 0.9, model_items), 2)
+    with pytest.raises(InvalidInput, match=r"out of range|the model 2 x 3"):
+        metric(m, ds, data.DataSplit(train=np.array(train), test=np.array(test)))
+
+
 class TestHistogram:
     def test_counts(self):
         ds = from_arrays([0, 0, 1, 1], [0, 1, 0, 1], [5, 5, 1, 3], U=2, I=2)

@@ -165,44 +165,55 @@ class TestTargets:
         with pytest.raises(InvalidInput, match="Targets"):
             train.Targets(uu, ii, values, zero_fill, 2, 2)
 
-    @pytest.mark.parametrize("shape", [(-1, 2), (2, -1)])
+    @pytest.mark.parametrize("shape", [(-1, 2), (2, -1), (2.5, 2), ("2", 2), (2, True), (2, np.float64(2))])
     def test_rejects_negative_shape(self, shape):
         with pytest.raises(InvalidInput, match="Targets"):
             train.Targets([], [], [], False, *shape)
 
     def test_fields_cannot_be_reassigned(self):
         t = train.Targets([0, 1], [1, 0], [0.2, 0.4], False, 2, 2)
-        inc = t.by_user
-        for name, value in (("uu", [1, 0]), ("ii", [0, 1]), ("values", [1.0, 1.0]), ("zero_fill", True)):
+        matrix, sq_sums = t.matrix, t.sq_sums
+        for name, value in (
+            ("uu", [1, 0]),
+            ("ii", [0, 1]),
+            ("values", [1.0, 1.0]),
+            ("zero_fill", True),
+            ("matrix", matrix.T),
+            ("sq_sums", {}),
+        ):
             with pytest.raises(dataclasses.FrozenInstanceError):
                 setattr(t, name, value)
-        assert t.by_user is inc
+        assert t.matrix is matrix and t.sq_sums is sq_sums
+        assert t.matrix.toarray().tolist() == [[0.0, 0.2], [0.4, 0.0]]
+        np.testing.assert_allclose(t.sq_sums["user"], [0.04, 0.16])
+        np.testing.assert_allclose(t.sq_sums["item"], [0.16, 0.04])
 
     def test_observed_sweeps_read_the_zero_fill_incidence(self, monkeypatch):
-        # One mae-mode run: the observed sweeps must read the very coef/const
-        # objects the zero-fill sweeps built, and no 0/1 pattern is cached.
+        # One mae-mode run: both sides of both phases read the one matrix the
+        # zero-fill targets built, and the item side's transpose is a view of
+        # its arrays, not a regrouping.
         read = []
         quadratic = train._quadratic
 
         def recorded(m, targets, side):
-            out = quadratic(m, targets, side)
-            read.append((targets.zero_fill, side, getattr(targets, f"by_{side}")))
-            return out
+            read.append((targets.zero_fill, side, targets.matrix, targets.sq_sums))
+            return quadratic(m, targets, side)
 
         monkeypatch.setattr(train, "_quadratic", recorded)
         ds = random_dataset(np.random.default_rng(25), 6, 5, density=0.6)
         train.train_quantum(ds, train.TrainConfig(D=2, max_iter=4, mode="mae", seed=0))
-        assert train._Incidence._fields == ("coef", "const")
-        for side in ("user", "item"):
-            by_phase = {zero_fill: inc for zero_fill, s, inc in read if s == side}
-            assert set(by_phase) == {True, False}
-            assert by_phase[False].coef is by_phase[True].coef
-            assert by_phase[False].const is by_phase[True].const
-            assert len({id(inc) for _, s, inc in read if s == side}) == 1
+        assert {(zero_fill, side) for zero_fill, side, _, _ in read} == {
+            (zero_fill, side) for zero_fill in (True, False) for side in ("user", "item")
+        }
+        matrix, sq_sums = read[0][2:]
+        assert all(got is matrix and sums is sq_sums for _, _, got, sums in read)
+        assert matrix.shape == (ds.U, ds.I) and matrix.nnz == len(ds)
+        for name in ("data", "indices", "indptr"):
+            assert np.shares_memory(getattr(matrix.T, name), getattr(matrix, name)), name
 
-    @pytest.mark.parametrize("mode, builds", [("recall", 2), ("mae", 2)])
-    def test_each_side_grouped_once_per_targets(self, monkeypatch, mode, builds):
-        # One validation and one grouping per side per run, in both modes;
+    @pytest.mark.parametrize("mode", ["recall", "mae"])
+    def test_entries_grouped_once_per_run(self, monkeypatch, mode):
+        # One validation and one grouping, by user, per run in both modes;
         # recall mode never makes observed-only targets.
         calls, validated, phases = [], [], set()
         group, post_init, update_users = train.group_entries, train.Targets.__post_init__, train.update_users
@@ -225,7 +236,7 @@ class TestTargets:
         ds = random_dataset(np.random.default_rng(26), 6, 5, density=0.6)
         cfg = train.TrainConfig(D=2, max_iter=4, mode=mode, seed=0)
         train.train_quantum(ds, cfg)
-        assert len(calls) == builds
+        assert len(calls) == 1 and np.array_equal(calls[0][0], ds.uu) and calls[0][1] == ds.U
         assert len(validated) == 1
         assert phases == ({True} if mode == "recall" else {True, False})
 
@@ -331,15 +342,20 @@ _QUADRATIC_MODELS = [
 
 
 class TestObservedQuadratic:
-    @pytest.mark.parametrize("empty", [False, True], ids=["entries", "no-entries"])
+    @pytest.mark.parametrize("entries", ["entries", "no-entries", "repeated"])
     @pytest.mark.parametrize("side", ["user", "item"])
     @pytest.mark.parametrize("kind, d, field", _QUADRATIC_MODELS)
-    def test_matches_naive_gram_stack(self, kind, d, field, side, empty):
+    def test_matches_naive_gram_stack(self, kind, d, field, side, entries):
         # User 0 and item 5 have no entries, so their subproblems are zero.
+        # "repeated" lists one (user, item) pair twice: two entries, each
+        # adding to the pair's Gram matrices, not one entry with summed targets.
         rng = np.random.default_rng(27)
         ds = random_dataset(rng, 7, 6, density=0.6)
-        keep = (ds.uu != 0) & (ds.ii != 5) & (not empty)
-        t = train.Targets(ds.uu[keep], ds.ii[keep], ds.rr[keep] / 5.0, False, 7, 6)
+        keep = (ds.uu != 0) & (ds.ii != 5) & (entries != "no-entries")
+        uu, ii, values = ds.uu[keep], ds.ii[keep], ds.rr[keep] / 5.0
+        if entries == "repeated":
+            uu, ii, values = np.append(uu, uu[2]), np.append(ii, ii[2]), np.append(values, 0.3)
+        t = train.Targets(uu, ii, values, False, 7, 6)
         if kind == "quantum":
             m = random_quantum_model(rng, 7, 6, d, field=field)
         else:
