@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import models
-from .data import group_entries
+from .data import group_entries, group_order
 from .exceptions import InvalidInput
 from .models import score_entries, score_items
 
@@ -80,7 +80,8 @@ def _block_entries(ptr, columns, units):
     counts = ptr[units + 1] - ptr[units]
     rows = np.repeat(np.arange(units.size), counts)
     first = np.repeat(ptr[units] - np.cumsum(counts) + counts, counts)
-    return rows, columns[first + np.arange(rows.size)]
+    first += np.arange(rows.size)
+    return rows, columns[first]
 
 
 def recall_at_n(m, ds, split, n):
@@ -93,11 +94,12 @@ def recall_at_n(m, ds, split, n):
     the test item's score. A hit is rank <= n.
 
     Users are scored by `score_items` in blocks of `models._SCORE_BLOCK` scores or one row.
-    With training items set to -inf, rank <= n holds exactly when the test
-    score is above the row's (n+1)-th largest score, so one partition of the
-    block decides every hit; when n >= I every entry is a hit. A non-finite
-    score, a split index outside the dataset or a dataset larger than the
-    model raises InvalidInput.
+    Each block's training items are set to -inf through one flag per dataset
+    entry and one grouping of all entries by user. Then rank <= n holds
+    exactly when the test score is above the row's (n+1)-th largest score,
+    so one partition of the block decides every hit; when n >= I every
+    entry is a hit. A non-finite score, a split index outside the dataset or
+    a dataset larger than the model raises InvalidInput.
     """
     if not isinstance(n, (int, np.integer)) or n < 1:
         raise InvalidInput(f"recall_at_n: n must be a positive integer, got {n!r}")
@@ -108,7 +110,10 @@ def recall_at_n(m, ds, split, n):
     if relevant.size == 0:
         raise InvalidInput("recall_at_n: no test entries with the top rating")
 
-    rated_ptr, rated = group_entries(ds.uu[train], ds.U, ds.ii[train])
+    # About 10 bytes per dataset entry at the peak: the order and its 16-bit keys.
+    ptr, order = group_order(ds.uu, ds.U)
+    in_train = np.zeros(len(ds), dtype=bool)
+    in_train[train] = True
     test_ptr, test_items = group_entries(ds.uu[relevant], ds.U, ds.ii[relevant])
     users = np.flatnonzero(np.diff(test_ptr))
     kth = m.I - n - 1  # ascending position of the (n+1)-th largest score
@@ -124,10 +129,13 @@ def recall_at_n(m, ds, split, n):
         held_out = scores[rows, items]
         if kth < 0:
             hits += held_out.size
-            continue
-        scores[_block_entries(rated_ptr, rated, block)] = -np.inf
-        scores.partition(kth, axis=1)
-        hits += int(np.count_nonzero(held_out > scores[rows, kth]))
+        else:
+            rated_rows, entries = _block_entries(ptr, order, block)
+            rated = in_train[entries]
+            scores[rated_rows[rated], ds.ii[entries[rated]]] = -np.inf
+            scores.partition(kth, axis=1)
+            hits += int(np.count_nonzero(held_out > scores[rows, kth]))
+        del scores  # before the next block's scores exist
     value = hits / relevant.size
     return MetricReport(
         "recall",

@@ -22,7 +22,10 @@ line-oriented text persistence format.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import repeat
 
 import numpy as np
 
@@ -63,6 +66,11 @@ class _Model:
     yields (message, value, tolerance) for each constraint. `_rank` is the
     number of D-sized axes of one state (1 for vectors, 2 for matrices), and
     `_dtype` the dtype both arrays are cast to (None keeps the given field).
+
+    A model converts its states to coordinate rows once, on the first
+    `flat_users` or `flat_likes` call, and hands out read-only views of
+    them, so its state arrays must not be edited in place after that. The
+    models `with_users` and `with_likes` return convert their own.
     """
 
     users: np.ndarray
@@ -100,13 +108,22 @@ class _Model:
     def Z(self):
         return self.items.shape[1]
 
+    @cached_property
+    def _coords(self):
+        """Read-only views of the user rows and the like rows; the arrays
+        they view stay writeable (an NNM's are its own state arrays)."""
+        rows = self._rows(self.users).view(), self._rows(self.items[:, 0]).view()
+        for r in rows:
+            r.flags.writeable = False
+        return rows
+
     def flat_users(self):
         """User states as real rows of K coordinates: D, D^2 or D(D+1)/2."""
-        return self._rows(self.users)
+        return self._coords[0]
 
     def flat_likes(self):
         """Like effects (outcome 1) as real coordinate rows of K entries."""
-        return self._rows(self.items[:, 0])
+        return self._coords[1]
 
     def with_users(self, rows):
         """The same model with its user states read from coordinate rows."""
@@ -246,12 +263,13 @@ def score_items(m, u):
 
     u is one user index, giving an (I,) row, or a 1-D integer array of user
     indices, giving one row per index, shape (len(u), I). Either way the
-    scores come from one real product of coordinate rows. recall_at_n ranks
+    scores come from one real product of the model's coordinate rows, which
+    it converts once. recall_at_n ranks
     a block of users at once from these rows: a held-out item is in a user's
     top n exactly when its score is above the (n+1)-th largest score of the row.
     """
     idx = _index_array("score_items", u, m.U, "user")
-    return m._rows(m.users[idx]) @ m.flat_likes().T
+    return m.flat_users()[idx] @ m.flat_likes().T
 
 
 # Most elements any scoring temporary holds (512 KiB of float64), in
@@ -438,18 +456,52 @@ def _parse_index(token, path, ln):
         raise ParseError(f"{path} line {ln}: bad record index {token!r}") from None
 
 
+# Records whose value tokens load_model converts in one float pass.
+_LOAD_BATCH = 1024
+
+
+def _fill(flat, batch, complex_field, path):
+    """Write the values of a batch of (line number, row, value tokens)
+    records into flat's rows, converting all tokens in one float pass. If
+    the pass fails, the tokens are walked in line order for the first bad
+    one, which raises the record loop's ParseError."""
+    if not batch:
+        return
+    tokens = [t for _, _, record in batch for t in record]
+    try:
+        if complex_field:
+            # As many commas as tokens and one in each: a "re,im" pair each.
+            pairs, tokens = tokens, ",".join(tokens).split(",")
+            if len(tokens) != 2 * len(pairs) or not all(map(operator.contains, pairs, repeat(","))):
+                raise ValueError
+        values = np.fromiter(map(float, tokens), dtype=float, count=len(tokens))
+    except ValueError:
+        for ln, _, record in batch:
+            for token in record:
+                _parse_value(token, complex_field, path, ln)
+        raise
+    rows = [row for _, row, _ in batch]
+    flat[rows] = (values.view(complex) if complex_field else values).reshape(len(rows), -1)
+    batch.clear()
+
+
 def load_model(path):
     """Read a model written by save_model; validates all invariants.
 
     The file must hold the U + I Z records its header calls for, each exactly
     once; a header claiming more than the file can hold allocates nothing.
+    Lines end at `\n`, `\r\n` or `\r`, as the ratings loaders count them.
+    One loop checks each record's structure as it goes; the value tokens of
+    up to _LOAD_BATCH records are converted together, and the batch is
+    converted before a structural error is raised, so the ParseError always
+    names the first faulty line.
     """
     try:
         with open(path, "r", encoding="ascii") as fh:
-            raw = fh.read().splitlines()
+            raw = fh.read().split("\n")
     except UnicodeDecodeError:
         raise ParseError(f"{path}: not ASCII text") from None
-    if not raw:
+    if raw == [""]:
         raise ParseError(f"{path}: empty model file")
     head = [part.strip() for part in raw[0].split("|")]
     if len(head) != 7 or head[0] != FORMAT_MAGIC:
@@ -478,29 +530,37 @@ def load_model(path):
         raise ParseError(f"{path}: {n_records} records of {per_record} entries cannot fit the file")
     flat = np.empty((n_records, per_record), dtype=complex if complex_field else float)
     seen = bytearray(n_records)
+    batch = []
     for ln, line in enumerate(raw[1:], start=2):
         tokens = line.split()
         if not tokens:
             continue
-        role = tokens[0]
-        if role not in ("user", "item"):
-            raise ParseError(f"{path} line {ln}: unknown record {role!r}")
-        n_head = 2 if role == "user" else 3
-        if len(tokens) != n_head + per_record:
-            raise ParseError(f"{path} line {ln}: expected {per_record} entries")
-        if role == "user":
-            row = _parse_index(tokens[1], path, ln)
-            if not 0 <= row < u_n:
-                raise ParseError(f"{path} line {ln}: user index {row} out of range")
-        else:
-            i, z = _parse_index(tokens[1], path, ln), _parse_index(tokens[2], path, ln)
-            if not (0 <= i < i_n and 1 <= z <= z_n):
-                raise ParseError(f"{path} line {ln}: item record ({i}, {z}) out of range")
-            row = u_n + i * z_n + z - 1
-        if seen[row]:
-            raise ParseError(f"{path} line {ln}: repeated record {' '.join(tokens[:n_head])!r}")
+        try:
+            role = tokens[0]
+            if role not in ("user", "item"):
+                raise ParseError(f"{path} line {ln}: unknown record {role!r}")
+            n_head = 2 if role == "user" else 3
+            if len(tokens) != n_head + per_record:
+                raise ParseError(f"{path} line {ln}: expected {per_record} entries")
+            if role == "user":
+                row = _parse_index(tokens[1], path, ln)
+                if not 0 <= row < u_n:
+                    raise ParseError(f"{path} line {ln}: user index {row} out of range")
+            else:
+                i, z = _parse_index(tokens[1], path, ln), _parse_index(tokens[2], path, ln)
+                if not (0 <= i < i_n and 1 <= z <= z_n):
+                    raise ParseError(f"{path} line {ln}: item record ({i}, {z}) out of range")
+                row = u_n + i * z_n + z - 1
+            if seen[row]:
+                raise ParseError(f"{path} line {ln}: repeated record {' '.join(tokens[:n_head])!r}")
+        except ParseError:
+            _fill(flat, batch, complex_field, path)  # a bad token on an earlier line comes first
+            raise
         seen[row] = 1
-        flat[row] = [_parse_value(t, complex_field, path, ln) for t in tokens[-per_record:]]
+        batch.append((ln, row, tokens[n_head:]))
+        if len(batch) == _LOAD_BATCH:
+            _fill(flat, batch, complex_field, path)
+    _fill(flat, batch, complex_field, path)
 
     state = (d,) * cls._rank
     model = cls(flat[:u_n].reshape(u_n, *state), flat[u_n:].reshape(i_n, z_n, *state))

@@ -11,7 +11,8 @@ import itertools
 import numpy as np
 
 from psdrec import linalg
-from psdrec.models import NnmModel, QuantumModel
+from psdrec.exceptions import ParseError
+from psdrec.models import FORMAT_MAGIC, KINDS, NnmModel, QuantumModel
 
 # --- Bloch-ball feasibility oracle (D=2) ---------------------------------------
 
@@ -161,6 +162,23 @@ def naive_recall(m, ds, split, n):
     return hits, relevant
 
 
+# --- sort-based splits ---------------------------------------------------------------------
+
+
+def sorted_kfold(n, k, seed):
+    """(train, test) of each of k folds over n entries, by sorting the
+    folds of one seeded permutation."""
+    folds = np.array_split(np.random.default_rng(seed).permutation(n), k)
+    return [(np.sort(np.concatenate(folds[:j] + folds[j + 1 :])), np.sort(folds[j])) for j in range(k)]
+
+
+def sorted_holdout(n, n_test, seed):
+    """(train, test) holding out the first n_test entries of one seeded
+    permutation, each part sorted."""
+    perm = np.random.default_rng(seed).permutation(n)
+    return np.sort(perm[n_test:]), np.sort(perm[:n_test])
+
+
 # --- permutation matching ----------------------------------------------------------
 
 
@@ -265,3 +283,91 @@ def naive_ratings(path, sep, z_star=5):
             ii.append(item_ids.index(i))
             rr.append(r)
     return (uu, ii, rr, user_ids, item_ids), duplicate, malformed or not rr
+
+
+# --- reference model-file parser ---------------------------------------------------------
+
+
+def naive_load_model(path):
+    """load_model as one record loop that converts each token as it reads it.
+
+    Lines end at "\n" after universal-newline reading. Every structural
+    check and ParseError message is the library's contract; the first faulty
+    line, in file order, names the error.
+    """
+    try:
+        with open(path, "r", encoding="ascii") as fh:
+            raw = fh.read().split("\n")
+    except UnicodeDecodeError:
+        raise ParseError(f"{path}: not ASCII text") from None
+    if raw == [""]:
+        raise ParseError(f"{path}: empty model file")
+    head = [part.strip() for part in raw[0].split("|")]
+    if len(head) != 7 or head[0] != FORMAT_MAGIC:
+        raise ParseError(f"{path} line 1: bad header {raw[0]!r}")
+    try:
+        kind = head[1].split("=", 1)[1]
+        d, u_n, i_n, z_n = (int(x) for x in head[2:6])
+        field = head[6].split("=", 1)[1]
+    except (IndexError, ValueError):
+        raise ParseError(f"{path} line 1: bad header {raw[0]!r}") from None
+    if kind not in KINDS or field not in ("real", "complex") or (kind, field) == ("nnm", "complex"):
+        raise ParseError(f"{path} line 1: bad header {raw[0]!r}")
+    if min(d, u_n, i_n) < 1 or z_n < 2:
+        raise ParseError(f"{path} line 1: bad sizes in header")
+
+    complex_field = field == "complex"
+    cls = KINDS[kind]
+    per_record = d**cls._rank
+    n_records = u_n + i_n * z_n
+    found = sum(1 for line in raw[1:] if line and not line.isspace())
+    if found != n_records:
+        raise ParseError(f"{path}: expected {n_records} records, found {found}")
+    if 2 * n_records * per_record > sum(map(len, raw)):
+        raise ParseError(f"{path}: {n_records} records of {per_record} entries cannot fit the file")
+
+    def index(token, ln):
+        try:
+            return int(token)
+        except ValueError:
+            raise ParseError(f"{path} line {ln}: bad record index {token!r}") from None
+
+    def value(token, ln):
+        try:
+            if complex_field:
+                re_s, im_s = token.split(",")
+                return complex(float(re_s), float(im_s))
+            return float(token)
+        except ValueError:
+            raise ParseError(f"{path} line {ln}: bad numeric token {token!r}") from None
+
+    flat = np.empty((n_records, per_record), dtype=complex if complex_field else float)
+    seen = bytearray(n_records)
+    for ln, line in enumerate(raw[1:], start=2):
+        tokens = line.split()
+        if not tokens:
+            continue
+        role = tokens[0]
+        if role not in ("user", "item"):
+            raise ParseError(f"{path} line {ln}: unknown record {role!r}")
+        n_head = 2 if role == "user" else 3
+        if len(tokens) != n_head + per_record:
+            raise ParseError(f"{path} line {ln}: expected {per_record} entries")
+        if role == "user":
+            row = index(tokens[1], ln)
+            if not 0 <= row < u_n:
+                raise ParseError(f"{path} line {ln}: user index {row} out of range")
+        else:
+            i, z = index(tokens[1], ln), index(tokens[2], ln)
+            if not (0 <= i < i_n and 1 <= z <= z_n):
+                raise ParseError(f"{path} line {ln}: item record ({i}, {z}) out of range")
+            row = u_n + i * z_n + z - 1
+        if seen[row]:
+            raise ParseError(f"{path} line {ln}: repeated record {' '.join(tokens[:n_head])!r}")
+        seen[row] = 1
+        flat[row] = [value(t, ln) for t in tokens[-per_record:]]
+
+    state = (d,) * cls._rank
+    model = cls(flat[:u_n].reshape(u_n, *state), flat[u_n:].reshape(i_n, z_n, *state))
+    model.validate()
+    return model

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from psdrec import data
 from psdrec.exceptions import InvalidInput, ParseError
 
-from _oracles import naive_ratings
+from _oracles import naive_ratings, sorted_holdout, sorted_kfold
 from conftest import from_arrays, random_dataset
 
 
@@ -441,6 +441,22 @@ class TestSplits:
             # Every other seed default_rng takes is still taken.
             for seed in (None, np.uint64(3), [1, 2], np.random.SeedSequence(4)):
                 split(seed)
+
+    @pytest.mark.parametrize("n", [2, 3, 10, 101, 5000])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_splits_match_sorted_reference(self, n, seed):
+        ds = from_arrays(np.arange(n) // 7, np.arange(n) % 7, np.full(n, 3), U=n // 7 + 1, I=7)
+        for k in sorted({2, min(5, n), min(13, n)}):
+            for split, (train, test) in zip(data.kfold_split(ds, k, seed), sorted_kfold(n, k, seed), strict=True):
+                assert split.train.dtype == split.test.dtype == np.int64
+                assert np.array_equal(split.train, train) and np.array_equal(split.test, test)
+        for fraction in (0.2, 0.5, 0.99):
+            n_test = int(np.floor(fraction * n))
+            if n_test:
+                split = data.topn_holdout(ds, fraction, seed)
+                train, test = sorted_holdout(n, n_test, seed)
+                assert split.train.dtype == split.test.dtype == np.int64
+                assert np.array_equal(split.train, train) and np.array_equal(split.test, test)
 
     def test_split_rejects_overlap(self):
         with pytest.raises(InvalidInput):

@@ -280,6 +280,40 @@ class TestBlockedRecall:
         assert peak < 4e6
 
 
+    def test_transient_bounded_per_dataset_entry(self):
+        # 200k entries at 5% density, 80% of them in training. Masking
+        # through one flag per entry and one grouping of all entries by user
+        # holds about 10 bytes per entry; gathering and grouping the training
+        # entries took about 32 per training entry.
+        rng = np.random.default_rng(6)
+        n_users, n_items, per_user = 4000, 1000, 50
+        uu = np.repeat(np.arange(n_users), per_user)
+        ii = np.argsort(rng.random((n_users, n_items)), axis=1)[:, :per_user].ravel()
+        ds = from_arrays(uu, ii, rng.integers(1, 6, size=uu.size), U=n_users, I=n_items)
+        split = data.topn_holdout(ds, 0.2, 0)
+        users, likes = rng.random((n_users, 2)), rng.random((n_items, 2))
+        m = models.NnmModel(users / users.sum(axis=1, keepdims=True), np.stack([likes, 1.0 - likes], axis=1))
+        tracemalloc.start()
+        try:
+            report = metrics.recall_at_n(m, ds, split, 20)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 12 * len(ds) + 8 * models._SCORE_BLOCK
+        assert report.count == int(np.count_nonzero(ds.rr[split.test] == 5))
+
+    def test_repeated_split_entries(self):
+        # A training entry listed twice masks its item once; a held-out entry
+        # listed twice counts twice, as in the per-entry loop.
+        m = diag_model([0.2, 0.9, 0.4, 0.6], 2)
+        ds = from_arrays([0, 0, 0, 1, 1], [0, 1, 2, 1, 3], [5, 4, 5, 5, 2], U=2, I=4)
+        split = data.DataSplit(train=np.array([1, 1, 4]), test=np.array([0, 2, 2, 3]))
+        for n in (1, 2, 3):
+            hits, relevant = naive_recall(m, ds, split, n)
+            report = metrics.recall_at_n(m, ds, split, n)
+            assert (report.value, report.count) == (hits / relevant, relevant)
+
+
 @pytest.mark.parametrize(
     "call, message",
     [

@@ -2,11 +2,13 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from psdrec import models
 from psdrec.exceptions import InvalidInput, NotSimultaneouslyDiagonalizable, ParseError
 
-from _oracles import best_permutation_error
+from _oracles import best_permutation_error, naive_load_model
 from conftest import (
     from_arrays,
     random_dataset,
@@ -248,6 +250,46 @@ class TestScores:
         for bad in (1.0, np.array([0.0, 1.0]), np.array([True]), np.array([[0, 1]]), "0"):
             with pytest.raises(InvalidInput, match="integer index"):
                 models.score_items(m, bad)
+
+
+_MAKERS = [
+    lambda rng: random_nnm_model(rng, 4, 5, 3),
+    lambda rng: random_quantum_model(rng, 4, 5, 3, field="real"),
+    lambda rng: random_quantum_model(rng, 4, 5, 3),
+]
+
+
+@pytest.mark.parametrize("make", _MAKERS, ids=["nnm", "real", "complex"])
+class TestCoordinateRows:
+    def test_rows_are_computed_once_and_read_only(self, make):
+        m = make(np.random.default_rng(18))
+        for rows, fresh in ((m.flat_users(), m._rows(m.users)), (m.flat_likes(), m._rows(m.items[:, 0]))):
+            assert not rows.flags.writeable
+            assert rows.dtype == fresh.dtype and rows.tobytes() == fresh.tobytes()
+            with pytest.raises(ValueError):
+                rows[0, 0] = 0.5
+        assert m.flat_users() is m.flat_users() and m.flat_likes() is m.flat_likes()
+        # The model's own arrays stay writeable: an NNM's rows view them.
+        assert m.users.flags.writeable and m.items.flags.writeable
+
+    def test_rebuilt_models_convert_their_own_rows(self, make):
+        m = make(np.random.default_rng(19))
+        user_rows, like_rows = m.flat_users(), m.flat_likes()
+        for rebuilt in (m.with_users(user_rows), m.with_likes(like_rows)):
+            assert "_coords" not in vars(rebuilt)
+            assert rebuilt.flat_users() is not user_rows and rebuilt.flat_likes() is not like_rows
+            assert rebuilt.flat_users().tobytes() == rebuilt._rows(rebuilt.users).tobytes()
+            assert rebuilt.flat_likes().tobytes() == rebuilt._rows(rebuilt.items[:, 0]).tobytes()
+
+    def test_scorers_read_the_stored_rows(self, make, monkeypatch):
+        m = make(np.random.default_rng(20))
+        uu, ii = np.array([0, 3, 1, 1]), np.array([4, 0, 2, 2])
+        user_rows, like_rows = m._rows(m.users), m._rows(m.items[:, 0])
+        m.flat_users()
+        monkeypatch.setattr(type(m), "_rows", lambda *args: pytest.fail("rows converted again"))
+        assert np.array_equal(models.score_items(m, np.arange(m.U)), user_rows @ like_rows.T)
+        want = np.einsum("nk,nk->n", user_rows[uu], like_rows[ii])
+        assert np.array_equal(models.score_entries(m, uu, ii), want)
 
 
 class TestEmbed:
@@ -502,6 +544,73 @@ class TestPersistence:
             models.load_model(str(path))
         assert str(exc_info.value) == f"{path}{message}"
 
+    @pytest.mark.parametrize("mark", ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x1f", "\t"])
+    def test_lines_end_only_at_newlines(self, tmp_path, mark):
+        # str.splitlines would also end a line at these marks (\x1f and \t
+        # aside) and count the user record below as two records.
+        text = self._VALID.replace("user 0 1 0", f"user 0 1{mark}0", 1)
+        path = tmp_path / "model.psdrec"
+        path.write_text(text)
+        assert np.array_equal(models.load_model(str(path)).users, [np.diag([1.0, 0.0])])
+        path.write_text(text.replace("item 0 2 0", "item 0 2 y", 1))
+        with pytest.raises(ParseError) as exc_info:
+            models.load_model(str(path))
+        assert str(exc_info.value) == f"{path} line 4: bad numeric token 'y'"
+
+    @pytest.mark.parametrize("newline", [b"\r\n", b"\r"])
+    def test_line_endings_counted_like_the_ratings_loaders(self, tmp_path, newline):
+        path = tmp_path / "model.psdrec"
+        text = self._VALID.replace("item 0 1 1", "item 0 1 z", 1)
+        path.write_bytes(text.encode().replace(b"\n", newline))
+        with pytest.raises(ParseError) as exc_info:
+            models.load_model(str(path))
+        assert str(exc_info.value) == f"{path} line 3: bad numeric token 'z'"
+
+    @pytest.mark.parametrize("batch", [1, 1024])
+    def test_comma_count_checked_per_token(self, tmp_path, monkeypatch, batch):
+        # A token without a comma and one with two balance out in a count
+        # over the whole batch.
+        monkeypatch.setattr(models, "_LOAD_BATCH", batch)
+        path = tmp_path / "model.psdrec"
+        path.write_text(
+            "PSDREC v1 | kind=quantum | 1 | 1 | 1 | 2 | field=complex\n"
+            "user 0 1\nitem 0 1 0.5,0,0\nitem 0 2 0.5,0\n"
+        )
+        with pytest.raises(ParseError) as exc_info:
+            models.load_model(str(path))
+        assert str(exc_info.value) == f"{path} line 2: bad numeric token '1'"
+
+    @pytest.mark.parametrize("batch", [1, 2, 3, 1024])
+    @pytest.mark.parametrize(
+        "fault, message",
+        [
+            ("user 1 ", "repeated record 'user 1'"),
+            ("usr 1 ", "unknown record 'usr'"),
+            ("user 9 ", "user index 9 out of range"),
+            ("user x ", "bad record index 'x'"),
+        ],
+    )
+    def test_bad_token_before_a_structural_fault_wins(self, tmp_path, monkeypatch, batch, fault, message):
+        monkeypatch.setattr(models, "_LOAD_BATCH", batch)
+        rng = np.random.default_rng(35)
+        path = tmp_path / "model.psdrec"
+        for m in (random_quantum_model(rng, 4, 2, 2), random_nnm_model(rng, 4, 2, 2)):
+            models.save_model(m, str(path))
+            lines = path.read_text().split("\n")
+            tokens = lines[2].split()
+            token = "1,2,3" if tokens[2].count(",") else "1,2"
+            lines[2] = " ".join(tokens[:2] + [token] + tokens[3:])  # user 1, line 3
+            lines[4] = fault + lines[4].split(" ", 2)[2]  # user 3, line 5
+            path.write_text("\n".join(lines))
+            with pytest.raises(ParseError) as exc_info:
+                models.load_model(str(path))
+            assert str(exc_info.value) == f"{path} line 3: bad numeric token {token!r}"
+            lines[2] = " ".join(tokens)
+            path.write_text("\n".join(lines))
+            with pytest.raises(ParseError) as exc_info:
+                models.load_model(str(path))
+            assert str(exc_info.value) == f"{path} line 5: {message}"
+
     def test_blank_record_lines_skipped(self, tmp_path):
         path = tmp_path / "model.psdrec"
         path.write_text(self._VALID.replace("\n", "\n\n  \n", 2))
@@ -624,6 +733,109 @@ class TestPersistence:
             path.write_text("\n".join(lines + [lines[-1]]) + "\n")
             with pytest.raises(ParseError, match=f"expected {len(lines) - 1} records, found {len(lines)}"):
                 models.load_model(str(path))
+
+
+@st.composite
+def _models(draw):
+    """A random valid model: NNM, real quantum or complex quantum."""
+    kind = draw(st.sampled_from(["nnm", "real", "complex"]))
+    u_n, i_n, d, z_n = draw(st.integers(1, 3)), draw(st.integers(1, 3)), draw(st.integers(1, 3)), draw(st.integers(2, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if kind == "nnm":
+        return random_nnm_model(rng, u_n, i_n, d, z=z_n)
+    return random_quantum_model(rng, u_n, i_n, d, z=z_n, field=kind)
+
+
+_BAD_TOKENS = ["x", "1,2,3", "1", ",1", "1,", "1,,2", "1..0", "nan", "inf", "1e999", "0x1", "1_0", "--1", "1,x"]
+_BAD_INDICES = ["-1", "0", "1", "2", "3", "9", "x", "1.0", "+1", "1_0"]
+_HEADER_FIELDS = [
+    ["PSDREC v2", "PSDREC", "psdrec v1"],
+    ["kind=nnm", "kind=quantum", "kind=", "quantum"],
+    ["0", "1", "2", "3", "4", "x"],
+    ["0", "1", "2", "3", "4", "-1"],
+    ["0", "1", "2", "3", "4"],
+    ["1", "2", "3", "4"],
+    ["field=real", "field=complex", "field=quaternion"],
+]
+
+
+def _corrupt(draw, lines):
+    """Apply one drawn fault to the list of lines of a saved model file."""
+    records = [k for k in range(1, len(lines)) if lines[k].split()]
+    k = draw(st.sampled_from(records))
+    tokens = lines[k].split()
+    # An earlier fault may have cut the line short.
+    last = len(tokens) - 1
+    n_head = min(2 if tokens[0] == "user" else 3, last)
+    fault = draw(st.sampled_from(["token", "header", "index", "repeat", "extra", "missing", "role", "entries",
+                                  "blank", "mark"]))
+    if fault == "token":
+        tokens[draw(st.integers(n_head, last))] = draw(st.sampled_from(_BAD_TOKENS))
+    elif fault == "header":
+        head = lines[0].split(" | ")
+        j = draw(st.integers(0, 6))
+        head[j] = draw(st.sampled_from(_HEADER_FIELDS[j]))
+        lines[0] = " | ".join(head)
+        return
+    elif fault == "index":
+        tokens[draw(st.integers(1, max(1, n_head - 1))) if last else 0] = draw(st.sampled_from(_BAD_INDICES))
+    elif fault == "repeat":
+        tokens = lines[draw(st.sampled_from(records))].split()
+    elif fault == "extra":
+        lines.insert(draw(st.integers(1, len(lines))), lines[k])
+        return
+    elif fault == "missing":
+        del lines[k]
+        return
+    elif fault == "role":
+        tokens[0] = draw(st.sampled_from(["usr", "items", "USER", "#"]))
+    elif fault == "entries":
+        tokens = tokens[:-1] if draw(st.booleans()) else tokens + [tokens[-1]]
+    elif fault == "blank":
+        lines.insert(draw(st.integers(1, len(lines))), draw(st.sampled_from(["", " ", "\t\x0c", "\x0b"])))
+        return
+    else:
+        mark = draw(st.sampled_from(["\t", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\r", "  "]))
+        lines[k] = mark.join(tokens)
+        return
+    lines[k] = " ".join(tokens)
+
+
+def _outcome(load, path):
+    try:
+        # An "inf" token makes validate subtract inf from inf before it raises.
+        with np.errstate(invalid="ignore"):
+            m = load(path)
+    except (ParseError, InvalidInput) as exc:
+        return type(exc).__name__, str(exc)
+    return type(m).__name__, m.users.dtype.str, m.users.shape, m.items.shape, m.users.tobytes(), m.items.tobytes()
+
+
+class TestModelParserFuzz:
+    @given(m=_models(), batch=st.sampled_from([1, 2, 3, 1024]))
+    @settings(max_examples=60, deadline=None)
+    def test_valid_models_round_trip_bit_exactly(self, tmp_path_factory, m, batch):
+        path = str(tmp_path_factory.mktemp("fuzz") / "model.psdrec")
+        models.save_model(m, path)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(models, "_LOAD_BATCH", batch)
+            got = _outcome(models.load_model, path)
+        assert got == _outcome(lambda p: m, path)
+        assert got == _outcome(naive_load_model, path)
+
+    @given(m=_models(), batch=st.sampled_from([1, 2, 3, 1024]), data_=st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_corrupted_files_fail_as_the_record_loop_does(self, tmp_path_factory, m, batch, data_):
+        path = tmp_path_factory.mktemp("fuzz") / "model.psdrec"
+        models.save_model(m, str(path))
+        lines = path.read_text().split("\n")
+        for _ in range(data_.draw(st.integers(1, 3))):
+            _corrupt(data_.draw, lines)
+        path.write_text("\n".join(lines))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(models, "_LOAD_BATCH", batch)
+            got = _outcome(models.load_model, str(path))
+        assert got == _outcome(naive_load_model, str(path))
 
 
 @pytest.mark.parametrize(
