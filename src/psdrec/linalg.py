@@ -9,8 +9,10 @@ the dtype of the input is preserved. Functions documented as batched accept
 arbitrary leading axes over the last two matrix axes.
 
 The spectral projections wrap one unchecked kernel on real coordinate rows
-(`to_coords`). It and `min_eigvalsh` take the closed-form eigenvalues m -+ r
-at D = 2, and batched LAPACK eigh or eigvalsh at any other D.
+(`to_coords`). It and `min_eigvalsh` take closed forms at D <= 3, read
+straight from the rows: the eigenvalues m -+ r at D = 2, and at D = 3 one
+trigonometric eigenvalue with its cross-product eigenvector, the other pair
+by the D = 2 form. Any other D takes batched LAPACK eigh or eigvalsh.
 `project_to_povm` solves its dual by semismooth Newton on LAPACK eigh.
 """
 
@@ -128,12 +130,101 @@ def _two_by_two(x):
     return 0.5 * (x[..., 0] + x[..., 1]), h, np.hypot(h, np.sqrt(0.5 * np.sum(x[..., 2:] ** 2, axis=-1)))
 
 
+def _coords3(diag, upper):
+    """The K coordinate columns of the 3 x 3 Hermitian matrices with diagonal
+    entries diag and upper off-diagonal entries upper, (0, 1), (0, 2) and
+    (1, 2): lists of three 1-d arrays, the upper ones real or complex."""
+    upper = [_SQRT2 * t for t in upper]
+    parts = diag + [t.real for t in upper]
+    if np.iscomplexobj(upper[0]):
+        parts += [t.imag for t in upper]
+    return parts
+
+
+# Rows per `_three_by_three` call. Its 1-d temporaries, about 80 of them,
+# then take about 2 MB. The heap they leave behind stays mapped, so larger
+# blocks raise the peak RSS of every later step.
+_BLOCK3 = 2048
+
+
+def _three_by_three(x):
+    """lam, mu, r, V, R of 3 x 3 coordinate rows x (N, K): the eigenvalues are
+    lam and mu -+ r, and V and R, the K coordinate columns of v v^H and of
+    P A P - mu P, where v is a unit eigenvector for lam and P = I - v v^H.
+
+    With m = tr A / 3 and p = ||A - m I|| / sqrt(6), the kernel works on
+    C = (A - m I) / p, whose eigenvalues 2 cos(phi + 2 pi j / 3) follow from
+    phi = arccos(det C / 2) / 3 (Smith, CACM 4, 1961). lam takes the one at
+    least sqrt(3) p from the other two, j = 0 where phi < pi/6 and j = 1
+    otherwise, so it stays accurate where arccos is ill-conditioned. v is the
+    largest bilinear cross product of two rows of C - (lam - m)/p I, a column
+    of its adjugate (Kopp, Int. J. Mod. Phys. C 19, 2008), and e_0 where all
+    vanish. mu -+ r are the eigenvalues of the compression of A to the plane
+    orthogonal to v, the D = 2 closed form there: with u = C v and
+    alpha = v^H u, mu = m + p (tr C - alpha) / 2 and r = ||R|| / sqrt(2).
+    All arithmetic is on 1-d arrays of N entries; a NaN row gives NaN."""
+    xt = x.T
+    m = (xt[0] + xt[1] + xt[2]) / 3.0
+    b = [t - m for t in xt[:3]]
+    p = np.sqrt((b[0] * b[0] + b[1] * b[1] + b[2] * b[2] + np.einsum("kn,kn->n", xt[3:], xt[3:])) / 6.0)
+    s = np.divide(1.0, p, out=np.zeros_like(p), where=p > 0)
+    b = [t * s for t in b]
+    # The upper off-diagonal entries of C from their sqrt(2) Re, sqrt(2) Im rows.
+    s /= _SQRT2
+    o = [t * s for t in xt[3:6]]
+    if x.shape[1] == 9:
+        o = [t + 1j * (i * s) for t, i in zip(o, xt[6:])]
+    oc = [np.conj(t) for t in o]
+    sq = [(t * tc).real for t, tc in zip(o, oc)]
+    det = b[0] * b[1] * b[2] + 2.0 * (o[0] * o[2] * oc[1]).real - b[0] * sq[2] - b[1] * sq[1] - b[2] * sq[0]
+    phi = np.arccos(np.clip(0.5 * det, -1.0, 1.0)) / 3.0
+    shift = 2.0 * np.cos(np.where(phi < np.pi / 6, phi, phi + 2.0 * np.pi / 3))
+    c = [t - shift for t in b]
+    # The adjugate of C - shift I, shift = (lam - m) / p, is Hermitian:
+    # diagonal g00, g11, g22 and upper entries g01, g02, g12.
+    g00, g11, g22 = c[1] * c[2] - sq[2], c[0] * c[2] - sq[1], c[0] * c[1] - sq[0]
+    g01, g02, g12 = o[1] * oc[2] - o[0] * c[2], o[0] * o[2] - o[1] * c[1], o[1] * oc[0] - o[2] * c[0]
+    a01, a02, a12 = ((t * np.conj(t)).real for t in (g01, g02, g12))
+    n0, n1, n2 = g00 * g00 + a01 + a02, g11 * g11 + a01 + a12, g22 * g22 + a02 + a12
+    k1 = n1 > n0
+    top = np.where(k1, n1, n0)
+    k2 = n2 > top
+    top = np.where(k2, n2, top)
+    scale = np.divide(1.0, np.sqrt(top), out=np.zeros_like(top), where=top > 0)
+    # The column of largest norm, normalised; e_0 where the adjugate is 0.
+    v = [
+        np.where(k2, g02, np.where(k1, g01, g00)) * scale + (top == 0),
+        np.where(k2, g12, np.where(k1, g11, np.conj(g01))) * scale,
+        np.where(k2, g22, np.where(k1, np.conj(g12), np.conj(g02))) * scale,
+    ]
+    vc = [np.conj(t) for t in v]
+    u = [
+        b[0] * v[0] + o[0] * v[1] + o[1] * v[2],
+        oc[0] * v[0] + b[1] * v[1] + o[2] * v[2],
+        oc[1] * v[0] + oc[2] * v[1] + b[2] * v[2],
+    ]
+    uc = [np.conj(t) for t in u]
+    alpha = (vc[0] * u[0] + vc[1] * u[1] + vc[2] * u[2]).real
+    mu = 0.5 * (b[0] + b[1] + b[2] - alpha)
+    beta = alpha + mu
+    vd = [(t * tc).real for t, tc in zip(v, vc)]
+    vo = [v[0] * vc[1], v[0] * vc[2], v[1] * vc[2]]
+    # R / p = C - mu I - v u^H - u v^H + (alpha + mu) v v^H.
+    rd = [b[i] - mu - 2.0 * (v[i] * uc[i]).real + beta * vd[i] for i in range(3)]
+    ro = [o[q] - v[i] * uc[j] - u[i] * vc[j] + beta * vo[q] for q, (i, j) in enumerate(((0, 1), (0, 2), (1, 2)))]
+    rr = [t * p for t in _coords3(rd, ro)]
+    return m + p * shift, m + p * mu, np.sqrt(0.5 * sum(t * t for t in rr)), _coords3(vd, vo), rr
+
+
 def spectral_coords(x, d, f):
     """Coordinates of f applied to the eigenvalues of the D x D Hermitian
     matrices with coordinates x. Unchecked. At D = 2 f maps m -+ r to w0, w1
     and the result is (w0 + w1)/2 I + (w1 - w0)/(2r) (A - m I), the second term
-    dropped where r = 0; any other D assembles the matrices for batched LAPACK
-    eigh and recomposes sum_k f(w_k) v_k v_k^H."""
+    dropped where r = 0. At D = 3 f maps mu -+ r and lam of `_three_by_three`
+    to w0, w1, w2 and the result is w2 v v^H + (w0 + w1)/2 P + (w1 - w0)/(2r) R,
+    the last term dropped where r = 0; as at D = 2 its coefficient is bounded
+    by f's Lipschitz constant. Any other D assembles the matrices for batched
+    LAPACK eigh and recomposes sum_k f(w_k) v_k v_k^H."""
     if d == 2:
         m, h, r = _two_by_two(x)
         w = f(np.stack([m - r, m + r], axis=-1))
@@ -143,6 +234,20 @@ def spectral_coords(x, d, f):
         out[..., 0] = mean + scale * h
         out[..., 1] = mean - scale * h
         return out
+    if d == 3:
+        rows = x.reshape(-1, x.shape[-1])
+        out = np.empty(rows.shape)
+        for lo in range(0, len(rows), _BLOCK3):
+            block = slice(lo, lo + _BLOCK3)
+            lam, mu, r, vv, rr = _three_by_three(rows[block])
+            w = f(np.stack([mu - r, mu + r, lam], axis=-1))
+            mean = 0.5 * (w[:, 0] + w[:, 1])
+            scale = np.divide(0.5 * (w[:, 1] - w[:, 0]), r, out=np.zeros_like(r), where=r > 0)
+            top = w[:, 2] - mean
+            for j, (vj, rj) in enumerate(zip(vv, rr)):
+                out[block, j] = top * vj + scale * rj
+            out[block, :3] += mean[:, None]
+        return out.reshape(x.shape)
     w, v = np.linalg.eigh(from_coords(x, d, complex if x.shape[-1] > d * (d + 1) // 2 else float))
     return to_coords(np.einsum("...ik,...k,...jk->...ij", v, f(w), np.conj(v)))
 
@@ -155,14 +260,21 @@ def _spectral_map(a, op, f):
 def min_eigvalsh(a):
     """Smallest eigenvalue of each Hermitian matrix along the last two axes.
 
-    m - r from the coordinates at D = 2, batched LAPACK eigvalsh otherwise.
-    Unchecked, like `hermitianize`: the model checks call it on stacks whose
-    NaN entries their Hermitian check reports.
+    m - r from the coordinates at D = 2, min(lam, mu - r) of
+    `_three_by_three` at D = 3, batched LAPACK eigvalsh otherwise.
+    Unchecked, like `hermitianize`: a matrix with a NaN entry gets NaN.
     """
     a = np.asarray(a)
     if a.shape[-1] == 2:
         m, _, r = _two_by_two(to_coords(a))
         return m - r
+    if a.shape[-1] == 3:
+        mats = a.reshape(-1, 3, 3)
+        out = np.empty(len(mats))
+        for lo in range(0, len(mats), _BLOCK3):
+            lam, mu, r, _, _ = _three_by_three(to_coords(mats[lo : lo + _BLOCK3]))
+            out[lo : lo + _BLOCK3] = np.minimum(lam, mu - r)
+        return out.reshape(a.shape[:-2])
     return np.linalg.eigvalsh(a)[..., 0]
 
 

@@ -201,6 +201,12 @@ class QuantumModel(_Model):
         return linalg.spectral_coords(rows, self.D, NnmModel.project_likes)
 
     def _violations(self):
+        for what, stack in (("a user state", self.users), ("an item effect", self.items)):
+            if not np.isfinite(stack).all():
+                # NaN fails validate here and makes the residual NaN; the
+                # checks below would only misname the fault.
+                yield f"QuantumModel: {what} has a non-finite entry", np.nan, 0.0
+                return
         for name, stack in (("user", self.users), ("item", self.items)):
             dev = _max_abs(stack - np.conj(np.swapaxes(stack, -1, -2)))
             yield f"QuantumModel: a {name} matrix is not Hermitian (deviation {dev:.3e})", dev, 1e-10

@@ -288,6 +288,95 @@ class TestClosedFormTwoByTwo:
             _assert_close(got, want[:, :, None] * np.eye(d), max(1.0, float(np.linalg.norm(w))))
 
 
+def _three_by_three(seed, structure, field, exponent, n=4):
+    """n Hermitian 3 x 3 matrices of one structure, scaled by 10**exponent."""
+    rng = np.random.default_rng(seed)
+    g = rng.standard_normal((n, 3, 3))
+    if field == "complex":
+        g = g + 1j * rng.standard_normal((n, 3, 3))
+    a = 0.5 * (g + np.conj(np.swapaxes(g, -1, -2)))
+    w = rng.standard_normal((n, 3))
+    if structure in ("degenerate pair", "split pair", "split triple"):
+        if structure == "split triple":
+            w = w[:, :1] + 1e-9 * w
+        else:
+            w[:, 2] = w[:, 1] + (1e-12 if structure == "split pair" else 0.0)
+        q = np.linalg.qr(g)[0]
+        a = (q * w[:, None, :]) @ np.conj(np.swapaxes(q, -1, -2))
+        a = 0.5 * (a + np.conj(np.swapaxes(a, -1, -2)))
+    elif structure == "rank one":
+        v = g[:, :, 0]
+        a = rng.choice([-1.0, 1.0], size=(n, 1, 1)) * v[:, :, None] * np.conj(v[:, None, :])
+    elif structure == "multiple of I":
+        a = a[:, :1, :1] * np.eye(3)
+    elif structure == "diagonal":
+        a = a * np.eye(3)
+    elif structure == "zero":
+        a = np.zeros_like(a)
+    return a * 10.0**exponent
+
+
+_D3_CASES = dict(
+    seed=st.integers(0, 2**32 - 1),
+    structure=st.sampled_from(
+        ["random", "rank one", "degenerate pair", "split pair", "split triple", "multiple of I", "diagonal", "zero"]
+    ),
+    field=st.sampled_from(["real", "complex"]),
+)
+
+
+class TestClosedFormThreeByThree:
+    """D = 3 takes the trigonometric closed form; it must match LAPACK eigh."""
+
+    @given(exponent=st.integers(-12, 6), **_D3_CASES)
+    @settings(max_examples=200, deadline=None)
+    def test_projections_match_eigh(self, seed, structure, field, exponent):
+        a = _three_by_three(seed, structure, field, exponent)
+        norm = _norms(a)[:, None, None]
+        for project, f in (
+            (linalg.project_to_spectrahedron, linalg.project_to_simplex_rows),
+            (linalg.project_to_effect, lambda w: np.clip(w, 0.0, 1.0)),
+        ):
+            p, want = project(a), _eigh_map(a, f)
+            assert p.dtype == a.dtype
+            assert np.array_equal(p, np.conj(np.swapaxes(p, -1, -2)))
+            _assert_close(p, want, norm)
+            # The projection is 1-Lipschitz and p lies within rounding of
+            # ||A|| of its own projection, so idempotence holds to that scale:
+            # rounding of a large multiple of I leaves tr p off 1 by 1e-10.
+            _assert_close(project(p), p, norm)
+            _assert_close(project(a.reshape(2, 2, 3, 3)), want.reshape(2, 2, 3, 3), norm.reshape(2, 2, 1, 1))
+            _assert_close(project(a[0]), want[0], norm[0])
+
+    @given(exponent=st.integers(-12, 6), **_D3_CASES)
+    @settings(max_examples=200, deadline=None)
+    def test_min_eigvalsh_matches_eigvalsh(self, seed, structure, field, exponent):
+        a = _three_by_three(seed, structure, field, exponent)
+        want, norm = np.linalg.eigvalsh(a)[:, 0], _norms(a)
+        w = linalg.min_eigvalsh(a)
+        assert w.dtype == np.float64
+        _assert_close(w, want, norm)
+        _assert_close(linalg.min_eigvalsh(a.reshape(2, 2, 3, 3)), want.reshape(2, 2), norm.reshape(2, 2))
+        w0 = linalg.min_eigvalsh(a[0])
+        assert w0.shape == ()
+        _assert_close(w0, want[0], norm[0])
+
+    def test_row_blocks(self, monkeypatch):
+        # Seven matrices in blocks of three: two full blocks and a short one.
+        monkeypatch.setattr(linalg, "_BLOCK3", 3)
+        for field in ("real", "complex"):
+            a = _three_by_three(12, "random", field, 0, n=7)
+            norm, want = _norms(a), _eigh_map(a, lambda w: np.clip(w, 0.0, 1.0))
+            _assert_close(linalg.project_to_effect(a), want, norm[:, None, None])
+            _assert_close(linalg.min_eigvalsh(a), np.linalg.eigvalsh(a)[:, 0], norm)
+
+    def test_min_eigvalsh_keeps_nan(self):
+        a = np.stack([np.eye(3), np.eye(3)])
+        a[1, 0, 2] = a[1, 2, 0] = np.nan
+        w = linalg.min_eigvalsh(a)
+        assert w[0] == 1.0 and np.isnan(w[1])
+
+
 class TestProjectToBinaryPovm:
     def test_closed_form_matches_project_to_povm(self):
         rng = np.random.default_rng(9)

@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -556,6 +557,20 @@ class TestPersistence:
         with pytest.raises(ParseError) as exc_info:
             models.load_model(str(path))
         assert str(exc_info.value) == f"{path} line 4: bad numeric token 'y'"
+
+    def test_non_finite_entry_named_before_the_hermitian_check(self, tmp_path):
+        # inf - inf in the Hermitian check would warn and report a deviation of nan.
+        path = tmp_path / "model.psdrec"
+        path.write_text(self._VALID.replace("user 0 1 0", "user 0 inf 0", 1))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidInput, match="QuantumModel: a user state has a non-finite entry"):
+                models.load_model(str(path))
+            items = np.stack([np.eye(2), np.diag([np.inf, 0.0])])[None]
+            m = models.QuantumModel(users=[np.eye(2) / 2], items=items)
+            with pytest.raises(InvalidInput, match="QuantumModel: an item effect has a non-finite entry"):
+                m.validate()
+            assert np.isnan(m.residual())
 
     @pytest.mark.parametrize("newline", [b"\r\n", b"\r"])
     def test_line_endings_counted_like_the_ratings_loaders(self, tmp_path, newline):

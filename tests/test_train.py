@@ -796,12 +796,12 @@ class TestTrainLoop:
         for zero_fill in (True, False):
             assert np.isfinite(train.objective(m, train.effective_targets(ds, zero_fill)))
 
-    @pytest.mark.parametrize("d", [2, 3])
+    @pytest.mark.parametrize("d", [2, 3, 4])
     @pytest.mark.parametrize("field", ["real", "complex"])
     def test_d2_never_reaches_lapack_eigensolvers(self, monkeypatch, field, d):
-        # D = 2 projections and residual checks take the closed form; only the
-        # 2-d Gram eigvalsh of the zero-fill step bound may call LAPACK. The
-        # D = 3 run shows the dispatch stops at D = 2.
+        # D = 2 and D = 3 projections and residual checks take the closed
+        # forms; only the 2-d Gram eigvalsh of the zero-fill step bound may
+        # call LAPACK. The D = 4 run shows the dispatch stops at D = 3.
         eigvalsh = np.linalg.eigvalsh
 
         def no_eigh(a, *args, **kwargs):
@@ -816,7 +816,7 @@ class TestTrainLoop:
         monkeypatch.setattr(np.linalg, "eigvalsh", gram_eigvalsh_only)
         ds = random_dataset(np.random.default_rng(23), 7, 6, density=0.6)
         cfg = train.TrainConfig(D=d, max_iter=3, zero_fill_sweeps=1, field=field, seed=4)
-        if d == 3:
+        if d == 4:
             with pytest.raises(AssertionError, match="eigh on shape"):
                 train.train_quantum(ds, cfg)
             return
