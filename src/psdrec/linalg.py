@@ -9,11 +9,11 @@ the dtype of the input is preserved. Functions documented as batched accept
 arbitrary leading axes over the last two matrix axes.
 
 The spectral projections wrap one unchecked kernel on real coordinate rows
-(`to_coords`). It and `min_eigvalsh` take closed forms at D <= 3, read
-straight from the rows: the eigenvalues m -+ r at D = 2, and at D = 3 one
-trigonometric eigenvalue with its cross-product eigenvector, the other pair
-by the D = 2 form. Any other D takes batched LAPACK eigh or eigvalsh.
-`project_to_povm` solves its dual by semismooth Newton on LAPACK eigh.
+(`to_coords`), `spectral_coords`. It and `min_eigvalsh` read one private
+eigen-dispatch, `_eigensystem`, in row blocks: closed forms from the rows at
+D <= 3 (eigenvalues m -+ r at D = 2; at D = 3 one trigonometric eigenvalue,
+its cross-product eigenvector and the D = 2 form for the other pair), batched
+LAPACK eigh otherwise. `project_to_povm` solves its dual by semismooth Newton.
 """
 
 from __future__ import annotations
@@ -124,12 +124,6 @@ def from_coords(x, d, dtype):
     return a
 
 
-def _two_by_two(x):
-    """m, h = (x0 -+ x1) / 2 and r of 2 x 2 coordinate rows: eigenvalues m -+ r."""
-    h = 0.5 * (x[..., 0] - x[..., 1])
-    return 0.5 * (x[..., 0] + x[..., 1]), h, np.hypot(h, np.sqrt(0.5 * np.sum(x[..., 2:] ** 2, axis=-1)))
-
-
 def _coords3(diag, upper):
     """The K coordinate columns of the 3 x 3 Hermitian matrices with diagonal
     entries diag and upper off-diagonal entries upper, (0, 1), (0, 2) and
@@ -139,12 +133,6 @@ def _coords3(diag, upper):
     if np.iscomplexobj(upper[0]):
         parts += [t.imag for t in upper]
     return parts
-
-
-# Rows per `_three_by_three` call. Its 1-d temporaries, about 80 of them,
-# then take about 2 MB. The heap they leave behind stays mapped, so larger
-# blocks raise the peak RSS of every later step.
-_BLOCK3 = 2048
 
 
 def _three_by_three(x):
@@ -216,40 +204,65 @@ def _three_by_three(x):
     return m + p * shift, m + p * mu, np.sqrt(0.5 * sum(t * t for t in rr)), _coords3(vd, vo), rr
 
 
-def spectral_coords(x, d, f):
-    """Coordinates of f applied to the eigenvalues of the D x D Hermitian
-    matrices with coordinates x. Unchecked. At D = 2 f maps m -+ r to w0, w1
-    and the result is (w0 + w1)/2 I + (w1 - w0)/(2r) (A - m I), the second term
-    dropped where r = 0. At D = 3 f maps mu -+ r and lam of `_three_by_three`
-    to w0, w1, w2 and the result is w2 v v^H + (w0 + w1)/2 P + (w1 - w0)/(2r) R,
-    the last term dropped where r = 0; as at D = 2 its coefficient is bounded
-    by f's Lipschitz constant. Any other D assembles the matrices for batched
-    LAPACK eigh and recomposes sum_k f(w_k) v_k v_k^H."""
+# Rows per `_eigensystem` call. At D = 3 its 1-d temporaries, about 80 of
+# them, then take about 2 MB. The heap they leave behind stays mapped, so
+# larger blocks raise the peak RSS of every later step.
+_BLOCK = 2048
+
+
+def _eigensystem(x, d):
+    """Eigenvalues w (N, D) of the D x D Hermitian matrices with coordinate
+    rows x (N, K) and compose(fw), the rows of the matrices with eigenvalues
+    fw on the same eigenvectors; the one place that picks an eigensolver by D.
+    At D <= 3, w0, w1 = mu -+ r and compose gives mean I + scale R, mean and
+    slope scale = (fw1 - fw0) / (2r) (0 where r = 0, bounded by f's Lipschitz
+    constant) of f over that pair: R = A - mu I at D = 2; at D = 3 it adds
+    (fw2 - mean) v v^H for lam of `_three_by_three`, as mean P + fw2 v v^H
+    does. Any other D recomposes sum_k fw_k v_k v_k^H from batched LAPACK eigh."""
     if d == 2:
-        m, h, r = _two_by_two(x)
-        w = f(np.stack([m - r, m + r], axis=-1))
-        mean = 0.5 * (w[..., 0] + w[..., 1])
-        scale = np.divide(0.5 * (w[..., 1] - w[..., 0]), r, out=np.zeros_like(r), where=r > 0)
-        out = scale[..., None] * x
-        out[..., 0] = mean + scale * h
-        out[..., 1] = mean - scale * h
+        mu, h = 0.5 * (x[:, 0] + x[:, 1]), 0.5 * (x[:, 0] - x[:, 1])
+        r = np.hypot(h, np.sqrt(0.5 * np.sum(x[:, 2:] ** 2, axis=-1)))
+        w = np.stack([mu - r, mu + r], axis=-1)
+    elif d == 3:
+        lam, mu, r, vv, rr = _three_by_three(x)
+        w = np.stack([mu - r, mu + r, lam], axis=-1)
+    else:
+        w, v = np.linalg.eigh(from_coords(x, d, complex if x.shape[-1] > d * (d + 1) // 2 else float))
+        return w, lambda fw: to_coords(np.einsum("...ik,...k,...jk->...ij", v, fw, np.conj(v)))
+
+    def compose(fw):
+        mean = 0.5 * (fw[:, 0] + fw[:, 1])
+        scale = np.divide(0.5 * (fw[:, 1] - fw[:, 0]), r, out=np.zeros_like(r), where=r > 0)
+        if d == 2:
+            out = scale[:, None] * x
+            out[:, 0] = mean + scale * h
+            out[:, 1] = mean - scale * h
+            return out
+        top, out = fw[:, 2] - mean, np.empty(x.shape)
+        for j, (vj, rj) in enumerate(zip(vv, rr)):
+            out[:, j] = top * vj + scale * rj
+        out[:, :3] += mean[:, None]
         return out
-    if d == 3:
-        rows = x.reshape(-1, x.shape[-1])
-        out = np.empty(rows.shape)
-        for lo in range(0, len(rows), _BLOCK3):
-            block = slice(lo, lo + _BLOCK3)
-            lam, mu, r, vv, rr = _three_by_three(rows[block])
-            w = f(np.stack([mu - r, mu + r, lam], axis=-1))
-            mean = 0.5 * (w[:, 0] + w[:, 1])
-            scale = np.divide(0.5 * (w[:, 1] - w[:, 0]), r, out=np.zeros_like(r), where=r > 0)
-            top = w[:, 2] - mean
-            for j, (vj, rj) in enumerate(zip(vv, rr)):
-                out[block, j] = top * vj + scale * rj
-            out[block, :3] += mean[:, None]
-        return out.reshape(x.shape)
-    w, v = np.linalg.eigh(from_coords(x, d, complex if x.shape[-1] > d * (d + 1) // 2 else float))
-    return to_coords(np.einsum("...ik,...k,...jk->...ij", v, f(w), np.conj(v)))
+
+    return w, compose
+
+
+def _by_blocks(x, d, g, *shape):
+    """g(w, compose) of `_eigensystem` per block of _BLOCK rows of x (any leading
+    axes), into one x.shape[:-1] + shape array. A block's arrays outlive the next
+    block's computation; freed first, malloc would trim and refault the heap."""
+    rows = x.reshape(-1, x.shape[-1])
+    out = np.empty((len(rows),) + shape)
+    for lo in range(0, len(rows), _BLOCK):
+        system = _eigensystem(rows[lo : lo + _BLOCK], d)
+        out[lo : lo + _BLOCK] = g(*system)
+    return out.reshape(x.shape[:-1] + shape)
+
+
+def spectral_coords(x, d, f):
+    """Coordinates of f of the eigenvalues of the D x D Hermitian matrices with
+    coordinates x (any leading axes), by `_eigensystem` in row blocks. Unchecked."""
+    return _by_blocks(x, d, lambda w, compose: compose(f(w)), x.shape[-1])
 
 
 def _spectral_map(a, op, f):
@@ -258,24 +271,11 @@ def _spectral_map(a, op, f):
 
 
 def min_eigvalsh(a):
-    """Smallest eigenvalue of each Hermitian matrix along the last two axes.
-
-    m - r from the coordinates at D = 2, min(lam, mu - r) of
-    `_three_by_three` at D = 3, batched LAPACK eigvalsh otherwise.
-    Unchecked, like `hermitianize`: a matrix with a NaN entry gets NaN.
-    """
+    """Smallest eigenvalue of each Hermitian matrix along the last two axes, the
+    least of `_eigensystem`'s: mu - r at D = 2, min(lam, mu - r) at D = 3, eigh's
+    first otherwise. Unchecked, like `hermitianize`: a NaN entry gives NaN."""
     a = np.asarray(a)
-    if a.shape[-1] == 2:
-        m, _, r = _two_by_two(to_coords(a))
-        return m - r
-    if a.shape[-1] == 3:
-        mats = a.reshape(-1, 3, 3)
-        out = np.empty(len(mats))
-        for lo in range(0, len(mats), _BLOCK3):
-            lam, mu, r, _, _ = _three_by_three(to_coords(mats[lo : lo + _BLOCK3]))
-            out[lo : lo + _BLOCK3] = np.minimum(lam, mu - r)
-        return out.reshape(a.shape[:-2])
-    return np.linalg.eigvalsh(a)[..., 0]
+    return _by_blocks(to_coords(a), a.shape[-1], lambda w, _: w.min(axis=1))
 
 
 def project_to_spectrahedron(a):

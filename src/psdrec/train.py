@@ -26,7 +26,7 @@ objective sums the user side's quadratics instead of rescoring them.
 from __future__ import annotations
 
 import copy
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import InitVar, dataclass, field, fields, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -154,43 +154,42 @@ class TrainHistory:
 @dataclass(frozen=True, eq=False)
 class Targets:
     """Sparse target map. With zero_fill it covers all (u, i) pairs, the
-    unlisted ones carrying 0; otherwise only the listed entries exist.
-    Entries lie in [0, U) x [0, I) with finite values; a repeated (u, i)
-    pair stays two entries. Construction groups the entries by user once
-    into the (U x I) CSR `matrix` and sums t^2 per user and per item
-    (`sq_sums`); the item side reads `matrix.T`, a CSC view of the same
-    arrays. Both are shared with `_observed()` copies, so the entry arrays
-    must not be edited in place."""
+    unlisted ones carrying 0; otherwise only the listed entries exist. The
+    entries, arguments uu, ii and values, lie in [0, U) x [0, I) with finite
+    values; a repeated (u, i) pair stays two entries. Construction groups them
+    by user once into the (U x I) CSR `matrix`, sums t^2 per user and per item
+    (`sq_sums`) and keeps only these; the item side reads `matrix.T`, a CSC view
+    of the same arrays. `_observed()` copies share both: do not edit in place."""
 
-    uu: np.ndarray
-    ii: np.ndarray
-    values: np.ndarray
+    uu: InitVar[np.ndarray]
+    ii: InitVar[np.ndarray]
+    values: InitVar[np.ndarray]
     zero_fill: bool
     U: int
     I: int
     matrix: sp.csr_matrix = field(init=False, repr=False)
     sq_sums: dict = field(init=False, repr=False)
 
-    def __post_init__(self):
+    def __post_init__(self, uu, ii, values):
         if not all(isinstance(n, (int, np.integer)) and not isinstance(n, bool) for n in (self.U, self.I)):
             raise InvalidInput(f"Targets: U and I must be integers, got {self.U!r} and {self.I!r}")
-        for name, dtype in (("uu", np.int64), ("ii", np.int64), ("values", float)):
-            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=dtype))
-        if not (self.uu.shape == self.ii.shape == self.values.shape) or self.uu.ndim != 1:
+        uu, ii = np.asarray(uu, dtype=np.int64), np.asarray(ii, dtype=np.int64)
+        values = np.asarray(values, dtype=float)
+        if not (uu.shape == ii.shape == values.shape) or uu.ndim != 1:
             raise InvalidInput("Targets: entry arrays must be parallel 1-d arrays")
-        lo = min(self.U, self.I, self.uu.min(initial=0), self.ii.min(initial=0))
-        if lo < 0 or self.uu.max(initial=-1) >= self.U or self.ii.max(initial=-1) >= self.I:
+        lo = min(self.U, self.I, uu.min(initial=0), ii.min(initial=0))
+        if lo < 0 or uu.max(initial=-1) >= self.U or ii.max(initial=-1) >= self.I:
             raise InvalidInput(f"Targets: entries must lie in [0, {self.U}) x [0, {self.I})")
-        if not np.isfinite(self.values).all():
+        if not np.isfinite(values).all():
             raise InvalidInput("Targets: values must be finite")
-        indptr, items, values = group_entries(self.uu, self.U, self.ii, self.values)
-        object.__setattr__(self, "matrix", sp.csr_matrix((values, items, indptr), shape=(self.U, self.I)))
-        sq = self.values**2
-        sums = {"user": np.bincount(self.uu, sq, self.U), "item": np.bincount(self.ii, sq, self.I)}
+        indptr, items, grouped = group_entries(uu, self.U, ii, values)
+        object.__setattr__(self, "matrix", sp.csr_matrix((grouped, items, indptr), shape=(self.U, self.I)))
+        sq = values**2
+        sums = {"user": np.bincount(uu, sq, self.U), "item": np.bincount(ii, sq, self.I)}
         object.__setattr__(self, "sq_sums", sums)
 
     def _observed(self):
-        """These entries as observed-only targets, sharing arrays and the matrix."""
+        """These entries as observed-only targets, sharing the matrix and sums."""
         twin = copy.copy(self)
         object.__setattr__(twin, "zero_fill", False)
         return twin

@@ -1,8 +1,11 @@
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import psdrec
 from psdrec import cli, data, models, train
 
 
@@ -167,6 +170,26 @@ class TestTrainCommand:
         assert cli.main(["train", *common, "--model-out", out, "--seed", "9"]) == 0
         assert cli.main(["train", *common, "--model-out", out]) == 0
         assert seeds[3:] == [9, 7]
+
+    def test_model_bytes_identical_across_thread_counts(self, tmp_path):
+        # The fixed-seed contract across BLAS thread counts: one process with
+        # one thread and one with two train the same D=3 model, byte for byte.
+        rng = np.random.default_rng(5)
+        rows = [(u, i, int(rng.integers(1, 6))) for u in range(1, 81) for i in range(1, 61) if rng.random() < 0.5]
+        data_path = write_ratings(tmp_path, rows)
+        cfg_path = tmp_path / "train.cfg"
+        cfg_path.write_text("D = 3\nmax_iter = 6\nseed = 3\n")
+        src = os.path.dirname(os.path.dirname(psdrec.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        paths = [tmp_path / "model-1.psdrec", tmp_path / "model-2.psdrec"]
+        for threads, out in zip(("1", "2"), paths):
+            argv = ["--threads", threads, "train", "--data", data_path, "--config", str(cfg_path)]
+            subprocess.run(
+                [sys.executable, "-m", "psdrec.cli", *argv, "--model-out", str(out)],
+                env=env, capture_output=True, timeout=300, check=True,
+            )
+        assert models.load_model(str(paths[0])).D == 3
+        assert paths[0].read_bytes() == paths[1].read_bytes()
 
     def test_bad_config_exit_1(self, tmp_path, capsys):
         data_path = small_corpus(tmp_path)

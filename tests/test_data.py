@@ -541,6 +541,44 @@ class TestTagCatalog:
         with pytest.raises(ParseError, match="line 2: non-integer movie id"):
             data.load_genres_1m(path, ds)
 
+    @given(
+        lines=st.lists(
+            st.one_of(
+                st.tuples(
+                    st.sampled_from(["10", "20", "30", "99", "x", "", "-1", "+10", " 20 ", "1_0", "\xb2"]),
+                    st.sampled_from(["::", ":", ":::", "::::"]),
+                    st.text(st.characters(max_codepoint=255), max_size=6),
+                    st.sampled_from(["::", ":", ""]),
+                    st.lists(st.sampled_from(["Drama", "Comedy", "", "drama", "A|B", "\xe9t\xe9"]), max_size=3).map(
+                        "|".join
+                    ),
+                ).map("".join),
+                st.text(st.characters(max_codepoint=255), max_size=12),
+            ),
+            max_size=6,
+        ),
+        newline=st.sampled_from(["\n", "\r\n", "\r"]),
+        exclude=st.lists(st.sampled_from(["Drama", "Comedy", "B"]), max_size=2),
+    )
+    @settings(max_examples=400, deadline=None)
+    def test_genres_fuzz_loads_or_raises_parse_error(self, tmp_path_factory, lines, newline, exclude):
+        # Every file either gives a catalog over the dataset's items or a
+        # ParseError; no other exception escapes.
+        tmp = tmp_path_factory.mktemp("genres")
+        ds = self._dataset(tmp)
+        path = tmp / "movies.dat"
+        path.write_bytes(newline.join(lines).encode("latin-1"))
+        try:
+            catalog = data.load_genres_1m(str(path), ds, exclude=exclude)
+        except ParseError:
+            return
+        assert list(catalog.tags) == sorted(catalog.membership) and not set(catalog.tags) & set(exclude)
+        for members in catalog.membership.values():
+            assert members.dtype == np.int64 and len(members) > 0
+            assert np.all(np.diff(members) > 0) and 0 <= members[0] and members[-1] < ds.I
+        with open(path, encoding="latin-1") as fh:
+            assert 0 <= catalog.skipped <= len(fh.readlines())
+
     def test_catalog_validation(self):
         with pytest.raises(InvalidInput):
             data.TagCatalog(tags=("a",), membership={"a": ()})

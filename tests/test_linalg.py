@@ -361,20 +361,34 @@ class TestClosedFormThreeByThree:
         assert w0.shape == ()
         _assert_close(w0, want[0], norm[0])
 
-    def test_row_blocks(self, monkeypatch):
-        # Seven matrices in blocks of three: two full blocks and a short one.
-        monkeypatch.setattr(linalg, "_BLOCK3", 3)
-        for field in ("real", "complex"):
-            a = _three_by_three(12, "random", field, 0, n=7)
-            norm, want = _norms(a), _eigh_map(a, lambda w: np.clip(w, 0.0, 1.0))
-            _assert_close(linalg.project_to_effect(a), want, norm[:, None, None])
-            _assert_close(linalg.min_eigvalsh(a), np.linalg.eigvalsh(a)[:, 0], norm)
 
-    def test_min_eigvalsh_keeps_nan(self):
-        a = np.stack([np.eye(3), np.eye(3)])
-        a[1, 0, 2] = a[1, 2, 0] = np.nan
-        w = linalg.min_eigvalsh(a)
-        assert w[0] == 1.0 and np.isnan(w[1])
+@pytest.mark.parametrize("field", ["real", "complex"])
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_row_blocks(monkeypatch, d, field):
+    # Seven matrices in blocks of three: two full blocks and a short one,
+    # through each branch of the eigen-dispatch (closed forms at D = 2
+    # and 3, LAPACK at D = 4).
+    monkeypatch.setattr(linalg, "_BLOCK", 3)
+    rng = np.random.default_rng(12)
+    g = rng.standard_normal((7, d, d))
+    if field == "complex":
+        g = g + 1j * rng.standard_normal((7, d, d))
+    a = 0.5 * (g + np.conj(np.swapaxes(g, -1, -2)))
+    norm = _norms(a)
+    for project, f in (
+        (linalg.project_to_spectrahedron, linalg.project_to_simplex_rows),
+        (linalg.project_to_effect, lambda w: np.clip(w, 0.0, 1.0)),
+    ):
+        _assert_close(project(a), _eigh_map(a, f), norm[:, None, None])
+    _assert_close(linalg.min_eigvalsh(a), np.linalg.eigvalsh(a)[:, 0], norm)
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_min_eigvalsh_keeps_nan(d):
+    a = np.stack([np.eye(d), np.eye(d)])
+    a[1, 0, d - 1] = a[1, d - 1, 0] = np.nan
+    w = linalg.min_eigvalsh(a)
+    assert w[0] == 1.0 and np.isnan(w[1])
 
 
 class TestProjectToBinaryPovm:

@@ -4,6 +4,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from psdrec import cli, linalg, models, train
 from psdrec.exceptions import InvalidInput, NumericalFailure, ParseError
@@ -134,8 +136,7 @@ class TestTargets:
     def test_values_are_rating_fractions(self):
         ds = from_arrays([0, 1], [0, 1], [5, 2], U=2, I=2)
         t = train.effective_targets(ds, False)
-        np.testing.assert_allclose(t.values, [1.0, 0.4])
-        assert t.uu.tolist() == [0, 1] and t.ii.tolist() == [0, 1]
+        np.testing.assert_allclose(t.matrix.toarray(), [[1.0, 0.0], [0.0, 0.4]])
         assert not t.zero_fill
 
     def test_zero_fill_reads_zero(self):
@@ -143,7 +144,7 @@ class TestTargets:
         t = train.effective_targets(ds, True)
         assert t.zero_fill
         assert (t.U, t.I) == (2, 2)
-        assert t.values.tolist() == [1.0]
+        assert t.matrix.toarray().tolist() == [[1.0, 0.0], [0.0, 0.0]]
 
     @pytest.mark.parametrize("zero_fill", [False, True])
     @pytest.mark.parametrize(
@@ -169,6 +170,13 @@ class TestTargets:
     def test_rejects_negative_shape(self, shape):
         with pytest.raises(InvalidInput, match="Targets"):
             train.Targets([], [], [], False, *shape)
+
+    def test_keeps_no_entry_arrays(self):
+        # The entries are construction arguments only: training reads the
+        # grouped matrix and the squared sums.
+        t = train.Targets(np.array([0, 1]), np.array([1, 0]), np.array([0.2, 0.4]), False, 2, 2)
+        assert not any(hasattr(t, name) for name in ("uu", "ii", "values"))
+        assert "values" not in repr(t)
 
     def test_fields_cannot_be_reassigned(self):
         t = train.Targets([0, 1], [1, 0], [0.2, 0.4], False, 2, 2)
@@ -222,9 +230,9 @@ class TestTargets:
             calls.append(args)
             return group(*args)
 
-        def counted_post_init(self):
+        def counted_post_init(self, *entries):
             validated.append(self)
-            post_init(self)
+            post_init(self, *entries)
 
         def recorded_update(m, targets, cfg):
             phases.add(targets.zero_fill)
@@ -239,6 +247,47 @@ class TestTargets:
         assert len(calls) == 1 and np.array_equal(calls[0][0], ds.uu) and calls[0][1] == ds.U
         assert len(validated) == 1
         assert phases == ({True} if mode == "recall" else {True, False})
+
+
+_CONFIG_KEYS = [f.name for f in dataclasses.fields(train.TrainConfig)] + ["d", "MAX_ITER", "Mode", "z_star", "x"]
+_CONFIG_VALUES = st.one_of(
+    st.integers(-3, 40).map(str),
+    st.sampled_from(["mae", "recall", "REAL", "complex", "quantum", "nnm", "", "none", "2.5", "1e3", "+3", "1_0"]),
+    st.text(max_size=6),
+)
+_CONFIG_LINES = st.one_of(
+    st.tuples(
+        st.one_of(st.sampled_from(_CONFIG_KEYS), st.text(max_size=4)),
+        st.sampled_from(["=", " = ", "", "==", ":", "\t=\t"]),
+        _CONFIG_VALUES,
+        st.sampled_from(["", " # note", "#", "\r"]),
+    ).map("".join),
+    st.sampled_from(["", "   ", "# comment", "=", "=1"]),
+    st.text(max_size=12),
+)
+
+
+class TestConfigParserFuzz:
+    @given(
+        body=st.one_of(
+            st.lists(_CONFIG_LINES, max_size=8).map(lambda lines: "\n".join(lines).encode("utf-8")),
+            st.binary(max_size=40),
+        )
+    )
+    @example(body=b"D = " + b"9" * 5000)  # past int()'s default digit limit where there is one
+    @example(body=b"mode = mae\r\nmax_iter = 4\rD = 3\n")
+    @settings(max_examples=400, deadline=None)
+    def test_loads_or_raises_parse_error(self, tmp_path_factory, body):
+        # Every file either gives a validated config or a ParseError; no
+        # other exception escapes (the CLI maps ParseError to exit code 1).
+        path = tmp_path_factory.mktemp("cfg") / "train.cfg"
+        path.write_bytes(body)
+        try:
+            cfg = train.TrainConfig.from_file(str(path))
+        except ParseError:
+            return
+        assert isinstance(cfg, train.TrainConfig)
+        assert dataclasses.replace(cfg) == cfg
 
 
 def _from_file_text(tmp_path, text):
@@ -362,9 +411,9 @@ class TestObservedQuadratic:
             m = random_nnm_model(rng, 7, 6, d)
         own, quad = train._quadratic(m, t, side)
         fix, units, others, n = (
-            (m.flat_likes(), t.uu, t.ii, m.U) if side == "user" else (m.flat_users(), t.ii, t.uu, m.I)
+            (m.flat_likes(), uu, ii, m.U) if side == "user" else (m.flat_users(), ii, uu, m.I)
         )
-        want = naive_observed_quadratic(fix, units, others, t.values, n)
+        want = naive_observed_quadratic(fix, units, others, values, n)
         for name, got, ref in zip(("gram", "cvec", "const", "lips"), quad, want):
             assert got.shape == ref.shape, name
             assert np.linalg.norm(got - ref) <= 1e-12 * np.linalg.norm(ref), name
