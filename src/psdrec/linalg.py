@@ -18,6 +18,9 @@ LAPACK eigh otherwise. `project_to_povm` solves its dual by semismooth Newton.
 
 from __future__ import annotations
 
+import functools
+import itertools
+
 import numpy as np
 
 from .exceptions import ConvergenceFailure, InvalidInput
@@ -85,16 +88,38 @@ def project_to_simplex(v):
 
 
 def project_to_simplex_rows(v):
-    """Simplex projection along the last axis of a real array."""
+    """Simplex projection along the last axis of a real array.
+
+    Sort-and-threshold (Held, Wolfe & Crowder, Math. Prog. 6, 1974): with u
+    the row sorted in descending order and css_k = u_1 + ... + u_k - 1, the
+    threshold is theta = css_rho / rho for the largest rho with
+    rho u_rho > css_rho, and the projection is max(v - theta, 0). Rows of at
+    most three entries, the eigenvalues of the D <= 3 spectral projections,
+    are sorted column by column by a compare-exchange network in place of
+    np.sort, with the same sequential prefix sums and threshold, so finite
+    rows project bit for bit as wider ones would; a NaN in such a row makes
+    the whole row NaN.
+    """
     v = np.asarray(v, dtype=float)
     d = v.shape[-1]
-    u = -np.sort(-v, axis=-1)
-    css = np.cumsum(u, axis=-1) - 1.0
-    k = np.arange(1, d + 1)
-    # The active-set condition u_k - css_k / k > 0 holds on a prefix.
-    rho = np.count_nonzero(u * k > css, axis=-1)
-    theta = np.take_along_axis(css, rho[..., None] - 1, axis=-1) / rho[..., None]
-    return np.maximum(v - theta, 0.0)
+    if not 0 < d <= 3:
+        u = -np.sort(-v, axis=-1)
+        css = np.cumsum(u, axis=-1) - 1.0
+        k = np.arange(1, d + 1)
+        # The active-set condition u_k - css_k / k > 0 holds on a prefix.
+        rho = np.count_nonzero(u * k > css, axis=-1)
+        theta = np.take_along_axis(css, rho[..., None] - 1, axis=-1) / rho[..., None]
+        return np.maximum(v - theta, 0.0)
+    u = [v[..., j] for j in range(d)]
+    for i, j in ((0, 1), (1, 2), (0, 1))[: d * (d - 1) // 2]:
+        u[i], u[j] = np.maximum(u[i], u[j]), np.minimum(u[i], u[j])
+    css = [t - 1.0 for t in itertools.accumulate(u)]
+    rho = sum(t * k > c for k, (t, c) in enumerate(zip(u, css), start=1))
+    # css_rho, with css_d where rho is 0, as np.take_along_axis reads index -1.
+    pick = css[-1]
+    for k in range(1, d):
+        pick = np.where(rho == k, css[k - 1], pick)
+    return np.maximum(v - (pick / rho)[..., None], 0.0)
 
 
 def to_coords(a):
@@ -221,7 +246,7 @@ def _eigensystem(x, d):
     does. Any other D recomposes sum_k fw_k v_k v_k^H from batched LAPACK eigh."""
     if d == 2:
         mu, h = 0.5 * (x[:, 0] + x[:, 1]), 0.5 * (x[:, 0] - x[:, 1])
-        r = np.hypot(h, np.sqrt(0.5 * np.sum(x[:, 2:] ** 2, axis=-1)))
+        r = np.hypot(h, np.sqrt(0.5 * sum(t * t for t in x.T[2:])))
         w = np.stack([mu - r, mu + r], axis=-1)
     elif d == 3:
         lam, mu, r, vv, rr = _three_by_three(x)
@@ -273,9 +298,11 @@ def _spectral_map(a, op, f):
 def min_eigvalsh(a):
     """Smallest eigenvalue of each Hermitian matrix along the last two axes, the
     least of `_eigensystem`'s: mu - r at D = 2, min(lam, mu - r) at D = 3, eigh's
-    first otherwise. Unchecked, like `hermitianize`: a NaN entry gives NaN."""
+    first otherwise, folded over the columns of w with np.minimum (a reduction
+    along the D-wide axis costs far more). Unchecked, like `hermitianize`: a
+    NaN entry gives NaN."""
     a = np.asarray(a)
-    return _by_blocks(to_coords(a), a.shape[-1], lambda w, _: w.min(axis=1))
+    return _by_blocks(to_coords(a), a.shape[-1], lambda w, _: functools.reduce(np.minimum, w.T))
 
 
 def project_to_spectrahedron(a):

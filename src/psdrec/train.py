@@ -20,7 +20,9 @@ bounds are rebuilt per half-sweep. Zero-filled sweeps share one G of
 the whole frozen side, so the dense user-item target matrix is never
 materialized; observed-only sweeps give each unit its own G over its own
 entries. No inner iteration revisits the ratings, and the per-sweep
-objective sums the user side's quadratics instead of rescoring them.
+objective sums the user side's quadratics instead of rescoring them: the
+ones the sweep's user update built, with the items it had just updated
+frozen, at the rows it ended on, so each sweep builds two quadratics.
 """
 
 from __future__ import annotations
@@ -137,8 +139,9 @@ class TrainConfig:
 
 @dataclass
 class TrainHistory:
-    """Per-sweep objective (on that sweep's targets, summed over the user
-    quadratics) and target phase; `constraint_residual` checks feasibility."""
+    """Per-sweep objective (on that sweep's targets, summed over the
+    quadratics its user update built, at the updated users) and target
+    phase; `constraint_residual` checks feasibility."""
 
     objective: list = field(default_factory=list)
     phase: list = field(default_factory=list)
@@ -312,7 +315,8 @@ def _update_side(m, targets, cfg, side, project_rows):
     unit has. Each step has length 1/L_r, L_r a Lipschitz bound of unit r's
     gradient, so by the descent lemma for projected gradient (Beck &
     Teboulle, SIAM J. Imaging Sci. 2009) no step increases a subobjective
-    beyond rounding.
+    beyond rounding. Returns the final rows and the quadratics, whose values
+    at those rows are the units' subobjectives in the updated model.
     """
     v, quad = _quadratic(m, targets, side)
     step = 1.0 / quad.lips[:, None]
@@ -321,13 +325,13 @@ def _update_side(m, targets, cfg, side, project_rows):
         if not np.all(np.isfinite(g)):
             raise NumericalFailure(f"{side} update: non-finite gradient")
         v = project_rows(v - step * g)
-    return v
+    return v, quad
 
 
 def update_users(m, targets, cfg):
     """Projected-gradient update of every user state, items fixed."""
     _require_binary(m)
-    return m.with_users(_update_side(m, targets, cfg, "user", m.project_users))
+    return m.with_users(_update_side(m, targets, cfg, "user", m.project_users)[0])
 
 
 def update_items(m, targets, cfg):
@@ -337,7 +341,7 @@ def update_items(m, targets, cfg):
     rebuilt by `with_likes`.
     """
     _require_binary(m)
-    return m.with_likes(_update_side(m, targets, cfg, "item", m.project_likes))
+    return m.with_likes(_update_side(m, targets, cfg, "item", m.project_likes)[0])
 
 
 def constraint_residual(m):
@@ -367,8 +371,11 @@ def _train(ds, cfg):
         if sweep == zf and targets.zero_fill:
             targets = targets._observed()
         model = update_items(model, targets, cfg)
-        model = update_users(model, targets, cfg)
-        obj = objective(model, targets)
+        # `update_users` inlined: its quadratics, items frozen, give the
+        # sweep's `objective` at the final rows without a rebuild.
+        rows, quad = _update_side(model, targets, cfg, "user", model.project_users)
+        model = model.with_users(rows)
+        obj = float(np.sum(quad.value(rows)))
         if not np.isfinite(obj):
             raise NumericalFailure(f"sweep {sweep + 1}: non-finite objective")
         history.append(obj, "zero_fill" if targets.zero_fill else "observed")

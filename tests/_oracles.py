@@ -179,6 +179,23 @@ def sorted_holdout(n, n_test, seed):
     return np.sort(perm[n_test:]), np.sort(perm[:n_test])
 
 
+# --- sort-based simplex projection ------------------------------------------------------
+
+
+def sorted_simplex_rows(v):
+    """Simplex projection along the last axis by np.sort, prefix sums and the
+    sort-and-threshold rule: `linalg.project_to_simplex_rows` before its
+    rows of at most three entries were sorted by a compare-exchange network."""
+    v = np.asarray(v, dtype=float)
+    d = v.shape[-1]
+    u = -np.sort(-v, axis=-1)
+    css = np.cumsum(u, axis=-1) - 1.0
+    k = np.arange(1, d + 1)
+    rho = np.count_nonzero(u * k > css, axis=-1)
+    theta = np.take_along_axis(css, rho[..., None] - 1, axis=-1) / rho[..., None]
+    return np.maximum(v - theta, 0.0)
+
+
 # --- permutation matching ----------------------------------------------------------
 
 

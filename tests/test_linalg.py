@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from psdrec import linalg
 from psdrec.exceptions import ConvergenceFailure, InvalidInput
 
-from _oracles import projection_vi_gap
+from _oracles import projection_vi_gap, sorted_simplex_rows
 from conftest import random_density, random_effect, random_povm
 
 
@@ -68,6 +68,52 @@ class TestProjectToSimplexRows:
         rows = linalg.project_to_simplex_rows(x)
         for k in range(20):
             np.testing.assert_allclose(rows[k], linalg.project_to_simplex(x[k]), atol=1e-14)
+
+
+def _simplex_rows(seed, d, structure, exponent, lead):
+    """Rows of d entries of one structure, scaled by 10**exponent, with leading axes lead."""
+    rng = np.random.default_rng(seed)
+    shape = lead + (d,)
+    v = rng.standard_normal(shape) * 10.0**exponent
+    if structure == "ties":
+        v = rng.integers(-2, 3, shape) * 10.0**exponent
+    elif structure == "signed zeros":
+        v = np.where(rng.random(shape) < 0.5, rng.choice([0.0, -0.0], shape), v)
+    elif structure == "on the simplex":
+        v = sorted_simplex_rows(v)
+    return v
+
+
+_SIMPLEX_CASES = dict(
+    seed=st.integers(0, 2**32 - 1),
+    d=st.integers(1, 5),
+    structure=st.sampled_from(["random", "ties", "signed zeros", "on the simplex"]),
+    exponent=st.integers(-12, 6),
+    lead=st.sampled_from([(), (1,), (7,), (2, 3)]),
+)
+
+
+class TestSimplexRowsNetwork:
+    """Rows of at most three entries skip np.sort; every row must still
+    project bit for bit as the sort-based path projects it."""
+
+    @given(**_SIMPLEX_CASES)
+    @settings(max_examples=300, deadline=None)
+    def test_matches_sort_path(self, seed, d, structure, exponent, lead):
+        v = _simplex_rows(seed, d, structure, exponent, lead)
+        got = linalg.project_to_simplex_rows(v)
+        assert got.shape == v.shape and got.dtype == np.float64
+        assert np.array_equal(got, sorted_simplex_rows(v))
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_nan_fills_its_row(self, d):
+        # np.sort put a NaN last, so the sort path projected the other
+        # entries as if it were absent; the network spreads it to the row.
+        v = np.random.default_rng(3).standard_normal((3, d))
+        v[1, d - 1] = np.nan
+        got = linalg.project_to_simplex_rows(v)
+        assert np.isnan(got[1]).all()
+        assert np.array_equal(got[[0, 2]], sorted_simplex_rows(v[[0, 2]]))
 
 
 class TestSpectralInputs:
@@ -389,6 +435,24 @@ def test_min_eigvalsh_keeps_nan(d):
     a[1, 0, d - 1] = a[1, d - 1, 0] = np.nan
     w = linalg.min_eigvalsh(a)
     assert w[0] == 1.0 and np.isnan(w[1])
+
+
+@given(seed=st.integers(0, 2**32 - 1), d=st.integers(1, 4), field=st.sampled_from(["real", "complex"]),
+       exponent=st.integers(-12, 6))
+@settings(max_examples=100, deadline=None)
+def test_min_eigvalsh_is_the_row_min(seed, d, field, exponent):
+    # min_eigvalsh folds np.minimum over the eigenvalue columns; it must
+    # equal the row minimum of the same eigensystem, and keep the NaN
+    # rows of the closed forms (LAPACK rejects NaN).
+    rng = np.random.default_rng(seed)
+    g = rng.standard_normal((5, d, d))
+    if field == "complex":
+        g = g + 1j * rng.standard_normal((5, d, d))
+    a = 0.5 * (g + np.conj(np.swapaxes(g, -1, -2))) * 10.0**exponent
+    if d in (2, 3):
+        a[0, 0, 0] = np.nan
+    w, _ = linalg._eigensystem(linalg.to_coords(a), d)
+    assert np.array_equal(linalg.min_eigvalsh(a), w.min(axis=1), equal_nan=True)
 
 
 class TestProjectToBinaryPovm:

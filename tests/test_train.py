@@ -224,7 +224,7 @@ class TestTargets:
         # One validation and one grouping, by user, per run in both modes;
         # recall mode never makes observed-only targets.
         calls, validated, phases = [], [], set()
-        group, post_init, update_users = train.group_entries, train.Targets.__post_init__, train.update_users
+        group, post_init, update_side = train.group_entries, train.Targets.__post_init__, train._update_side
 
         def counted_group(*args):
             calls.append(args)
@@ -234,13 +234,14 @@ class TestTargets:
             validated.append(self)
             post_init(self, *entries)
 
-        def recorded_update(m, targets, cfg):
-            phases.add(targets.zero_fill)
-            return update_users(m, targets, cfg)
+        def recorded_update(m, targets, cfg, side, project_rows):
+            if side == "user":
+                phases.add(targets.zero_fill)
+            return update_side(m, targets, cfg, side, project_rows)
 
         monkeypatch.setattr(train, "group_entries", counted_group)
         monkeypatch.setattr(train.Targets, "__post_init__", counted_post_init)
-        monkeypatch.setattr(train, "update_users", recorded_update)
+        monkeypatch.setattr(train, "_update_side", recorded_update)
         ds = random_dataset(np.random.default_rng(26), 6, 5, density=0.6)
         cfg = train.TrainConfig(D=2, max_iter=4, mode=mode, seed=0)
         train.train_quantum(ds, cfg)
@@ -724,24 +725,64 @@ class TestTrainLoop:
     def test_every_update_stays_feasible(self, monkeypatch, kind, d, field):
         # Training records no residual; every half-sweep's model is checked here instead.
         checked = []
+        update_side = train._update_side
 
-        def feasible(update):
-            def wrapper(m, targets, cfg):
-                out = update(m, targets, cfg)
-                assert train.constraint_residual(out) <= 1e-8
-                checked.append(targets.zero_fill)
-                return out
+        def feasible(m, targets, cfg, side, project_rows):
+            rows, quad = update_side(m, targets, cfg, side, project_rows)
+            out = m.with_users(rows) if side == "user" else m.with_likes(rows)
+            assert train.constraint_residual(out) <= 1e-8
+            checked.append(targets.zero_fill)
+            return rows, quad
 
-            return wrapper
-
-        monkeypatch.setattr(train, "update_items", feasible(train.update_items))
-        monkeypatch.setattr(train, "update_users", feasible(train.update_users))
+        monkeypatch.setattr(train, "_update_side", feasible)
         ds = random_dataset(np.random.default_rng(24), 8, 6, density=0.6)
         cfg = train.TrainConfig(D=d, max_iter=4, mode="mae", field=field, kind=kind, seed=5)
         trainer = train.train_quantum if kind == "quantum" else train.train_nnm
         _, hist = trainer(ds, cfg)
         assert hist.phase == ["zero_fill", "zero_fill", "observed", "observed"]
         assert checked == [True] * 4 + [False] * 4
+
+    @pytest.mark.parametrize("kind", ["quantum", "nnm"])
+    @pytest.mark.parametrize("mode", ["mae", "recall"])
+    def test_two_quadratics_per_sweep(self, monkeypatch, kind, mode):
+        # The items' and the users'; the sweep objective reuses the users'.
+        built = []
+        quadratic = train._quadratic
+
+        def counted(m, targets, side):
+            built.append((targets.zero_fill, side))
+            return quadratic(m, targets, side)
+
+        monkeypatch.setattr(train, "_quadratic", counted)
+        ds = random_dataset(np.random.default_rng(27), 7, 6, density=0.6)
+        trainer = train.train_quantum if kind == "quantum" else train.train_nnm
+        _, hist = trainer(ds, train.TrainConfig(D=2, max_iter=4, mode=mode, seed=0))
+        zero_fill = [phase == "zero_fill" for phase in hist.phase]
+        assert zero_fill == ([True] * 4 if mode == "recall" else [True, True, False, False])
+        assert built == [(z, side) for z in zero_fill for side in ("item", "user")]
+
+    @pytest.mark.parametrize(
+        "kind, d, field", [("quantum", 2, "complex"), ("quantum", 3, "real"), ("nnm", 3, "complex")]
+    )
+    def test_history_is_the_objective_of_each_sweep(self, monkeypatch, kind, d, field):
+        # Each sweep's recorded objective is `objective` of the model that
+        # sweep ends on, on that sweep's targets.
+        ends = []
+        with_users = models._Model.with_users
+
+        def recorded(self, rows):
+            ends.append(with_users(self, rows))
+            return ends[-1]
+
+        monkeypatch.setattr(models._Model, "with_users", recorded)
+        ds = random_dataset(np.random.default_rng(28), 8, 6, density=0.6)
+        cfg = train.TrainConfig(D=d, max_iter=4, mode="mae", field=field, seed=3)
+        _, hist = (train.train_quantum if kind == "quantum" else train.train_nnm)(ds, cfg)
+        assert hist.phase == ["zero_fill", "zero_fill", "observed", "observed"] and len(ends) == 4
+        targets = {"zero_fill": train.effective_targets(ds, True), "observed": train.effective_targets(ds, False)}
+        for got, m, phase in zip(hist.objective, ends, hist.phase):
+            want = train.objective(m, targets[phase])
+            assert abs(got - want) <= 1e-12 * abs(want)
 
     @pytest.mark.parametrize("trainer", [train.train_quantum, train.train_nnm])
     def test_training_never_checks_feasibility(self, monkeypatch, trainer):
