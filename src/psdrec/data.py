@@ -7,6 +7,7 @@ index sets over the dataset's entry list.
 
 from __future__ import annotations
 
+import copy
 import os
 from array import array
 from dataclasses import dataclass
@@ -75,18 +76,19 @@ class RatingDataset:
         return len(self.uu)
 
     def subset(self, entry_idx):
-        """Dataset restricted to the given entry indices; keeps U, I and ids."""
+        """Dataset restricted to the given entry indices; keeps U, I and ids.
+
+        Strictly increasing indices within [0, len(self)), such as a split's,
+        pick distinct entries of this valid dataset, so the subset is built
+        without `__post_init__`'s checks and their duplicate-key sort; any
+        other index array goes through them."""
         entry_idx = np.asarray(entry_idx, dtype=np.int64)
-        return RatingDataset(
-            self.uu[entry_idx],
-            self.ii[entry_idx],
-            self.rr[entry_idx],
-            self.U,
-            self.I,
-            self.z_star,
-            self.user_ids,
-            self.item_ids,
-        )
+        columns = self.uu[entry_idx], self.ii[entry_idx], self.rr[entry_idx]
+        if entry_idx.ndim == 1 and np.all(entry_idx[1:] > entry_idx[:-1]) and np.all(entry_idx[:1] >= 0):
+            sub = copy.copy(self)
+            sub.uu, sub.ii, sub.rr = columns
+            return sub
+        return RatingDataset(*columns, self.U, self.I, self.z_star, self.user_ids, self.item_ids)
 
     @cached_property
     def item_index(self):
@@ -150,10 +152,14 @@ def group_order(unit, n):
 def group_entries(unit, n, *columns):
     """Entries sorted stably by unit: (indptr over the n units, *columns).
 
-    A timsort on the units as given: on entries sorted by user it is as
-    fast as `_stable_order`'s radix sort and needs less scratch memory;
-    the radix sort raised the peak RSS of a 1M-rating training run by 1.8 MB."""
-    order = np.argsort(unit, kind="stable")
+    Columns whose units are already non-decreasing, as in a file listed
+    user by user, come back unchanged, the given arrays themselves: one O(n)
+    check replaces the sort and the gathers. Otherwise `_stable_order`
+    orders them; a stable order is unique, so either way the result is
+    that of np.argsort(unit, kind="stable")."""
+    if np.all(unit[1:] >= unit[:-1]):
+        return (_indptr(unit, n), *columns)
+    order = _stable_order(unit, n)
     return (_indptr(unit, n), *(c[order] for c in columns))
 
 

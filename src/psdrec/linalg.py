@@ -98,9 +98,22 @@ def project_to_simplex_rows(v):
     are sorted column by column by a compare-exchange network in place of
     np.sort, with the same sequential prefix sums and threshold, so finite
     rows project bit for bit as wider ones would; a NaN in such a row makes
-    the whole row NaN.
+    the whole row NaN. Where u_1 - 1 rounds to u_1 (|u_1| from about 2^53
+    up), no rho qualifies; such rows are projected again after subtracting
+    their maximum, which leaves the projection unchanged and makes u_1 = 0.
     """
     v = np.asarray(v, dtype=float)
+    out, rho = _simplex_rows(v)
+    if not np.all(rho):
+        lost = rho == 0
+        w = v[lost]
+        out[lost] = _simplex_rows(w - np.max(w, axis=-1, keepdims=True))[0]
+    return out
+
+
+def _simplex_rows(v):
+    """The sort-and-threshold projection of the rows of v and their rho;
+    a row whose rho is 0 comes out wrong, but without a warning."""
     d = v.shape[-1]
     if not 0 < d <= 3:
         u = -np.sort(-v, axis=-1)
@@ -108,18 +121,18 @@ def project_to_simplex_rows(v):
         k = np.arange(1, d + 1)
         # The active-set condition u_k - css_k / k > 0 holds on a prefix.
         rho = np.count_nonzero(u * k > css, axis=-1)
-        theta = np.take_along_axis(css, rho[..., None] - 1, axis=-1) / rho[..., None]
-        return np.maximum(v - theta, 0.0)
-    u = [v[..., j] for j in range(d)]
-    for i, j in ((0, 1), (1, 2), (0, 1))[: d * (d - 1) // 2]:
-        u[i], u[j] = np.maximum(u[i], u[j]), np.minimum(u[i], u[j])
-    css = [t - 1.0 for t in itertools.accumulate(u)]
-    rho = sum(t * k > c for k, (t, c) in enumerate(zip(u, css), start=1))
-    # css_rho, with css_d where rho is 0, as np.take_along_axis reads index -1.
-    pick = css[-1]
-    for k in range(1, d):
-        pick = np.where(rho == k, css[k - 1], pick)
-    return np.maximum(v - (pick / rho)[..., None], 0.0)
+        pick = np.take_along_axis(css, rho[..., None] - 1, axis=-1)[..., 0]
+    else:
+        u = [v[..., j] for j in range(d)]
+        for i, j in ((0, 1), (1, 2), (0, 1))[: d * (d - 1) // 2]:
+            u[i], u[j] = np.maximum(u[i], u[j]), np.minimum(u[i], u[j])
+        css = [t - 1.0 for t in itertools.accumulate(u)]
+        rho = sum(t * k > c for k, (t, c) in enumerate(zip(u, css), start=1))
+        # css_rho, with css_d where rho is 0, as np.take_along_axis reads index -1.
+        pick = css[-1]
+        for k in range(1, d):
+            pick = np.where(rho == k, css[k - 1], pick)
+    return np.maximum(v - (pick / np.maximum(rho, 1))[..., None], 0.0), rho
 
 
 def to_coords(a):

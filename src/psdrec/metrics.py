@@ -93,6 +93,13 @@ def recall_at_n(m, ds, split, n):
     #{equal, other item}, which is the number of candidates scoring at least
     the test item's score. A hit is rank <= n.
 
+    Scores are computed from coordinate rows x_u and y_j of K entries, so two
+    exactly equal scores may come out a few ulps apart, differently in each
+    block size. Candidates within the rounding bound
+    delta_u = 2 (K + 2) 2^-53 ||x_u|| max_j ||y_j|| of the test score count
+    as ties: a hit needs the test score to exceed the row's (n+1)-th largest
+    by more than delta_u.
+
     Users are scored by `score_items` in blocks of `models._SCORE_BLOCK` scores or one row.
     Each block's training items are set to -inf through one flag per dataset
     entry and one grouping of all entries by user. Then rank <= n holds
@@ -118,6 +125,9 @@ def recall_at_n(m, ds, split, n):
     users = np.flatnonzero(np.diff(test_ptr))
     kth = m.I - n - 1  # ascending position of the (n+1)-th largest score
     step = max(1, models._SCORE_BLOCK // max(m.I, 1))
+    likes = m.flat_likes()
+    bound = 2.0 * (likes.shape[1] + 2) * 2.0**-53 * np.linalg.norm(likes, axis=1).max(initial=0.0)
+    delta = bound * np.linalg.norm(m.flat_users(), axis=1)  # delta_u of every user
 
     hits = 0
     for s in range(0, users.size, step):
@@ -134,7 +144,7 @@ def recall_at_n(m, ds, split, n):
             rated = in_train[entries]
             scores[rated_rows[rated], ds.ii[entries[rated]]] = -np.inf
             scores.partition(kth, axis=1)
-            hits += int(np.count_nonzero(held_out > scores[rows, kth]))
+            hits += int(np.count_nonzero(held_out - delta[block][rows] > scores[rows, kth]))
         del scores  # before the next block's scores exist
     value = hits / relevant.size
     return MetricReport(

@@ -67,10 +67,11 @@ class _Model:
     number of D-sized axes of one state (1 for vectors, 2 for matrices), and
     `_dtype` the dtype both arrays are cast to (None keeps the given field).
 
-    A model converts its states to coordinate rows once, on the first
-    `flat_users` or `flat_likes` call, and hands out read-only views of
-    them, so its state arrays must not be edited in place after that. The
-    models `with_users` and `with_likes` return convert their own.
+    A model converts each side's states to coordinate rows once, on the
+    first `flat_users` or `flat_likes` call, and hands out read-only views
+    of them, so its state arrays must not be edited in place after that.
+    The models `with_users` and `with_likes` return convert the rebuilt
+    side's rows themselves and share this model's rows of the unchanged side.
     """
 
     users: np.ndarray
@@ -108,32 +109,42 @@ class _Model:
     def Z(self):
         return self.items.shape[1]
 
-    @cached_property
-    def _coords(self):
-        """Read-only views of the user rows and the like rows; the arrays
-        they view stay writeable (an NNM's are its own state arrays)."""
-        rows = self._rows(self.users).view(), self._rows(self.items[:, 0]).view()
-        for r in rows:
-            r.flags.writeable = False
+    def _read_only(self, states):
+        """A read-only view of the coordinate rows of states; the array it
+        views stays writeable (an NNM's rows are its own state arrays)."""
+        rows = self._rows(states).view()
+        rows.flags.writeable = False
         return rows
+
+    @cached_property
+    def _user_rows(self):
+        return self._read_only(self.users)
+
+    @cached_property
+    def _like_rows(self):
+        return self._read_only(self.items[:, 0])
 
     def flat_users(self):
         """User states as real rows of K coordinates: D, D^2 or D(D+1)/2."""
-        return self._coords[0]
+        return self._user_rows
 
     def flat_likes(self):
         """Like effects (outcome 1) as real coordinate rows of K entries."""
-        return self._coords[1]
+        return self._like_rows
 
     def with_users(self, rows):
         """The same model with its user states read from coordinate rows."""
-        return type(self)(self._states(rows), self.items)
+        model = type(self)(self._states(rows), self.items)
+        vars(model)["_like_rows"] = self.flat_likes()
+        return model
 
     def with_likes(self, rows):
         """The binary model with like effects read from coordinate rows and
         each dislike effect their complement `_one - E`."""
         likes = self._states(rows)
-        return type(self)(self.users, np.stack([likes, self._one - likes], axis=1))
+        model = type(self)(self.users, np.stack([likes, self._one - likes], axis=1))
+        vars(model)["_user_rows"] = self.flat_users()
+        return model
 
     def validate(self):
         """Raise InvalidInput on the first constraint violated beyond its tolerance or NaN."""

@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import copy
 from dataclasses import InitVar, dataclass, field, fields, replace
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -161,8 +162,14 @@ class Targets:
     entries, arguments uu, ii and values, lie in [0, U) x [0, I) with finite
     values; a repeated (u, i) pair stays two entries. Construction groups them
     by user once into the (U x I) CSR `matrix`, sums t^2 per user and per item
-    (`sq_sums`) and keeps only these; the item side reads `matrix.T`, a CSC view
-    of the same arrays. `_observed()` copies share both: do not edit in place."""
+    (`sq_sums`) and keeps only these. When the entries already come in user
+    order the CSR keeps the given `values` array as its data, so editing it
+    edits the targets (`effective_targets` passes a fresh one). Each side reads
+    its view, `_matrices[side]`: `matrix` for users and `matrix.T`, a CSC view
+    of the same arrays, for items. The observed phase's 0/1 entry pattern and
+    its transpose, `_patterns`, are built the first time that phase reads them,
+    so zero-filled runs never hold them. `_observed()` copies share all of
+    these: do not edit in place."""
 
     uu: InitVar[np.ndarray]
     ii: InitVar[np.ndarray]
@@ -190,6 +197,16 @@ class Targets:
         sq = values**2
         sums = {"user": np.bincount(uu, sq, self.U), "item": np.bincount(ii, sq, self.I)}
         object.__setattr__(self, "sq_sums", sums)
+
+    @cached_property
+    def _matrices(self):
+        return {"user": self.matrix, "item": self.matrix.T}
+
+    @cached_property
+    def _patterns(self):
+        m = self.matrix
+        pattern = sp.csr_matrix((np.ones(m.nnz), m.indices, m.indptr), shape=m.shape)
+        return {"user": pattern, "item": pattern.T}
 
     def _observed(self):
         """These entries as observed-only targets, sharing the matrix and sums."""
@@ -263,16 +280,16 @@ def _quadratic(m, targets, side):
     2 lambda_max(G) when zero-filled and 2 tr(G_r) >= 2 lambda_max(G_r)
     otherwise; either bounds the Lipschitz constant of the unit's gradient.
     The user side reads `targets.matrix` and the item side its transpose,
-    in both phases; the observed phase takes its 0/1 entry pattern from the
-    same index arrays. Only c, G and L, which depend on the model, are
-    rebuilt per call.
+    in both phases; the observed phase reads the 0/1 entry pattern of the
+    same index arrays, which the targets build once. Only c, G and L, which
+    depend on the model, are rebuilt per call.
     """
     _require_binary(m)
     uf, ef = m.flat_users(), m.flat_likes()
     if (targets.U, targets.I) != (m.U, m.I):
         raise InvalidInput(f"targets are {targets.U} x {targets.I}, the model {m.U} x {m.I}")
-    own, fix, coef = (uf, ef, targets.matrix) if side == "user" else (ef, uf, targets.matrix.T)
-    cvec = coef @ fix
+    own, fix = (uf, ef) if side == "user" else (ef, uf)
+    cvec = targets._matrices[side] @ fix
     if targets.zero_fill:
         # gram[a, b] = sum_f f_a f_b, so (sum_f <f, x> f) per row is x @ gram.
         gram = fix.T @ fix
@@ -282,8 +299,7 @@ def _quadratic(m, targets, side):
         # Sum the upper-triangle products f_a f_b per unit and mirror them.
         k = fix.shape[1]
         a, b = np.triu_indices(k)
-        pattern = type(coef)((np.ones(coef.nnz), coef.indices, coef.indptr), coef.shape)
-        upper = pattern @ (fix[:, a] * fix[:, b])
+        upper = targets._patterns[side] @ (fix[:, a] * fix[:, b])
         gram = np.empty((len(own), k, k))
         gram[:, b, a] = upper
         gram[:, a, b] = upper

@@ -4,7 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from psdrec import data
@@ -376,11 +376,62 @@ class TestRatingDataset:
         assert sub.U == ds.U and sub.I == ds.I and len(sub) == 2
         assert sub.uu.tolist() == [int(ds.uu[0]), int(ds.uu[2])]
 
+    @given(idx=st.lists(st.integers(-8, 7), max_size=10))
+    @settings(max_examples=300, deadline=None)
+    def test_subset_checks_only_what_can_repeat(self, idx):
+        # Strictly increasing indices from 0 up pick distinct entries and skip
+        # the checks; repeated, unsorted or negative ones go through them.
+        ds = random_dataset(np.random.default_rng(1), 4, 4, density=0.5)
+        assert len(ds) == 8
+        idx = np.array(idx, dtype=np.int64)
+        checked, post_init = [], data.RatingDataset.__post_init__
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(data.RatingDataset, "__post_init__", lambda self: checked.append(1) or post_init(self))
+            fast = np.all(idx[1:] > idx[:-1]) and np.all(idx >= 0)
+            if len(set((idx % len(ds)).tolist())) < len(idx):
+                with pytest.raises(InvalidInput, match="duplicate"):
+                    ds.subset(idx)
+                assert checked == [1] and not fast
+                return
+            sub = ds.subset(idx)
+            assert checked == ([] if fast else [1])
+        want = from_arrays(ds.uu[idx], ds.ii[idx], ds.rr[idx], U=ds.U, I=ds.I)
+        for name in ("uu", "ii", "rr", "user_ids", "item_ids"):
+            got = getattr(sub, name)
+            assert got.dtype == getattr(want, name).dtype and np.array_equal(got, getattr(want, name)), name
+        assert (sub.U, sub.I, sub.z_star) == (ds.U, ds.I, ds.z_star)
+        assert not any(np.shares_memory(getattr(sub, c), getattr(ds, c)) for c in ("uu", "ii", "rr"))
+
     def test_index_maps(self, tmp_path):
         rows = [(10, 300, 5, 1), (20, 300, 3, 2)]
         ds = data.load_movielens_100k(write_100k(tmp_path, rows))
         assert ds.user_ids.tolist() == [10, 20]
         assert ds.item_index[300] == 0
+
+
+class TestGroupEntries:
+    @given(
+        n=st.sampled_from([1, 2, 7, 1 << 16, (1 << 16) + 1, 1 << 20]),
+        draws=st.lists(st.floats(0.0, 1.0, exclude_max=True), max_size=40),
+        ordered=st.booleans(),
+    )
+    # Units 0 and 65,535, the ends of the 16-bit keys, repeated out of order.
+    @example(n=1 << 16, draws=[0.99999, 0.0, 0.99999, 1.6e-5, 0.0], ordered=False)
+    @settings(max_examples=300, deadline=None)
+    def test_matches_stable_argsort(self, n, draws, ordered):
+        # Empty and one-entry units included; the 16-bit radix sort serves
+        # n <= 65,536, a stable sort on the units as given larger n.
+        unit = np.array([int(x * n) for x in draws], dtype=np.int64)
+        if ordered:
+            unit.sort()
+        columns = np.arange(unit.size) * 3, np.linspace(0.0, 1.0, unit.size)
+        ptr, *got = data.group_entries(unit, n, *columns)
+        order = np.argsort(unit, kind="stable")
+        assert np.array_equal(ptr, np.concatenate([[0], np.cumsum(np.bincount(unit, minlength=n))]))
+        for c, g in zip(columns, got):
+            assert g.dtype == c.dtype and np.array_equal(g, c[order])
+            # Units in order: the columns themselves, not copies.
+            assert (g is c) == bool(np.all(unit[1:] >= unit[:-1]))
 
 
 class TestSplits:

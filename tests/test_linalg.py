@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -68,6 +70,39 @@ class TestProjectToSimplexRows:
         rows = linalg.project_to_simplex_rows(x)
         for k in range(20):
             np.testing.assert_allclose(rows[k], linalg.project_to_simplex(x[k]), atol=1e-14)
+
+
+    @pytest.mark.parametrize(
+        "v, want",
+        [
+            ([1e17, 0.0], [1.0, 0.0]),
+            ([1e16, 0.0], [1.0, 0.0]),
+            ([0.0, 2.0**53], [0.0, 1.0]),
+            ([3e16, 1.0, -5.0], [1.0, 0.0, 0.0]),
+            ([-5.0, 1e17, 1e17], [0.0, 0.5, 0.5]),
+            ([1e17, 0.0, 2.0, -1.0, 3.0], [1.0, 0.0, 0.0, 0.0, 0.0]),
+        ],
+        ids=["1e17", "1e16", "2^53", "d3", "d3-tie", "d5-sort"],
+    )
+    def test_entries_beyond_unit_resolution(self, v, want):
+        # u_1 - 1 rounds to u_1, so no prefix qualifies; the row used to come
+        # back all zero, off the simplex, with a divide-by-zero warning.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = linalg.project_to_simplex(np.array(v))
+            other = 0.3 * np.arange(len(v)) - 0.2
+            rows = linalg.project_to_simplex_rows(np.array([v, other]))
+        assert got.tolist() == want and rows[0].tolist() == want
+        # A row beside it projects bit for bit as before.
+        assert np.array_equal(rows[1], sorted_simplex_rows(other))
+
+    def test_spectrahedron_beyond_unit_resolution(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for d in (2, 3, 4):
+                a = np.diag([1e17] + [0.0] * (d - 1))
+                rho = linalg.project_to_spectrahedron(a)
+                np.testing.assert_allclose(rho, np.diag([1.0] + [0.0] * (d - 1)), atol=1e-15)
 
 
 def _simplex_rows(seed, d, structure, exponent, lead):

@@ -2,7 +2,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from psdrec import data, metrics, models
@@ -171,14 +171,12 @@ def dyadic_model(rng, kind, n_users, n_items, d, n_distinct):
     return (models.NnmModel if kind == "nnm" else models.QuantumModel)(users, items)
 
 
-@st.composite
-def _recall_cases(draw):
-    kind = draw(st.sampled_from(["nnm", "real", "complex"]))
-    n_users, n_items = draw(st.integers(1, 8)), draw(st.integers(1, 7))
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    m = dyadic_model(rng, kind, n_users, n_items, draw(st.integers(1, 2)), draw(st.integers(1, n_items)))
+def _recall_case(kind, n_users, n_items, seed, d, n_distinct, p, n, block_users):
+    """(model, dataset, split, n, users per block) of one drawn recall case."""
+    rng = np.random.default_rng(seed)
+    m = dyadic_model(rng, kind, n_users, n_items, d, n_distinct)
     # each pair is unrated, in training, or held out; a user's row may be all training
-    cells = rng.choice(3, size=(n_users, n_items), p=draw(st.sampled_from([(0.3, 0.4, 0.3), (0.0, 0.8, 0.2)])))
+    cells = rng.choice(3, size=(n_users, n_items), p=p)
     cells[rng.integers(n_users), rng.integers(n_items)] = 2  # at least one held-out entry
     uu, ii = np.nonzero(cells)
     rr = rng.integers(1, 6, size=uu.size)
@@ -186,11 +184,26 @@ def _recall_cases(draw):
     rr[np.flatnonzero(held)[0]] = 5
     ds = from_arrays(uu, ii, rr, U=n_users, I=n_items)
     split = data.DataSplit(train=np.flatnonzero(~held), test=np.flatnonzero(held))
-    return m, ds, split, draw(st.integers(1, n_items + 2)), draw(st.integers(1, 3))
+    return m, ds, split, n, block_users
+
+
+@st.composite
+def _recall_cases(draw):
+    kind = draw(st.sampled_from(["nnm", "real", "complex"]))
+    n_users, n_items = draw(st.integers(1, 8)), draw(st.integers(1, 7))
+    seed = draw(st.integers(0, 2**32 - 1))
+    d, n_distinct = draw(st.integers(1, 2)), draw(st.integers(1, n_items))
+    p = draw(st.sampled_from([(0.3, 0.4, 0.3), (0.0, 0.8, 0.2)]))
+    n, block_users = draw(st.integers(1, n_items + 2)), draw(st.integers(1, 3))
+    return _recall_case(kind, n_users, n_items, seed, d, n_distinct, p, n, block_users)
 
 
 class TestBlockedRecall:
     @given(case=_recall_cases())
+    # Two distinct like effects whose exact scores tie on the 1/4 grid score
+    # one ulp apart from sqrt(2)-scaled coordinate rows; the held-out one
+    # must still count the other as a tie.
+    @example(case=_recall_case("complex", 8, 7, 200, 2, 4, (0.0, 0.8, 0.2), 1, 1))
     @settings(max_examples=300, deadline=None)
     def test_matches_naive(self, case):
         m, ds, split, n, block_users = case

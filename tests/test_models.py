@@ -273,20 +273,30 @@ class TestCoordinateRows:
         # The model's own arrays stay writeable: an NNM's rows view them.
         assert m.users.flags.writeable and m.items.flags.writeable
 
-    def test_rebuilt_models_convert_their_own_rows(self, make):
+    def test_rebuilt_models_convert_their_own_rows(self, make, monkeypatch):
+        # The rebuilt side converts its own rows; the unchanged side's rows
+        # are the parent's read-only object, not a second conversion.
         m = make(np.random.default_rng(19))
         user_rows, like_rows = m.flat_users(), m.flat_likes()
-        for rebuilt in (m.with_users(user_rows), m.with_likes(like_rows)):
-            assert "_coords" not in vars(rebuilt)
-            assert rebuilt.flat_users() is not user_rows and rebuilt.flat_likes() is not like_rows
-            assert rebuilt.flat_users().tobytes() == rebuilt._rows(rebuilt.users).tobytes()
-            assert rebuilt.flat_likes().tobytes() == rebuilt._rows(rebuilt.items[:, 0]).tobytes()
+        converted, rows_of = [], m._rows
+        monkeypatch.setattr(type(m), "_rows", lambda self, states: converted.append(1) or rows_of(states))
+        for rebuilt, own, kept, parent_rows in (
+            (m.with_users(user_rows), "flat_users", "flat_likes", like_rows),
+            (m.with_likes(like_rows), "flat_likes", "flat_users", user_rows),
+        ):
+            assert getattr(rebuilt, kept)() is parent_rows and not converted
+            rows = getattr(rebuilt, own)()
+            assert converted == [1] and rows is not user_rows and rows is not like_rows
+            converted.clear()
+            for rows, states in ((rebuilt.flat_users(), rebuilt.users), (rebuilt.flat_likes(), rebuilt.items[:, 0])):
+                assert not rows.flags.writeable
+                assert rows.tobytes() == rows_of(states).tobytes()
 
     def test_scorers_read_the_stored_rows(self, make, monkeypatch):
         m = make(np.random.default_rng(20))
         uu, ii = np.array([0, 3, 1, 1]), np.array([4, 0, 2, 2])
         user_rows, like_rows = m._rows(m.users), m._rows(m.items[:, 0])
-        m.flat_users()
+        m.flat_users(), m.flat_likes()
         monkeypatch.setattr(type(m), "_rows", lambda *args: pytest.fail("rows converted again"))
         assert np.array_equal(models.score_items(m, np.arange(m.U)), user_rows @ like_rows.T)
         want = np.einsum("nk,nk->n", user_rows[uu], like_rows[ii])

@@ -1,5 +1,6 @@
 import dataclasses
 import re
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -248,6 +249,57 @@ class TestTargets:
         assert len(calls) == 1 and np.array_equal(calls[0][0], ds.uu) and calls[0][1] == ds.U
         assert len(validated) == 1
         assert phases == ({True} if mode == "recall" else {True, False})
+
+
+    def test_user_ordered_entries_are_not_copied(self):
+        # About 200k entries listed user by user, as ML-1M lists them: the
+        # CSR keeps the given values and the grouping gathers nothing. The
+        # peak is about 20 bytes per entry; sorting and gathering the
+        # entries into user order took about 36.
+        rng = np.random.default_rng(7)
+        n_users, n_items, per_user = 4000, 1000, 50
+        uu = np.repeat(np.arange(n_users), per_user)
+        ii = np.argsort(rng.random((n_users, n_items)), axis=1)[:, :per_user].ravel()
+        ds = from_arrays(uu, ii, rng.integers(1, 6, size=uu.size), U=n_users, I=n_items)
+        tracemalloc.start()
+        try:
+            t = train.effective_targets(ds, True)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 28 * len(ds)
+        values = ds.rr / ds.z_star
+        assert np.shares_memory(train.Targets(ds.uu, ds.ii, values, False, ds.U, ds.I).matrix.data, values)
+        assert np.array_equal(t.matrix.data, values) and np.array_equal(t.matrix.indices, ds.ii)
+
+    @pytest.mark.parametrize("kind", ["quantum", "nnm"])
+    @pytest.mark.parametrize("mode", ["recall", "mae"])
+    def test_pattern_built_once_for_the_observed_phase(self, monkeypatch, mode, kind):
+        # Recall mode never reads the 0/1 entry pattern, so never builds it;
+        # every observed-phase quadratic of a mae run reads the one built
+        # on its first call, by user and, through its transpose, by item.
+        seen = []
+        quadratic = train._quadratic
+
+        def recorded(m, targets, side):
+            own, quad = quadratic(m, targets, side)
+            seen.append((targets.zero_fill, side, vars(targets).get("_patterns")))
+            return own, quad
+
+        monkeypatch.setattr(train, "_quadratic", recorded)
+        ds = random_dataset(np.random.default_rng(27), 6, 5, density=0.6)
+        train._train(ds, train.TrainConfig(D=2, max_iter=4, mode=mode, seed=0, kind=kind))
+        assert all(patterns is None for zero_fill, _, patterns in seen if zero_fill)
+        observed = [(side, patterns) for zero_fill, side, patterns in seen if not zero_fill]
+        assert len(observed) == (0 if mode == "recall" else 4)
+        if observed:
+            patterns = observed[0][1]
+            assert all(got is patterns for _, got in observed)
+            user, item = patterns["user"], patterns["item"]
+            incidence = np.zeros((ds.U, ds.I))
+            incidence[ds.uu, ds.ii] = 1.0
+            assert user.nnz == len(ds) and np.array_equal(user.toarray(), incidence)
+            assert np.array_equal(item.toarray(), incidence.T)
 
 
 _CONFIG_KEYS = [f.name for f in dataclasses.fields(train.TrainConfig)] + ["d", "MAX_ITER", "Mode", "z_star", "x"]
