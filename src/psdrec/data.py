@@ -143,12 +143,6 @@ def _indptr(unit, n):
     return np.concatenate([[0], np.cumsum(np.bincount(unit, minlength=n))])
 
 
-def group_order(unit, n):
-    """(indptr over the n units, the stable order that groups the entries by
-    unit); a radix sort when n <= 65,536."""
-    return _indptr(unit, n), _stable_order(unit, n)
-
-
 def group_entries(unit, n, *columns):
     """Entries sorted stably by unit: (indptr over the n units, *columns).
 

@@ -90,33 +90,25 @@ def project_to_simplex(v):
 def project_to_simplex_rows(v):
     """Simplex projection along the last axis of a real array.
 
-    Sort-and-threshold (Held, Wolfe & Crowder, Math. Prog. 6, 1974): with u
-    the row sorted in descending order and css_k = u_1 + ... + u_k - 1, the
-    threshold is theta = css_rho / rho for the largest rho with
-    rho u_rho > css_rho, and the projection is max(v - theta, 0). Rows of at
-    most three entries, the eigenvalues of the D <= 3 spectral projections,
-    are sorted column by column by a compare-exchange network in place of
-    np.sort, with the same sequential prefix sums and threshold, so finite
+    Sort-and-threshold (Held, Wolfe & Crowder, Math. Prog. 6, 1974) on the
+    row shifted by its maximum, the robust form of the rule (Condat, Math.
+    Prog. 158, 2016): with u the shifted row sorted in descending order and
+    css_k = u_1 + ... + u_k - 1, the threshold is theta = css_rho / rho for
+    the largest rho with rho u_rho > css_rho, and the projection is
+    max((v - max v) - theta, 0). The shift makes u_1 = 0, so rho >= 1 and
+    every finite row lands on the simplex, however large its entries. Rows
+    of at most three entries, the eigenvalues of the D <= 3 spectral
+    projections, are sorted column by column by a compare-exchange network
+    in place of np.sort, with the same sequential prefix sums, so finite
     rows project bit for bit as wider ones would; a NaN in such a row makes
-    the whole row NaN. Where u_1 - 1 rounds to u_1 (|u_1| from about 2^53
-    up), no rho qualifies; such rows are projected again after subtracting
-    their maximum, which leaves the projection unchanged and makes u_1 = 0.
+    the whole row NaN.
     """
     v = np.asarray(v, dtype=float)
-    out, rho = _simplex_rows(v)
-    if not np.all(rho):
-        lost = rho == 0
-        w = v[lost]
-        out[lost] = _simplex_rows(w - np.max(w, axis=-1, keepdims=True))[0]
-    return out
-
-
-def _simplex_rows(v):
-    """The sort-and-threshold projection of the rows of v and their rho;
-    a row whose rho is 0 comes out wrong, but without a warning."""
     d = v.shape[-1]
     if not 0 < d <= 3:
         u = -np.sort(-v, axis=-1)
+        top = u[..., :1].copy()
+        u -= top
         css = np.cumsum(u, axis=-1) - 1.0
         k = np.arange(1, d + 1)
         # The active-set condition u_k - css_k / k > 0 holds on a prefix.
@@ -126,13 +118,14 @@ def _simplex_rows(v):
         u = [v[..., j] for j in range(d)]
         for i, j in ((0, 1), (1, 2), (0, 1))[: d * (d - 1) // 2]:
             u[i], u[j] = np.maximum(u[i], u[j]), np.minimum(u[i], u[j])
+        top = u[0][..., None]
+        u = [t - u[0] for t in u]
         css = [t - 1.0 for t in itertools.accumulate(u)]
         rho = sum(t * k > c for k, (t, c) in enumerate(zip(u, css), start=1))
-        # css_rho, with css_d where rho is 0, as np.take_along_axis reads index -1.
-        pick = css[-1]
-        for k in range(1, d):
+        pick = css[0]
+        for k in range(2, d + 1):
             pick = np.where(rho == k, css[k - 1], pick)
-    return np.maximum(v - (pick / np.maximum(rho, 1))[..., None], 0.0), rho
+    return np.maximum((v - top) - (pick / rho)[..., None], 0.0)
 
 
 def to_coords(a):

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import models
-from .data import group_entries, group_order
+from .data import group_entries
 from .exceptions import InvalidInput
 from .models import score_entries, score_items
 
@@ -74,14 +74,14 @@ def rmse(m, ds, split):
     return MetricReport("rmse", float(np.sqrt(np.mean(err**2))), len(err), {"z_star": ds.z_star})
 
 
-def _block_entries(ptr, columns, units):
-    """(row, column) of every entry of the given units in a CSR grouping;
+def _block_entries(ptr, units, *columns):
+    """(row, *columns) of every entry of the given units in a CSR grouping;
     row k belongs to units[k]."""
     counts = ptr[units + 1] - ptr[units]
     rows = np.repeat(np.arange(units.size), counts)
     first = np.repeat(ptr[units] - np.cumsum(counts) + counts, counts)
     first += np.arange(rows.size)
-    return rows, columns[first]
+    return (rows, *(c[first] for c in columns))
 
 
 def recall_at_n(m, ds, split, n):
@@ -102,11 +102,13 @@ def recall_at_n(m, ds, split, n):
 
     Users are scored by `score_items` in blocks of `models._SCORE_BLOCK` scores or one row.
     Each block's training items are set to -inf through one flag per dataset
-    entry and one grouping of all entries by user. Then rank <= n holds
-    exactly when the test score is above the row's (n+1)-th largest score,
-    so one partition of the block decides every hit; when n >= I every
-    entry is a hit. A non-finite score, a split index outside the dataset or
-    a dataset larger than the model raises InvalidInput.
+    entry, grouped by user with the items by `group_entries`: on a dataset
+    already in user order, as a file listed user by user, nothing is sorted
+    or copied. Then rank <= n holds exactly when the test score is above
+    the row's (n+1)-th largest score, so one partition of the block decides
+    every hit; when n >= I every entry is a hit. A non-finite score, a split
+    index outside the dataset or a dataset larger than the model raises
+    InvalidInput.
     """
     if not isinstance(n, (int, np.integer)) or n < 1:
         raise InvalidInput(f"recall_at_n: n must be a positive integer, got {n!r}")
@@ -117,10 +119,9 @@ def recall_at_n(m, ds, split, n):
     if relevant.size == 0:
         raise InvalidInput("recall_at_n: no test entries with the top rating")
 
-    # About 10 bytes per dataset entry at the peak: the order and its 16-bit keys.
-    ptr, order = group_order(ds.uu, ds.U)
     in_train = np.zeros(len(ds), dtype=bool)
     in_train[train] = True
+    ptr, entry_items, in_train = group_entries(ds.uu, ds.U, ds.ii, in_train)
     test_ptr, test_items = group_entries(ds.uu[relevant], ds.U, ds.ii[relevant])
     users = np.flatnonzero(np.diff(test_ptr))
     kth = m.I - n - 1  # ascending position of the (n+1)-th largest score
@@ -135,14 +136,13 @@ def recall_at_n(m, ds, split, n):
         scores = score_items(m, block)
         if not np.isfinite(scores).all():
             raise InvalidInput("recall_at_n: non-finite like score")
-        rows, items = _block_entries(test_ptr, test_items, block)
+        rows, items = _block_entries(test_ptr, block, test_items)
         held_out = scores[rows, items]
         if kth < 0:
             hits += held_out.size
         else:
-            rated_rows, entries = _block_entries(ptr, order, block)
-            rated = in_train[entries]
-            scores[rated_rows[rated], ds.ii[entries[rated]]] = -np.inf
+            rated_rows, rated_items, rated = _block_entries(ptr, block, entry_items, in_train)
+            scores[rated_rows[rated], rated_items[rated]] = -np.inf
             scores.partition(kth, axis=1)
             hits += int(np.count_nonzero(held_out - delta[block][rows] > scores[rows, kth]))
         del scores  # before the next block's scores exist

@@ -12,6 +12,11 @@ from _oracles import projection_vi_gap, sorted_simplex_rows
 from conftest import random_density, random_effect, random_povm
 
 
+def shifted_sort_path(v):
+    """The sort-based oracle on each row shifted by its maximum, as the library shifts it."""
+    return sorted_simplex_rows(v - v.max(axis=-1, keepdims=True))
+
+
 def simplex_points(rng, d, n):
     pts = rng.random((n, d)) + 1e-9
     return pts / pts.sum(axis=1, keepdims=True)
@@ -78,23 +83,47 @@ class TestProjectToSimplexRows:
             ([1e17, 0.0], [1.0, 0.0]),
             ([1e16, 0.0], [1.0, 0.0]),
             ([0.0, 2.0**53], [0.0, 1.0]),
+            ([2.0**53 + 2, 0.0], [1.0, 0.0]),
             ([3e16, 1.0, -5.0], [1.0, 0.0, 0.0]),
             ([-5.0, 1e17, 1e17], [0.0, 0.5, 0.5]),
             ([1e17, 0.0, 2.0, -1.0, 3.0], [1.0, 0.0, 0.0, 0.0, 0.0]),
         ],
-        ids=["1e17", "1e16", "2^53", "d3", "d3-tie", "d5-sort"],
+        ids=["1e17", "1e16", "2^53", "2^53+2", "d3", "d3-tie", "d5-sort"],
     )
     def test_entries_beyond_unit_resolution(self, v, want):
-        # u_1 - 1 rounds to u_1, so no prefix qualifies; the row used to come
-        # back all zero, off the simplex, with a divide-by-zero warning.
+        # Entries so large that u_1 - 1 rounds, to u_1 from about 2^53 up:
+        # unless each row is shifted by its maximum first, no prefix
+        # qualifies (an all-zero row and a divide-by-zero warning) or the
+        # threshold is off by the rounding ([2, 0] at 2^53 + 2).
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             got = linalg.project_to_simplex(np.array(v))
             other = 0.3 * np.arange(len(v)) - 0.2
             rows = linalg.project_to_simplex_rows(np.array([v, other]))
         assert got.tolist() == want and rows[0].tolist() == want
-        # A row beside it projects bit for bit as before.
-        assert np.array_equal(rows[1], sorted_simplex_rows(other))
+        # A row beside it projects bit for bit as the sort path projects it shifted.
+        assert np.array_equal(rows[1], shifted_sort_path(other))
+
+    def test_threshold_of_a_large_offset_row(self):
+        # Unless the row is shifted by its maximum first, its threshold
+        # rounds and the projection sums to 2: [1, 0.5, 0.5].
+        want = np.array([2 / 3, 1 / 6, 1 / 6])
+        got = linalg.project_to_simplex(np.array([3e15 + 0.5, 3e15, 3e15]))
+        assert np.all(np.abs(got - want) <= np.spacing(want))
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        d=st.integers(1, 6),
+        exponent=st.integers(-12, 17),
+        offset=st.sampled_from([0.0, 1.0, -3e15, 2.0**53, 1e17, -1e17]),
+        rows=st.integers(1, 8),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_rows_land_on_the_simplex(self, seed, d, exponent, offset, rows):
+        v = np.random.default_rng(seed).standard_normal((rows, d)) * 10.0**exponent + offset
+        got = linalg.project_to_simplex_rows(v)
+        assert np.all(got >= 0)
+        assert np.all(np.abs(got.sum(axis=-1) - 1.0) <= 8 * d * np.finfo(float).eps)
 
     def test_spectrahedron_beyond_unit_resolution(self):
         with warnings.catch_warnings():
@@ -130,7 +159,8 @@ _SIMPLEX_CASES = dict(
 
 class TestSimplexRowsNetwork:
     """Rows of at most three entries skip np.sort; every row must still
-    project bit for bit as the sort-based path projects it."""
+    project bit for bit as the sort-based path projects it shifted by its
+    maximum."""
 
     @given(**_SIMPLEX_CASES)
     @settings(max_examples=300, deadline=None)
@@ -138,7 +168,7 @@ class TestSimplexRowsNetwork:
         v = _simplex_rows(seed, d, structure, exponent, lead)
         got = linalg.project_to_simplex_rows(v)
         assert got.shape == v.shape and got.dtype == np.float64
-        assert np.array_equal(got, sorted_simplex_rows(v))
+        assert np.array_equal(got, shifted_sort_path(v))
 
     @pytest.mark.parametrize("d", [1, 2, 3])
     def test_nan_fills_its_row(self, d):
@@ -148,7 +178,7 @@ class TestSimplexRowsNetwork:
         v[1, d - 1] = np.nan
         got = linalg.project_to_simplex_rows(v)
         assert np.isnan(got[1]).all()
-        assert np.array_equal(got[[0, 2]], sorted_simplex_rows(v[[0, 2]]))
+        assert np.array_equal(got[[0, 2]], shifted_sort_path(v[[0, 2]]))
 
 
 class TestSpectralInputs:

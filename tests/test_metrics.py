@@ -294,10 +294,11 @@ class TestBlockedRecall:
 
 
     def test_transient_bounded_per_dataset_entry(self):
-        # 200k entries at 5% density, 80% of them in training. Masking
-        # through one flag per entry and one grouping of all entries by user
-        # holds about 10 bytes per entry; gathering and grouping the training
-        # entries took about 32 per training entry.
+        # 200k entries at 5% density, 80% of them in training, listed user
+        # by user. Masking through one flag per entry, grouped without a
+        # sort or a copy, holds about 2 bytes per entry; sorting all entries
+        # by user held about 10, and gathering and grouping the training
+        # entries about 32 per training entry.
         rng = np.random.default_rng(6)
         n_users, n_items, per_user = 4000, 1000, 50
         uu = np.repeat(np.arange(n_users), per_user)
@@ -312,8 +313,25 @@ class TestBlockedRecall:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 12 * len(ds) + 8 * models._SCORE_BLOCK
+        assert peak <= 4 * len(ds) + 8 * models._SCORE_BLOCK
         assert report.count == int(np.count_nonzero(ds.rr[split.test] == 5))
+
+    def test_user_ordered_entries_are_not_sorted(self, monkeypatch):
+        # Entries listed user by user, as in a file, group without a sort.
+        rng = np.random.default_rng(7)
+        ds = random_dataset(rng, 9, 6, density=0.6)
+        assert np.all(np.diff(ds.uu) >= 0)
+        split = data.topn_holdout(ds, 0.4, 0)
+        m = random_quantum_model(rng, 9, 6, 2)
+
+        def refuse(values, n):
+            raise AssertionError("entries in user order were sorted")
+
+        monkeypatch.setattr(data, "_stable_order", refuse)
+        for n in (1, 2, 3):
+            hits, relevant = naive_recall(m, ds, split, n)
+            report = metrics.recall_at_n(m, ds, split, n)
+            assert (report.value, report.count) == (hits / relevant, relevant)
 
     def test_repeated_split_entries(self):
         # A training entry listed twice masks its item once; a held-out entry
