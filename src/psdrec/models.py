@@ -473,45 +473,15 @@ def _parse_index(token, path, ln):
         raise ParseError(f"{path} line {ln}: bad record index {token!r}") from None
 
 
-# Records whose value tokens load_model converts in one float pass.
-_LOAD_BATCH = 1024
-
-
-def _fill(flat, batch, complex_field, path):
-    """Write the values of a batch of (line number, row, value tokens)
-    records into flat's rows, converting all tokens in one float pass. If
-    the pass fails, the tokens are walked in line order for the first bad
-    one, which raises the record loop's ParseError."""
-    if not batch:
-        return
-    tokens = [t for _, _, record in batch for t in record]
-    try:
-        if complex_field:
-            # As many commas as tokens and one in each: a "re,im" pair each.
-            pairs, tokens = tokens, ",".join(tokens).split(",")
-            if len(tokens) != 2 * len(pairs) or not all(map(operator.contains, pairs, repeat(","))):
-                raise ValueError
-        values = np.fromiter(map(float, tokens), dtype=float, count=len(tokens))
-    except ValueError:
-        for ln, _, record in batch:
-            for token in record:
-                _parse_value(token, complex_field, path, ln)
-        raise
-    rows = [row for _, row, _ in batch]
-    flat[rows] = (values.view(complex) if complex_field else values).reshape(len(rows), -1)
-    batch.clear()
-
-
 def load_model(path):
     """Read a model written by save_model; validates all invariants.
 
     The file must hold the U + I Z records its header calls for, each exactly
     once; a header claiming more than the file can hold allocates nothing.
     Lines end at `\n`, `\r\n` or `\r`, as the ratings loaders count them.
-    One loop checks each record's structure as it goes; the value tokens of
-    up to _LOAD_BATCH records are converted together, and the batch is
-    converted before a structural error is raised, so the ParseError always
-    names the first faulty line.
+    One loop reads the records in file order, checks each one's structure
+    and converts its values at once, so the ParseError names the first
+    faulty line.
     """
     try:
         with open(path, "r", encoding="ascii") as fh:
@@ -547,37 +517,42 @@ def load_model(path):
         raise ParseError(f"{path}: {n_records} records of {per_record} entries cannot fit the file")
     flat = np.empty((n_records, per_record), dtype=complex if complex_field else float)
     seen = bytearray(n_records)
-    batch = []
+    # A complex entry's re and im are two neighbouring floats of this view.
+    values = flat.view(float)
     for ln, line in enumerate(raw[1:], start=2):
         tokens = line.split()
         if not tokens:
             continue
-        try:
-            role = tokens[0]
-            if role not in ("user", "item"):
-                raise ParseError(f"{path} line {ln}: unknown record {role!r}")
-            n_head = 2 if role == "user" else 3
-            if len(tokens) != n_head + per_record:
-                raise ParseError(f"{path} line {ln}: expected {per_record} entries")
-            if role == "user":
-                row = _parse_index(tokens[1], path, ln)
-                if not 0 <= row < u_n:
-                    raise ParseError(f"{path} line {ln}: user index {row} out of range")
-            else:
-                i, z = _parse_index(tokens[1], path, ln), _parse_index(tokens[2], path, ln)
-                if not (0 <= i < i_n and 1 <= z <= z_n):
-                    raise ParseError(f"{path} line {ln}: item record ({i}, {z}) out of range")
-                row = u_n + i * z_n + z - 1
-            if seen[row]:
-                raise ParseError(f"{path} line {ln}: repeated record {' '.join(tokens[:n_head])!r}")
-        except ParseError:
-            _fill(flat, batch, complex_field, path)  # a bad token on an earlier line comes first
-            raise
+        role = tokens[0]
+        if role not in ("user", "item"):
+            raise ParseError(f"{path} line {ln}: unknown record {role!r}")
+        n_head = 2 if role == "user" else 3
+        if len(tokens) != n_head + per_record:
+            raise ParseError(f"{path} line {ln}: expected {per_record} entries")
+        if role == "user":
+            row = _parse_index(tokens[1], path, ln)
+            if not 0 <= row < u_n:
+                raise ParseError(f"{path} line {ln}: user index {row} out of range")
+        else:
+            i, z = _parse_index(tokens[1], path, ln), _parse_index(tokens[2], path, ln)
+            if not (0 <= i < i_n and 1 <= z <= z_n):
+                raise ParseError(f"{path} line {ln}: item record ({i}, {z}) out of range")
+            row = u_n + i * z_n + z - 1
+        if seen[row]:
+            raise ParseError(f"{path} line {ln}: repeated record {' '.join(tokens[:n_head])!r}")
         seen[row] = 1
-        batch.append((ln, row, tokens[n_head:]))
-        if len(batch) == _LOAD_BATCH:
-            _fill(flat, batch, complex_field, path)
-    _fill(flat, batch, complex_field, path)
+        record = tokens[n_head:]
+        try:
+            if complex_field:
+                # As many commas as tokens and one in each: a "re,im" pair each.
+                pairs, record = record, ",".join(record).split(",")
+                if len(record) != 2 * per_record or not all(map(operator.contains, pairs, repeat(","))):
+                    raise ValueError
+            values[row] = list(map(float, record))
+        except ValueError:
+            for token in tokens[n_head:]:
+                _parse_value(token, complex_field, path, ln)
+            raise
 
     state = (d,) * cls._rank
     model = cls(flat[:u_n].reshape(u_n, *state), flat[u_n:].reshape(i_n, z_n, *state))

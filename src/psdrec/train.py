@@ -236,11 +236,6 @@ def init_quantum_users(n_users, d, seed, field="complex"):
     return np.einsum("ua,ub->uab", v, np.conj(v))
 
 
-def _require_binary(m):
-    if getattr(m, "Z", None) != 2:
-        raise InvalidInput("training operates on binary-outcome models (Z = 2)")
-
-
 def objective(m, targets):
     """Sum over target pairs of (P[like] - target)^2, on unclamped scores,
     as the sum of the user side's subobjectives: one sparse product, no scoring."""
@@ -284,7 +279,8 @@ def _quadratic(m, targets, side):
     same index arrays, which the targets build once. Only c, G and L, which
     depend on the model, are rebuilt per call.
     """
-    _require_binary(m)
+    if getattr(m, "Z", None) != 2:
+        raise InvalidInput("training operates on binary-outcome models (Z = 2)")
     uf, ef = m.flat_users(), m.flat_likes()
     if (targets.U, targets.I) != (m.U, m.I):
         raise InvalidInput(f"targets are {targets.U} x {targets.I}, the model {m.U} x {m.I}")
@@ -322,7 +318,7 @@ def item_gradient(m, targets, i):
     return _unit_gradient(m, targets, i, "item")
 
 
-def _update_side(m, targets, cfg, side, project_rows):
+def _update_side(m, targets, cfg, side):
     """cfg.inner_iters projected-gradient steps for every unit on one side, the
     other side frozen.
 
@@ -333,8 +329,10 @@ def _update_side(m, targets, cfg, side, project_rows):
     Teboulle, SIAM J. Imaging Sci. 2009) no step increases a subobjective
     beyond rounding. Returns the final rows and the quadratics, whose values
     at those rows are the units' subobjectives in the updated model.
+    `_quadratic` checks the model before any of its methods is looked up.
     """
     v, quad = _quadratic(m, targets, side)
+    project_rows = m.project_users if side == "user" else m.project_likes
     step = 1.0 / quad.lips[:, None]
     for _ in range(cfg.inner_iters):
         g = quad.gradient(v)
@@ -346,8 +344,8 @@ def _update_side(m, targets, cfg, side, project_rows):
 
 def update_users(m, targets, cfg):
     """Projected-gradient update of every user state, items fixed."""
-    _require_binary(m)
-    return m.with_users(_update_side(m, targets, cfg, "user", m.project_users)[0])
+    rows, _ = _update_side(m, targets, cfg, "user")
+    return m.with_users(rows)
 
 
 def update_items(m, targets, cfg):
@@ -356,8 +354,8 @@ def update_items(m, targets, cfg):
     Only the like-effect enters the objective; the complementary effect is
     rebuilt by `with_likes`.
     """
-    _require_binary(m)
-    return m.with_likes(_update_side(m, targets, cfg, "item", m.project_likes)[0])
+    rows, _ = _update_side(m, targets, cfg, "item")
+    return m.with_likes(rows)
 
 
 def constraint_residual(m):
@@ -389,7 +387,7 @@ def _train(ds, cfg):
         model = update_items(model, targets, cfg)
         # `update_users` inlined: its quadratics, items frozen, give the
         # sweep's `objective` at the final rows without a rebuild.
-        rows, quad = _update_side(model, targets, cfg, "user", model.project_users)
+        rows, quad = _update_side(model, targets, cfg, "user")
         model = model.with_users(rows)
         obj = float(np.sum(quad.value(rows)))
         if not np.isfinite(obj):

@@ -88,6 +88,23 @@ def naive_objective(m, ds, zero_fill):
     return total
 
 
+def truth_rel_err(m, p):
+    """Squared error of m's like scores against 0.2 + 0.8 p over all U x I
+    pairs, relative to the truth's own variance (1 - R^2: the best constant
+    scores 1).
+
+    0.2 + 0.8 p is the conditional mean of the scaled target r / 5 when the
+    rating is r = 1 + Binomial(4, p), which mae-mode training estimates.
+    """
+    like = m.items[:, 0]
+    if isinstance(m, QuantumModel):
+        pred = np.einsum("uab,iba->ui", m.users, like).real
+    else:
+        pred = m.users @ like.T
+    truth = 0.2 + 0.8 * p
+    return float(np.sum((pred - truth) ** 2) / np.sum((truth - truth.mean()) ** 2))
+
+
 def naive_observed_quadratic(fix, units, others, values, n_units):
     """Each unit r's observed-only subproblem by loops over its entries
     (r, j, t), f = fix[j]: G_r = sum conj(f) f^T, c_r = sum t f, k_r = sum t^2,

@@ -591,21 +591,20 @@ class TestPersistence:
             models.load_model(str(path))
         assert str(exc_info.value) == f"{path} line 3: bad numeric token 'z'"
 
-    @pytest.mark.parametrize("batch", [1, 1024])
-    def test_comma_count_checked_per_token(self, tmp_path, monkeypatch, batch):
+    @pytest.mark.parametrize("n_items", [1, 1024])
+    def test_comma_count_checked_per_token(self, tmp_path, n_items):
         # A token without a comma and one with two balance out in a count
-        # over the whole batch.
-        monkeypatch.setattr(models, "_LOAD_BATCH", batch)
+        # over the whole record; the fault is named however many records follow.
         path = tmp_path / "model.psdrec"
+        items = "".join(f"item {i} {z} 0,0 0,0 0,0 0,0\n" for i in range(n_items) for z in (1, 2))
         path.write_text(
-            "PSDREC v1 | kind=quantum | 1 | 1 | 1 | 2 | field=complex\n"
-            "user 0 1\nitem 0 1 0.5,0,0\nitem 0 2 0.5,0\n"
+            f"PSDREC v1 | kind=quantum | 2 | 1 | {n_items} | 2 | field=complex\n"
+            "user 0 1 0.5,0,0 0,0 0.5,0\n" + items
         )
         with pytest.raises(ParseError) as exc_info:
             models.load_model(str(path))
         assert str(exc_info.value) == f"{path} line 2: bad numeric token '1'"
 
-    @pytest.mark.parametrize("batch", [1, 2, 3, 1024])
     @pytest.mark.parametrize(
         "fault, message",
         [
@@ -615,8 +614,7 @@ class TestPersistence:
             ("user x ", "bad record index 'x'"),
         ],
     )
-    def test_bad_token_before_a_structural_fault_wins(self, tmp_path, monkeypatch, batch, fault, message):
-        monkeypatch.setattr(models, "_LOAD_BATCH", batch)
+    def test_bad_token_before_a_structural_fault_wins(self, tmp_path, fault, message):
         rng = np.random.default_rng(35)
         path = tmp_path / "model.psdrec"
         for m in (random_quantum_model(rng, 4, 2, 2), random_nnm_model(rng, 4, 2, 2)):
@@ -835,29 +833,25 @@ def _outcome(load, path):
 
 
 class TestModelParserFuzz:
-    @given(m=_models(), batch=st.sampled_from([1, 2, 3, 1024]))
+    @given(m=_models())
     @settings(max_examples=60, deadline=None)
-    def test_valid_models_round_trip_bit_exactly(self, tmp_path_factory, m, batch):
+    def test_valid_models_round_trip_bit_exactly(self, tmp_path_factory, m):
         path = str(tmp_path_factory.mktemp("fuzz") / "model.psdrec")
         models.save_model(m, path)
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(models, "_LOAD_BATCH", batch)
-            got = _outcome(models.load_model, path)
+        got = _outcome(models.load_model, path)
         assert got == _outcome(lambda p: m, path)
         assert got == _outcome(naive_load_model, path)
 
-    @given(m=_models(), batch=st.sampled_from([1, 2, 3, 1024]), data_=st.data())
+    @given(m=_models(), data_=st.data())
     @settings(max_examples=300, deadline=None)
-    def test_corrupted_files_fail_as_the_record_loop_does(self, tmp_path_factory, m, batch, data_):
+    def test_corrupted_files_fail_as_the_record_loop_does(self, tmp_path_factory, m, data_):
         path = tmp_path_factory.mktemp("fuzz") / "model.psdrec"
         models.save_model(m, str(path))
         lines = path.read_text().split("\n")
         for _ in range(data_.draw(st.integers(1, 3))):
             _corrupt(data_.draw, lines)
         path.write_text("\n".join(lines))
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(models, "_LOAD_BATCH", batch)
-            got = _outcome(models.load_model, str(path))
+        got = _outcome(models.load_model, str(path))
         assert got == _outcome(naive_load_model, str(path))
 
 
