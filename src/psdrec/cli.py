@@ -176,7 +176,7 @@ def _cmd_topn(args):
     split = data.topn_holdout(ds, args.fraction, seed=args.seed)
     model, _ = _fit(ds.subset(split.train), cfg)
     report = metrics.recall_at_n(model, ds, split, args.n)
-    print(f"recall@{args.n} value={report.value:.6g} users={report.count}")
+    print(f"recall@{args.n} value={report.value:.6g} entries={report.count}")
     return 0
 
 

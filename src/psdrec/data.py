@@ -49,19 +49,14 @@ class RatingDataset:
     item_ids: np.ndarray
 
     def __post_init__(self):
-        self.uu = np.asarray(self.uu, dtype=np.int64)
-        self.ii = np.asarray(self.ii, dtype=np.int64)
-        self.rr = np.asarray(self.rr, dtype=np.int64)
+        self.uu = check_index("RatingDataset", self.uu, self.U, "user")
+        self.ii = check_index("RatingDataset", self.ii, self.I, "item")
+        self.rr = check_index("RatingDataset", self.rr, None, "rating")
         if not (self.uu.shape == self.ii.shape == self.rr.shape) or self.uu.ndim != 1:
             raise InvalidInput("RatingDataset: entry arrays must be parallel 1-d arrays")
         if self.z_star < 2:
             raise InvalidInput("RatingDataset: z_star must be at least 2")
-        n = len(self.uu)
-        if n:
-            if self.uu.min() < 0 or self.uu.max() >= self.U:
-                raise InvalidInput("RatingDataset: user index out of range")
-            if self.ii.min() < 0 or self.ii.max() >= self.I:
-                raise InvalidInput("RatingDataset: item index out of range")
+        if len(self.uu):
             if self.rr.min() < 1 or self.rr.max() > self.z_star:
                 raise InvalidInput(f"RatingDataset: ratings must lie in [1, {self.z_star}]")
             keys = np.sort(self.uu * np.int64(self.I) + self.ii)
@@ -76,15 +71,16 @@ class RatingDataset:
         return len(self.uu)
 
     def subset(self, entry_idx):
-        """Dataset restricted to the given entry indices; keeps U, I and ids.
+        """Dataset restricted to the given entry indices in [0, len(self));
+        keeps U, I and ids.
 
-        Strictly increasing indices within [0, len(self)), such as a split's,
-        pick distinct entries of this valid dataset, so the subset is built
-        without `__post_init__`'s checks and their duplicate-key sort; any
-        other index array goes through them."""
-        entry_idx = np.asarray(entry_idx, dtype=np.int64)
+        Strictly increasing indices, such as a split's, pick distinct entries
+        of this valid dataset, so the subset is built without
+        `__post_init__`'s checks and their duplicate-key sort; any other
+        index array goes through them."""
+        entry_idx = check_index("subset", entry_idx, len(self), "entry")
         columns = self.uu[entry_idx], self.ii[entry_idx], self.rr[entry_idx]
-        if entry_idx.ndim == 1 and np.all(entry_idx[1:] > entry_idx[:-1]) and np.all(entry_idx[:1] >= 0):
+        if entry_idx.ndim == 1 and np.all(entry_idx[1:] > entry_idx[:-1]):
             sub = copy.copy(self)
             sub.uu, sub.ii, sub.rr = columns
             return sub
@@ -104,8 +100,8 @@ class DataSplit:
     test: np.ndarray
 
     def __post_init__(self):
-        train = np.asarray(self.train, dtype=np.int64)
-        test = np.asarray(self.test, dtype=np.int64)
+        train = check_index("DataSplit", self.train, None, "train")
+        test = check_index("DataSplit", self.test, None, "test")
         # Binary search in sorted train: ms at 1M entries, ~1 s for np.intersect1d.
         ordered = train.ravel()
         if np.any(ordered[1:] < ordered[:-1]):
@@ -162,6 +158,22 @@ def check_seed(seed, op):
     if isinstance(seed, (int, np.integer)) and seed < 0:
         raise InvalidInput(f"{op}: seed must be nonnegative, got {seed}")
     return seed
+
+
+def check_index(op, idx, n, what):
+    """idx as a 0-d or 1-d int64 array, not copied if it is one, with every
+    entry in [0, n); n None checks the dtype only.
+
+    The one index rule of every public function. Only integer dtypes pass:
+    an int64 cast would truncate floats and read bools as 0 and 1, and numpy
+    would read a bool array as a mask. An empty list is an empty index array.
+    """
+    idx = np.asarray(idx)
+    if idx.ndim > 1 or (idx.dtype.kind not in "iu" and idx.size):
+        raise InvalidInput(f"{op}: expected an integer index or 1-D index array, got {idx.dtype} {idx.shape}")
+    if n is not None and idx.size and (idx.min() < 0 or idx.max() >= n):
+        raise InvalidInput(f"{op}: {what} index out of range [0, {n})")
+    return idx.astype(np.int64, copy=False)
 
 
 # Bytes read per block: large enough that per-block overhead is negligible,
@@ -424,8 +436,8 @@ def kfold_split(ds, k, seed):
     the test folds is the whole entry set. Reproducible from seed. Both
     index sets come sorted, read off a fold label per entry.
     """
-    if not 2 <= k <= len(ds):
-        raise InvalidInput(f"kfold_split: need 2 <= k <= {len(ds)}, got {k}")
+    if not (isinstance(k, (int, np.integer)) and not isinstance(k, bool) and 2 <= k <= len(ds)):
+        raise InvalidInput(f"kfold_split: need an integer 2 <= k <= {len(ds)}, got {k!r}")
     rng = np.random.default_rng(check_seed(seed, "kfold_split"))
     label = np.empty(len(ds), dtype=np.intp)
     for j, fold in enumerate(np.array_split(rng.permutation(len(ds)), k)):

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import models
-from .data import group_entries
+from .data import check_index, group_entries
 from .exceptions import InvalidInput
 from .models import score_entries, score_items
 
@@ -43,19 +43,17 @@ class MetricReport:
         return " ".join(parts)
 
 
-def _split_entries(ds, split):
+def _split_entries(op, ds, split):
     """(train, test) entry indices of split; raises unless all lie in [0, len(ds)) and test is nonempty."""
-    train, test = (np.asarray(idx, dtype=np.int64) for idx in (split.train, split.test))
-    for name, idx in (("train", train), ("test", test)):
-        if idx.size and (idx.min() < 0 or idx.max() >= len(ds)):
-            raise InvalidInput(f"{name} entry index out of range [0, {len(ds)})")
+    named = (("train entry", split.train), ("test entry", split.test))
+    train, test = (check_index(op, idx, len(ds), what) for what, idx in named)
     if test.size == 0:
-        raise InvalidInput("empty test set")
+        raise InvalidInput(f"{op}: empty test set")
     return train, test
 
 
-def _star_errors(m, ds, split):
-    _, test = _split_entries(ds, split)
+def _star_errors(op, m, ds, split):
+    _, test = _split_entries(op, ds, split)
     scores = score_entries(m, ds.uu[test], ds.ii[test])
     if not np.isfinite(scores).all():
         raise InvalidInput("non-finite like score")
@@ -64,13 +62,13 @@ def _star_errors(m, ds, split):
 
 def mae(m, ds, split):
     """Mean absolute star error over the test entries."""
-    err = _star_errors(m, ds, split)
+    err = _star_errors("mae", m, ds, split)
     return MetricReport("mae", float(np.mean(np.abs(err))), len(err), {"z_star": ds.z_star})
 
 
 def rmse(m, ds, split):
     """Root mean squared star error over the test entries."""
-    err = _star_errors(m, ds, split)
+    err = _star_errors("rmse", m, ds, split)
     return MetricReport("rmse", float(np.sqrt(np.mean(err**2))), len(err), {"z_star": ds.z_star})
 
 
@@ -110,11 +108,11 @@ def recall_at_n(m, ds, split, n):
     index outside the dataset or a dataset larger than the model raises
     InvalidInput.
     """
-    if not isinstance(n, (int, np.integer)) or n < 1:
+    if not isinstance(n, (int, np.integer)) or isinstance(n, bool) or n < 1:
         raise InvalidInput(f"recall_at_n: n must be a positive integer, got {n!r}")
     if ds.U > m.U or ds.I > m.I:
         raise InvalidInput(f"recall_at_n: dataset is {ds.U} x {ds.I}, the model {m.U} x {m.I}")
-    train, test = _split_entries(ds, split)
+    train, test = _split_entries("recall_at_n", ds, split)
     relevant = test[ds.rr[test] == ds.z_star]
     if relevant.size == 0:
         raise InvalidInput("recall_at_n: no test entries with the top rating")

@@ -30,7 +30,7 @@ from itertools import repeat
 import numpy as np
 
 from . import linalg
-from .data import check_seed
+from .data import check_index, check_seed
 from .exceptions import InvalidInput, NotSimultaneouslyDiagonalizable, ParseError
 
 __all__ = [
@@ -234,12 +234,9 @@ def _predict(op, kind, m, u, i, z):
     """clip(Re <users[u], items[i, z - 1]>, 0, 1), the clamped score_items score."""
     if not isinstance(m, kind):
         raise InvalidInput(f"{op}: unsupported model type {type(m).__name__}")
-    if not (isinstance(u, (int, np.integer)) and 0 <= u < m.U):
-        raise InvalidInput(f"user index {u} out of range [0, {m.U})")
-    if not (isinstance(i, (int, np.integer)) and 0 <= i < m.I):
-        raise InvalidInput(f"item index {i} out of range [0, {m.I})")
-    if not (isinstance(z, (int, np.integer)) and 1 <= z <= m.Z):
-        raise InvalidInput(f"outcome {z} out of range [1, {m.Z}]")
+    u, i, z = (check_index(op, *args) for args in ((u, m.U, "user"), (i, m.I, "item"), (z, m.Z + 1, "outcome")))
+    if u.ndim or i.ndim or z.ndim or z == 0:
+        raise InvalidInput(f"{op}: expected one user, one item and one outcome in [1, {m.Z}], got {u}, {i}, {z}")
     p = float(np.real(np.vdot(m.users[u], m.items[i, z - 1])))
     if not np.isfinite(p):
         raise InvalidInput(f"{op}: non-finite prediction for user {u}, item {i}")
@@ -264,16 +261,6 @@ def predict(m, u, i, z):
     return _predict("predict", _Model, m, u, i, z)
 
 
-def _index_array(op, idx, n, what):
-    """idx as a 0-d or 1-D integer array with every entry in [0, n)."""
-    idx = np.asarray(idx)
-    if idx.ndim > 1 or idx.dtype.kind not in "iu":
-        raise InvalidInput(f"{op}: expected an integer index or 1-D index array, got {idx.dtype} {idx.shape}")
-    if np.any((idx < 0) | (idx >= n)):
-        raise InvalidInput(f"{op}: {what} index out of range [0, {n})")
-    return idx
-
-
 def score_items(m, u):
     """Raw like scores (outcome 1, unclamped) Re <users[u], items[i, 0]> of
     every item i.
@@ -285,7 +272,7 @@ def score_items(m, u):
     a block of users at once from these rows: a held-out item is in a user's
     top n exactly when its score is above the (n+1)-th largest score of the row.
     """
-    idx = _index_array("score_items", u, m.U, "user")
+    idx = check_index("score_items", u, m.U, "user")
     return m.flat_users()[idx] @ m.flat_likes().T
 
 
@@ -297,8 +284,8 @@ _SCORE_BLOCK = 1 << 16
 def score_entries(m, uu, ii):
     """Raw like scores for paired index arrays (uu[k], ii[k]), gathered
     max(1, _SCORE_BLOCK // K) entries at a time for rows of K coordinates."""
-    uu = _index_array("score_entries", uu, m.U, "user")
-    ii = _index_array("score_entries", ii, m.I, "item")
+    uu = check_index("score_entries", uu, m.U, "user")
+    ii = check_index("score_entries", ii, m.I, "item")
     if uu.shape != ii.shape or uu.ndim != 1:
         raise InvalidInput(f"score_entries: expected 1-D index arrays of one length, got {uu.shape} and {ii.shape}")
     uf = m.flat_users()

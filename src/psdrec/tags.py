@@ -20,6 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
+from .data import check_index
 from .exceptions import InvalidInput, NumericalFailure
 from .models import QuantumModel
 
@@ -98,11 +99,9 @@ def tag_operator(m, members, name=""):
     """Arithmetic mean of the like-effects of the member items."""
     if not isinstance(m, QuantumModel):
         raise InvalidInput("tag_operator: expected a QuantumModel")
-    members = np.asarray(members, dtype=np.int64)
+    members = check_index("tag_operator", members, m.I, "member")
     if members.size == 0:
         raise InvalidInput("tag_operator: empty member set")
-    if members.min() < 0 or members.max() >= m.I:
-        raise InvalidInput("tag_operator: member index out of range")
     return TagOperator(name=name, matrix=np.mean(m.items[members, 0], axis=0), members=int(members.size))
 
 

@@ -36,7 +36,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .exceptions import InvalidInput, NumericalFailure, ParseError
-from .data import check_seed, group_entries
+from .data import check_index, check_seed, group_entries
 from .models import KINDS, NnmModel, QuantumModel
 from .models import score_entries  # noqa: F401  perfbench/spans.py wraps train.score_entries
 
@@ -181,15 +181,13 @@ class Targets:
     sq_sums: dict = field(init=False, repr=False)
 
     def __post_init__(self, uu, ii, values):
-        if not all(isinstance(n, (int, np.integer)) and not isinstance(n, bool) for n in (self.U, self.I)):
-            raise InvalidInput(f"Targets: U and I must be integers, got {self.U!r} and {self.I!r}")
-        uu, ii = np.asarray(uu, dtype=np.int64), np.asarray(ii, dtype=np.int64)
+        shape = (self.U, self.I)
+        if not all(isinstance(n, (int, np.integer)) and not isinstance(n, bool) and n >= 0 for n in shape):
+            raise InvalidInput(f"Targets: U and I must be nonnegative integers, got {shape}")
         values = np.asarray(values, dtype=float)
-        if not (uu.shape == ii.shape == values.shape) or uu.ndim != 1:
+        if not (np.shape(uu) == np.shape(ii) == values.shape) or values.ndim != 1:
             raise InvalidInput("Targets: entry arrays must be parallel 1-d arrays")
-        lo = min(self.U, self.I, uu.min(initial=0), ii.min(initial=0))
-        if lo < 0 or uu.max(initial=-1) >= self.U or ii.max(initial=-1) >= self.I:
-            raise InvalidInput(f"Targets: entries must lie in [0, {self.U}) x [0, {self.I})")
+        uu, ii = check_index("Targets", uu, self.U, "user"), check_index("Targets", ii, self.I, "item")
         if not np.isfinite(values).all():
             raise InvalidInput("Targets: values must be finite")
         indptr, items, grouped = group_entries(uu, self.U, ii, values)

@@ -294,6 +294,12 @@ class TestTopnCommand:
         out = capsys.readouterr()
         assert rc == 0, out.err
         assert "recall@3" in out.out
+        # The count is of held-out top-rated entries, not of users.
+        ds = data.load_movielens_100k(data_path)
+        test = data.topn_holdout(ds, 0.3, seed=0).test
+        relevant = int(np.count_nonzero(ds.rr[test] == ds.z_star))
+        assert len(np.unique(ds.uu[test[ds.rr[test] == ds.z_star]])) < relevant
+        assert f"entries={relevant}" in out.out.split()
 
 
 class TestRecoverOverfitCommands:

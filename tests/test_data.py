@@ -1,17 +1,18 @@
 import os
 import threading
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from psdrec import data
+from psdrec import data, metrics, models, tags, train
 from psdrec.exceptions import InvalidInput, ParseError
 
 from _oracles import naive_ratings, sorted_holdout, sorted_kfold
-from conftest import from_arrays, random_dataset
+from conftest import from_arrays, random_dataset, random_quantum_model
 
 
 @st.composite
@@ -379,16 +380,22 @@ class TestRatingDataset:
     @given(idx=st.lists(st.integers(-8, 7), max_size=10))
     @settings(max_examples=300, deadline=None)
     def test_subset_checks_only_what_can_repeat(self, idx):
-        # Strictly increasing indices from 0 up pick distinct entries and skip
-        # the checks; repeated, unsorted or negative ones go through them.
+        # Strictly increasing indices pick distinct entries and skip the
+        # checks; repeated or unsorted ones go through them. A negative index
+        # is out of range, not counted from the end.
         ds = random_dataset(np.random.default_rng(1), 4, 4, density=0.5)
         assert len(ds) == 8
         idx = np.array(idx, dtype=np.int64)
         checked, post_init = [], data.RatingDataset.__post_init__
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(data.RatingDataset, "__post_init__", lambda self: checked.append(1) or post_init(self))
-            fast = np.all(idx[1:] > idx[:-1]) and np.all(idx >= 0)
-            if len(set((idx % len(ds)).tolist())) < len(idx):
+            fast = np.all(idx[1:] > idx[:-1])
+            if np.any(idx < 0):
+                with pytest.raises(InvalidInput, match=r"subset: entry index out of range \[0, 8\)"):
+                    ds.subset(idx)
+                assert checked == []
+                return
+            if len(set(idx.tolist())) < len(idx):
                 with pytest.raises(InvalidInput, match="duplicate"):
                     ds.subset(idx)
                 assert checked == [1] and not fast
@@ -463,6 +470,11 @@ class TestSplits:
             data.kfold_split(ds, 1, seed=0)
         with pytest.raises(InvalidInput):
             data.kfold_split(ds, len(ds) + 1, seed=0)
+        # A count is an integer: a float would reach np.array_split, a bool read as 0 or 1.
+        for k in (2.0, np.float64(3), True, np.True_, "2"):
+            with pytest.raises(InvalidInput, match="kfold_split: need an integer"):
+                data.kfold_split(ds, k, seed=0)
+        assert len(data.kfold_split(ds, np.uint8(2), seed=0)) == 2
 
     def test_topn_holdout_sizes(self):
         rng = np.random.default_rng(4)
@@ -532,6 +544,102 @@ class TestSplits:
     def test_split_allows_repeats_within_train(self):
         split = data.DataSplit(train=np.array([7, 2, 7, 7, 0]), test=np.array([5, 1, 8, 3]))
         assert split.train.tolist() == [7, 2, 7, 7, 0]
+
+
+# Every public index argument: (name, call with the index in that argument,
+# a valid index, indices outside its range). DataSplit has no dataset, so it
+# checks the dtype only; the metrics check their indices against the dataset.
+# A split object of plain attributes reaches the metrics' own check.
+_DS = from_arrays([0, 0, 1, 2], [0, 2, 1, 2], [5, 3, 4, 5], U=3, I=3)
+_M = random_quantum_model(np.random.default_rng(0), 3, 3, 2)
+_INDEX_ENTRY_POINTS = [
+    ("RatingDataset.uu", lambda x: from_arrays(x, [0, 1], [5, 4], U=3, I=3), [2, 0], [[0, -1], [0, 3]]),
+    ("RatingDataset.ii", lambda x: from_arrays([0, 1], x, [5, 4], U=3, I=3), [2, 0], [[0, -1], [0, 3]]),
+    ("RatingDataset.rr", lambda x: from_arrays([0, 1], [0, 1], x, U=2, I=2), [5, 1], [[5, 0], [5, 6]]),
+    ("subset", _DS.subset, [1, 3], [[1, -1], [1, 4]]),
+    ("DataSplit.train", lambda x: data.DataSplit(train=x, test=[3]), [2, 0], []),
+    ("DataSplit.test", lambda x: data.DataSplit(train=[3], test=x), [2, 0], []),
+    ("mae", lambda x: metrics.mae(_M, _DS, SimpleNamespace(train=[0], test=x)).value, [1, 3], [[1, -1], [1, 4]]),
+    ("recall_at_n", lambda x: metrics.recall_at_n(_M, _DS, SimpleNamespace(train=x, test=[3]), 2).value,
+     [1, 2], [[1, -1], [1, 4]]),
+    ("Targets.uu", lambda x: train.Targets(x, [0, 1], [0.2, 0.4], False, 3, 3).matrix, [2, 0], [[0, -1], [0, 3]]),
+    ("Targets.ii", lambda x: train.Targets([0, 1], x, [0.2, 0.4], True, 3, 3).matrix, [2, 0], [[0, -1], [0, 3]]),
+    ("score_items", lambda x: models.score_items(_M, x), [2, 0], [[0, -1], [0, 3]]),
+    ("score_entries.uu", lambda x: models.score_entries(_M, x, [0, 1]), [2, 0], [[0, -1], [0, 3]]),
+    ("score_entries.ii", lambda x: models.score_entries(_M, [0, 1], x), [2, 0], [[0, -1], [0, 3]]),
+    ("predict.u", lambda x: models.predict(_M, x, 0, 1), 2, [-1, 3]),
+    ("predict.i", lambda x: models.predict(_M, 0, x, 1), 1, [-1, 3]),
+    ("predict.z", lambda x: models.quantum_predict(_M, 0, 0, x), 2, [0, 3, -1]),
+    ("tag_operator", lambda x: tags.tag_operator(_M, x).matrix, [0, 2], [[0, -1], [0, 3]]),
+]
+
+
+def _result(value):
+    """A comparable form of an entry point's result."""
+    if isinstance(value, data.RatingDataset):
+        return [value.uu, value.ii, value.rr, value.U, value.I]
+    if isinstance(value, data.DataSplit):
+        return [value.train, value.test]
+    return [value.toarray() if hasattr(value, "toarray") else np.asarray(value)]
+
+
+@pytest.mark.parametrize("name, call, good, out_of_range", _INDEX_ENTRY_POINTS, ids=[e[0] for e in _INDEX_ENTRY_POINTS])
+class TestIndexContract:
+    def test_rejects_float_bool_and_out_of_range_indices(self, name, call, good, out_of_range):
+        # An int64 cast would truncate a float and read a bool as 0 or 1;
+        # numpy would read a bool array as a mask and -1 as the last entry.
+        good = np.array(good)
+        bad = [good.astype(float), good + 0.5, good.astype(bool), 0.5, True, np.True_, *out_of_range]
+        if good.ndim == 0:
+            bad += [float(good), np.array([good])]
+        for idx in bad:
+            message = r"integer index|index out of range|ratings must lie|parallel|expected one"
+            with pytest.raises(InvalidInput, match=message):
+                call(idx)
+
+    def test_integer_indices_of_any_width_give_one_result(self, name, call, good, out_of_range):
+        want = _result(call(good))
+        cast = (lambda x, t: t(x)) if np.ndim(good) == 0 else (lambda x, t: np.array(x, dtype=t))
+        for idx in (cast(good, t) for t in (np.int32, np.int64, np.uint8, np.uint64)):
+            got = _result(call(idx))
+            assert all(np.array_equal(a, b) and np.asarray(a).dtype == np.asarray(b).dtype
+                       for a, b in zip(got, want, strict=True)), idx
+
+
+class TestCheckIndex:
+    @given(
+        dtype=st.sampled_from([np.int8, np.int16, np.int32, np.int64, np.uint8, np.uint16, np.uint32, np.uint64]),
+        values=st.lists(st.integers(0, 125), max_size=6),
+        shift=st.integers(-2, 2),
+        n=st.integers(0, 130),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_integer_indices_pass_exactly_when_in_range(self, dtype, values, shift, n):
+        idx = np.array(values, dtype=np.int64) + (shift if np.dtype(dtype).kind == "i" else 0)
+        idx = idx.astype(dtype)
+        if idx.size and (idx.min() < 0 or idx.max() >= n):
+            with pytest.raises(InvalidInput, match=rf"op: thing index out of range \[0, {n}\)"):
+                data.check_index("op", idx, n, "thing")
+            return
+        got = data.check_index("op", idx, n, "thing")
+        assert got.dtype == np.int64 and got.tolist() == idx.tolist()
+        assert (got is idx) == (idx.dtype == np.int64)
+        assert data.check_index("op", idx, None, "thing").tolist() == idx.tolist()
+
+    @given(values=st.lists(st.floats(-3, 3) | st.booleans(), min_size=1, max_size=6))
+    @settings(max_examples=200, deadline=None)
+    def test_other_dtypes_never_pass(self, values):
+        for idx in (np.array(values), np.array(values, dtype=object), values[0], [values]):
+            with pytest.raises(InvalidInput, match="expected an integer index or 1-D index array"):
+                data.check_index("op", idx, None, "thing")
+
+    def test_empty_list_is_an_empty_index_array(self):
+        for idx in ([], (), np.array([], dtype=np.uint8)):
+            got = data.check_index("op", idx, 0, "thing")
+            assert got.dtype == np.int64 and got.shape == (0,)
+        assert len(_DS.subset([])) == 0
+        assert models.score_items(_M, []).shape == (0, _M.I)
+        assert data.DataSplit(train=[], test=[0]).train.dtype == np.int64
 
 
 class TestTagCatalog:

@@ -66,7 +66,7 @@ class TestErrorMetrics:
         split = data.DataSplit(train=np.array([], dtype=np.int64), test=np.arange(len(scores)))
         s = np.asarray(scores)
         expected = np.clip(z_star * np.clip(s, 0.0, 1.0), 1.0, float(z_star)) - np.asarray(rr)
-        got = metrics._star_errors(diag_model(scores, 1), ds, split)
+        got = metrics._star_errors("mae", diag_model(scores, 1), ds, split)
         assert got.tobytes() == expected.tobytes()
 
     def test_empty_test_rejected(self):
@@ -133,8 +133,8 @@ class TestRecall:
         m = diag_model([0.5], 1)
         ds = from_arrays([0], [0], [5], U=1, I=1)
         split = data.DataSplit(train=np.array([], dtype=np.int64), test=np.array([0]))
-        for n in (0, 2.5, 2.0, "2"):
-            with pytest.raises(InvalidInput):
+        for n in (0, 2.5, 2.0, "2", True, np.True_):
+            with pytest.raises(InvalidInput, match="n must be a positive integer"):
                 metrics.recall_at_n(m, ds, split, n)
         assert metrics.recall_at_n(m, ds, split, np.int64(2)).value == 1.0
 

@@ -791,9 +791,19 @@ def _corrupt(draw, lines):
     last = len(tokens) - 1
     n_head = min(2 if tokens[0] == "user" else 3, last)
     fault = draw(st.sampled_from(["token", "header", "index", "repeat", "extra", "missing", "role", "entries",
-                                  "blank", "mark"]))
+                                  "blank", "mark", "comma"]))
     if fault == "token":
         tokens[draw(st.integers(n_head, last))] = draw(st.sampled_from(_BAD_TOKENS))
+    elif fault == "comma":
+        # Cut two neighbouring value tokens at another comma of their join:
+        # "a,b c,d" becomes "a b,c,d". The record's commas still balance, and
+        # only the one-comma-per-token rule of field=complex catches it.
+        if last <= n_head:
+            return
+        j = draw(st.integers(n_head, last - 1))
+        parts = f"{tokens[j]},{tokens[j + 1]}".split(",")
+        cut = draw(st.sampled_from([c for c in range(len(parts) + 1) if c != tokens[j].count(",") + 1]))
+        tokens[j : j + 2] = ",".join(parts[:cut]), ",".join(parts[cut:])
     elif fault == "header":
         head = lines[0].split(" | ")
         j = draw(st.integers(0, 6))
