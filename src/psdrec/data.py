@@ -49,13 +49,13 @@ class RatingDataset:
     item_ids: np.ndarray
 
     def __post_init__(self):
+        self.U, self.I = check_count("RatingDataset", self.U, "U", 0), check_count("RatingDataset", self.I, "I", 0)
+        self.z_star = check_count("RatingDataset", self.z_star, "z_star", 2)
         self.uu = check_index("RatingDataset", self.uu, self.U, "user")
         self.ii = check_index("RatingDataset", self.ii, self.I, "item")
         self.rr = check_index("RatingDataset", self.rr, None, "rating")
         if not (self.uu.shape == self.ii.shape == self.rr.shape) or self.uu.ndim != 1:
             raise InvalidInput("RatingDataset: entry arrays must be parallel 1-d arrays")
-        if self.z_star < 2:
-            raise InvalidInput("RatingDataset: z_star must be at least 2")
         if len(self.uu):
             if self.rr.min() < 1 or self.rr.max() > self.z_star:
                 raise InvalidInput(f"RatingDataset: ratings must lie in [1, {self.z_star}]")
@@ -153,11 +153,15 @@ def group_entries(unit, n, *columns):
     return (_indptr(unit, n), *(c[order] for c in columns))
 
 
-def check_seed(seed, op):
-    """Return seed, or raise on a negative integer, which np.random.default_rng refuses."""
-    if isinstance(seed, (int, np.integer)) and seed < 0:
-        raise InvalidInput(f"{op}: seed must be nonnegative, got {seed}")
-    return seed
+def check_count(op, value, what, low, high=None):
+    """value as a Python int if it is an int or numpy integer of any size, not
+    a bool, in [low, high] (high None: no upper bound); else InvalidInput. The
+    one count rule of every public function: sizes, sweeps, folds, N, seeds."""
+    count = int(value) if isinstance(value, (int, np.integer)) and not isinstance(value, bool) else None
+    if count is None or count < low or (high is not None and count > high):
+        bound = f">= {low}" if high is None else f"in [{low}, {high}]"
+        raise InvalidInput(f"{op}: {what} must be an integer {bound}, got {value!r}")
+    return count
 
 
 def check_index(op, idx, n, what):
@@ -436,9 +440,8 @@ def kfold_split(ds, k, seed):
     the test folds is the whole entry set. Reproducible from seed. Both
     index sets come sorted, read off a fold label per entry.
     """
-    if not (isinstance(k, (int, np.integer)) and not isinstance(k, bool) and 2 <= k <= len(ds)):
-        raise InvalidInput(f"kfold_split: need an integer 2 <= k <= {len(ds)}, got {k!r}")
-    rng = np.random.default_rng(check_seed(seed, "kfold_split"))
+    k = check_count("kfold_split", k, "k", 2, len(ds))
+    rng = np.random.default_rng(check_count("kfold_split", seed, "seed", 0))
     label = np.empty(len(ds), dtype=np.intp)
     for j, fold in enumerate(np.array_split(rng.permutation(len(ds)), k)):
         label[fold] = j
@@ -453,7 +456,7 @@ def topn_holdout(ds, fraction, seed):
     n_test = int(np.floor(fraction * len(ds)))
     if n_test < 1:
         raise InvalidInput("topn_holdout: fraction selects an empty test set")
-    rng = np.random.default_rng(check_seed(seed, "topn_holdout"))
+    rng = np.random.default_rng(check_count("topn_holdout", seed, "seed", 0))
     held = np.zeros(len(ds), dtype=bool)
     held[rng.permutation(len(ds))[:n_test]] = True
     return DataSplit(train=np.flatnonzero(~held), test=np.flatnonzero(held))

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import models
-from .data import check_index, group_entries
+from .data import check_count, check_index, group_entries
 from .exceptions import InvalidInput
 from .models import score_entries, score_items
 
@@ -33,8 +33,7 @@ class MetricReport:
     def __post_init__(self):
         if not np.isfinite(self.value):
             raise InvalidInput(f"MetricReport: non-finite {self.metric} value")
-        if self.count <= 0:
-            raise InvalidInput("MetricReport: count must be positive")
+        object.__setattr__(self, "count", check_count("MetricReport", self.count, "count", 1))
 
     def as_line(self):
         """Single-line `key=value` record for scripting."""
@@ -108,8 +107,7 @@ def recall_at_n(m, ds, split, n):
     index outside the dataset or a dataset larger than the model raises
     InvalidInput.
     """
-    if not isinstance(n, (int, np.integer)) or isinstance(n, bool) or n < 1:
-        raise InvalidInput(f"recall_at_n: n must be a positive integer, got {n!r}")
+    n = check_count("recall_at_n", n, "n", 1)
     if ds.U > m.U or ds.I > m.I:
         raise InvalidInput(f"recall_at_n: dataset is {ds.U} x {ds.I}, the model {m.U} x {m.I}")
     train, test = _split_entries("recall_at_n", ds, split)

@@ -30,7 +30,7 @@ from itertools import repeat
 import numpy as np
 
 from . import linalg
-from .data import check_index, check_seed
+from .data import check_count, check_index
 from .exceptions import InvalidInput, NotSimultaneouslyDiagonalizable, ParseError
 
 __all__ = [
@@ -357,13 +357,16 @@ def recover_nnm(m, tol=1e-6, *, seed=0):
     matrices are held once, in O(k D^2) memory for k = U + I Z of them.
 
     Raises NotSimultaneouslyDiagonalizable if some rotated matrix has an
-    off-diagonal Frobenius norm above tol (or NaN).
+    off-diagonal Frobenius norm above tol (or NaN), and InvalidInput unless
+    tol is finite and nonnegative.
     """
     if not isinstance(m, QuantumModel):
         raise InvalidInput("recover_nnm: expected a QuantumModel")
+    if not 0.0 <= tol < np.inf:
+        raise InvalidInput(f"recover_nnm: tol must be finite and nonnegative, got {tol!r}")
     d = m.D
     mats = np.concatenate([m.users, m.items.reshape(m.I * m.Z, d, d)])
-    weights = np.random.default_rng(check_seed(seed, "recover_nnm")).uniform(0.5, 1.5, mats.shape[0])
+    weights = np.random.default_rng(check_count("recover_nnm", seed, "seed", 0)).uniform(0.5, 1.5, mats.shape[0])
     _, basis = np.linalg.eigh(linalg.hermitianize(np.tensordot(weights, mats, axes=1)))
     rotated = np.conj(basis.T) @ mats @ basis
     idx = np.arange(d)

@@ -36,7 +36,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .exceptions import InvalidInput, NumericalFailure, ParseError
-from .data import check_index, check_seed, group_entries
+from .data import check_count, check_index, group_entries
 from .models import KINDS, NnmModel, QuantumModel
 from .models import score_entries  # noqa: F401  perfbench/spans.py wraps train.score_entries
 
@@ -82,21 +82,17 @@ class TrainConfig:
     kind: str = "quantum"
 
     def __post_init__(self):
-        if self.D < 1:
-            raise InvalidInput("TrainConfig: D must be at least 1")
-        if self.max_iter < 0:
-            raise InvalidInput("TrainConfig: max_iter must be nonnegative")
+        for name, low in (("D", 1), ("max_iter", 0), ("inner_iters", 1), ("seed", 0)):
+            object.__setattr__(self, name, check_count("TrainConfig", getattr(self, name), name, low))
+        if self.zero_fill_sweeps is not None:
+            zf = check_count("TrainConfig", self.zero_fill_sweeps, "zero_fill_sweeps", 0, self.max_iter)
+            object.__setattr__(self, "zero_fill_sweeps", zf)
         if self.mode not in MODES:
             raise InvalidInput(f"TrainConfig: mode must be one of {MODES}")
-        if self.zero_fill_sweeps is not None and not 0 <= self.zero_fill_sweeps <= self.max_iter:
-            raise InvalidInput("TrainConfig: zero_fill_sweeps must lie in [0, max_iter]")
-        if self.inner_iters < 1:
-            raise InvalidInput("TrainConfig: inner_iters must be at least 1")
         if self.field not in FIELDS:
             raise InvalidInput(f"TrainConfig: field must be one of {FIELDS}")
         if self.kind not in KINDS:
             raise InvalidInput(f"TrainConfig: kind must be one of {tuple(KINDS)}")
-        check_seed(self.seed, "TrainConfig")
 
     def resolved_zero_fill(self):
         if self.zero_fill_sweeps is not None:
@@ -181,9 +177,8 @@ class Targets:
     sq_sums: dict = field(init=False, repr=False)
 
     def __post_init__(self, uu, ii, values):
-        shape = (self.U, self.I)
-        if not all(isinstance(n, (int, np.integer)) and not isinstance(n, bool) and n >= 0 for n in shape):
-            raise InvalidInput(f"Targets: U and I must be nonnegative integers, got {shape}")
+        for name in ("U", "I"):
+            object.__setattr__(self, name, check_count("Targets", getattr(self, name), name, 0))
         values = np.asarray(values, dtype=float)
         if not (np.shape(uu) == np.shape(ii) == values.shape) or values.ndim != 1:
             raise InvalidInput("Targets: entry arrays must be parallel 1-d arrays")
@@ -224,9 +219,10 @@ def init_quantum_users(n_users, d, seed, field="complex"):
     Gaussian components normalized; complex by default. Reproducible from
     seed.
     """
-    if n_users < 1 or d < 1:
-        raise InvalidInput("init_quantum_users: need positive sizes")
-    rng = np.random.default_rng(check_seed(seed, "init_quantum_users"))
+    n_users, d = check_count("init_quantum_users", n_users, "n_users", 1), check_count("init_quantum_users", d, "d", 1)
+    if field not in FIELDS:
+        raise InvalidInput(f"init_quantum_users: field must be one of {FIELDS}")
+    rng = np.random.default_rng(check_count("init_quantum_users", seed, "seed", 0))
     v = rng.standard_normal((n_users, d))
     if field == "complex":
         v = v + 1j * rng.standard_normal((n_users, d))

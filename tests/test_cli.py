@@ -209,13 +209,13 @@ class TestNegativeSeed:
     @pytest.mark.parametrize(
         "command, message",
         [
-            (["train", "--seed", "-1", "--model-out", "{tmp}/m"], "TrainConfig: seed must be nonnegative, got -1"),
+            (["train", "--seed", "-1", "--model-out", "{tmp}/m"], "TrainConfig: seed must be an integer >= 0, got -1"),
             (["train", "--config", "{cfg}", "--model-out", "{tmp}/m"],
-             "{cfg}: TrainConfig: seed must be nonnegative, got -3"),
-            (["evaluate", "--seed", "-1"], "kfold_split: seed must be nonnegative, got -1"),
-            (["topn", "--seed", "-1"], "topn_holdout: seed must be nonnegative, got -1"),
+             "{cfg}: TrainConfig: seed must be an integer >= 0, got -3"),
+            (["evaluate", "--seed", "-1"], "kfold_split: seed must be an integer >= 0, got -1"),
+            (["topn", "--seed", "-1"], "topn_holdout: seed must be an integer >= 0, got -1"),
             (["recover", "--model-in", "{model}", "--model-out", "{tmp}/o", "--seed", "-1"],
-             "recover_nnm: seed must be nonnegative, got -1"),
+             "recover_nnm: seed must be an integer >= 0, got -1"),
         ],
         ids=["train", "config", "evaluate", "topn", "recover"],
     )
@@ -337,6 +337,21 @@ class TestRecoverOverfitCommands:
         assert rc == 1
         assert len(err) == 1 and err[0].startswith("error: recover_nnm: ")
         assert not out.exists()
+
+    @pytest.mark.parametrize("tol", ["nan", "-1"])
+    def test_recover_rejects_bad_tol(self, tmp_path, capsys, tol):
+        # An exactly diagonal model: the fault is the argument's, not the model's.
+        path = tmp_path / "q.psdrec"
+        path.write_text(
+            "PSDREC v1 | kind=quantum | 2 | 1 | 1 | 2 | field=real\n"
+            "user 0 1 0 0 0\nitem 0 1 1 0 0 0\nitem 0 2 0 0 0 1\n"
+        )
+        out = tmp_path / "out"
+        rc = cli.main(["recover", "--model-in", str(path), "--model-out", str(out), "--tol", tol])
+        assert rc == 1 and not out.exists()
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: recover_nnm: tol must be finite and nonnegative, got {float(tol)!r}"
+        ]
 
     def test_overfit_respects_size_cap(self, tmp_path, monkeypatch, capsys):
         data_path = small_corpus(tmp_path)

@@ -12,7 +12,7 @@ from psdrec import data, metrics, models, tags, train
 from psdrec.exceptions import InvalidInput, ParseError
 
 from _oracles import naive_ratings, sorted_holdout, sorted_kfold
-from conftest import from_arrays, random_dataset, random_quantum_model
+from conftest import from_arrays, random_dataset, random_nnm_model, random_quantum_model
 
 
 @st.composite
@@ -336,7 +336,7 @@ class TestRatingDataset:
     @pytest.mark.parametrize(
         "change, message",
         [
-            ({"z_star": 1}, "z_star must be at least 2"),
+            ({"z_star": 1}, "z_star must be an integer >= 2, got 1"),
             ({"ii": [0, 2]}, "item index out of range"),
             ({"ii": [0, -1]}, "item index out of range"),
             ({"user_ids": [7]}, "id maps"),
@@ -472,7 +472,7 @@ class TestSplits:
             data.kfold_split(ds, len(ds) + 1, seed=0)
         # A count is an integer: a float would reach np.array_split, a bool read as 0 or 1.
         for k in (2.0, np.float64(3), True, np.True_, "2"):
-            with pytest.raises(InvalidInput, match="kfold_split: need an integer"):
+            with pytest.raises(InvalidInput, match="kfold_split: k must be an integer in"):
                 data.kfold_split(ds, k, seed=0)
         assert len(data.kfold_split(ds, np.uint8(2), seed=0)) == 2
 
@@ -499,10 +499,14 @@ class TestSplits:
         for split, op in ((lambda s: data.kfold_split(ds, 2, s), "kfold_split"),
                           (lambda s: data.topn_holdout(ds, 0.5, s), "topn_holdout")):
             for seed in (-1, np.int64(-2)):
-                with pytest.raises(InvalidInput, match=f"{op}: seed must be nonnegative"):
+                with pytest.raises(InvalidInput, match=f"{op}: seed must be an integer >= 0"):
                     split(seed)
-            # Every other seed default_rng takes is still taken.
-            for seed in (None, np.uint64(3), [1, 2], np.random.SeedSequence(4)):
+            # A seed is a nonnegative integer of any size: no OS entropy (None),
+            # no sequence or SeedSequence, no float or bool.
+            for seed in (None, [1, 2], np.random.SeedSequence(4), 1.5, True):
+                with pytest.raises(InvalidInput, match=f"{op}: seed must be an integer >= 0"):
+                    split(seed)
+            for seed in (np.uint64(3), 2**70):
                 split(seed)
 
     @pytest.mark.parametrize("n", [2, 3, 10, 101, 5000])
@@ -640,6 +644,106 @@ class TestCheckIndex:
         assert len(_DS.subset([])) == 0
         assert models.score_items(_M, []).shape == (0, _M.I)
         assert data.DataSplit(train=[], test=[0]).train.dtype == np.int64
+
+
+def _trained(**counts):
+    m, history = train.train_quantum(_DS, train.TrainConfig(**{"max_iter": 2, **counts}))
+    return [m.users, m.items, history.objective]
+
+
+def _recovered(seed):
+    m = models.recover_nnm(_NNM, seed=seed)
+    return [m.users, m.items]
+
+
+_NNM = models.embed_nnm(random_nnm_model(np.random.default_rng(1), 3, 3, 2))
+_HOLDOUT = data.DataSplit(train=[1, 2], test=[0, 3])
+# Every public count argument: (op.what, call with the count in that
+# argument, a valid count, counts outside its range). Seeds are nonnegative
+# integers of any size: no OS entropy (None) either.
+_COUNT_ENTRY_POINTS = [
+    ("TrainConfig.D", lambda x: _trained(D=x), 2, [0, -1]),
+    ("TrainConfig.max_iter", lambda x: _trained(max_iter=x), 2, [-1]),
+    ("TrainConfig.zero_fill_sweeps", lambda x: _trained(zero_fill_sweeps=x), 1, [-1, 3]),
+    ("TrainConfig.inner_iters", lambda x: _trained(inner_iters=x), 2, [0, -1]),
+    ("TrainConfig.seed", lambda x: _trained(seed=x), 3, [-1]),
+    ("Targets.U", lambda x: train.Targets([0, 1], [0, 1], [0.2, 0.4], False, x, 3).matrix, 2, [-1]),
+    ("Targets.I", lambda x: train.Targets([0, 1], [0, 1], [0.2, 0.4], True, 3, x).matrix, 2, [-1]),
+    ("init_quantum_users.n_users", lambda x: train.init_quantum_users(x, 2, 0), 3, [0, -1]),
+    ("init_quantum_users.d", lambda x: train.init_quantum_users(3, x, 0), 2, [0, -1]),
+    ("init_quantum_users.seed", lambda x: train.init_quantum_users(3, 2, x), 3, [-1]),
+    ("RatingDataset.U", lambda x: data.RatingDataset([0, 1], [0, 1], [5, 4], x, 2, 5, [7, 8], [7, 8]), 2, [-1]),
+    ("RatingDataset.I", lambda x: data.RatingDataset([0, 1], [0, 1], [5, 4], 2, x, 5, [7, 8], [7, 8]), 2, [-1]),
+    ("RatingDataset.z_star", lambda x: metrics.rating_histogram(from_arrays([0, 1], [0, 1], [2, 1], U=2, I=2, z_star=x)),
+     2, [1, 0, -1]),
+    ("kfold_split.k", lambda x: data.kfold_split(_DS, x, 0), 2, [1, 5, -1]),
+    ("kfold_split.seed", lambda x: data.kfold_split(_DS, 2, x), 3, [-1]),
+    ("topn_holdout.seed", lambda x: data.topn_holdout(_DS, 0.5, x), 3, [-1]),
+    ("recall_at_n.n", lambda x: metrics.recall_at_n(_M, _DS, _HOLDOUT, x).value, 2, [0, -1]),
+    ("recover_nnm.seed", lambda x: _recovered(seed=x), 3, [-1]),
+    ("MetricReport.count", lambda x: metrics.MetricReport("mae", 0.5, x).count, 2, [0, -1]),
+]
+
+
+def _parts(value):
+    """_result of a value or of each item of a list of them."""
+    return [part for v in value for part in _result(v)] if isinstance(value, list) else _result(value)
+
+
+@pytest.mark.parametrize("name, call, good, out_of_range", _COUNT_ENTRY_POINTS, ids=[e[0] for e in _COUNT_ENTRY_POINTS])
+class TestCountContract:
+    def test_rejects_float_bool_and_out_of_range_counts(self, name, call, good, out_of_range):
+        # A float would reach range(), a shape or SeedSequence as a raw
+        # TypeError, or be compared and pass; a bool would read as 0 or 1.
+        bad = [float(good), good + 0.5, True, np.float64(good), *out_of_range]
+        if name.endswith(".seed"):
+            bad.append(None)
+        op, what = name.split(".")
+        for count in bad:
+            with pytest.raises(InvalidInput, match=rf"{op}: {what} must be an integer (>=|in)"):
+                call(count)
+
+    def test_integer_counts_of_any_width_give_the_plain_int_result(self, name, call, good, out_of_range):
+        want = _parts(call(good))
+        for count in (int(good), np.int32(good), np.uint8(good), np.int64(good)):
+            got = _parts(call(count))
+            assert all(np.array_equal(a, b) and np.asarray(a).dtype == np.asarray(b).dtype
+                       for a, b in zip(got, want, strict=True)), repr(count)
+
+
+_INT_TYPES = [int, np.int8, np.int16, np.int32, np.int64, np.uint8, np.uint16, np.uint32, np.uint64]
+
+
+class TestCheckCount:
+    @given(
+        draw=st.data(),
+        kind=st.sampled_from(_INT_TYPES),
+        low=st.integers(-3, 40),
+        high=st.none() | st.integers(-3, 60),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_integers_pass_exactly_when_in_range(self, draw, kind, low, high):
+        # Python ints of any size pass: default_rng takes seeds above 2**63.
+        lo, hi = (-(2**70), 2**70) if kind is int else (int(np.iinfo(kind).min), int(np.iinfo(kind).max))
+        value = kind(draw.draw(st.integers(max(lo, -5), min(hi, 70)) | st.integers(lo, hi)))
+        if int(value) < low or (high is not None and int(value) > high):
+            bound = f">= {low}" if high is None else rf"in \[{low}, {high}\]"
+            with pytest.raises(InvalidInput, match=rf"op: thing must be an integer {bound}, got"):
+                data.check_count("op", value, "thing", low, high)
+            return
+        got = data.check_count("op", value, "thing", low, high)
+        assert type(got) is int and got == int(value)
+
+    @given(
+        value=st.floats() | st.booleans() | st.none() | st.text(max_size=3)
+        | st.builds(np.float64, st.floats()) | st.builds(np.bool_, st.booleans())
+        | st.builds(np.array, st.integers(0, 5)) | st.lists(st.integers(0, 5), max_size=2),
+        high=st.none() | st.just(10**6),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_other_values_never_pass(self, value, high):
+        with pytest.raises(InvalidInput, match="op: thing must be an integer"):
+            data.check_count("op", value, "thing", -(10**6), high)
 
 
 class TestTagCatalog:

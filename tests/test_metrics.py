@@ -134,7 +134,7 @@ class TestRecall:
         ds = from_arrays([0], [0], [5], U=1, I=1)
         split = data.DataSplit(train=np.array([], dtype=np.int64), test=np.array([0]))
         for n in (0, 2.5, 2.0, "2", True, np.True_):
-            with pytest.raises(InvalidInput, match="n must be a positive integer"):
+            with pytest.raises(InvalidInput, match="recall_at_n: n must be an integer >= 1"):
                 metrics.recall_at_n(m, ds, split, n)
         assert metrics.recall_at_n(m, ds, split, np.int64(2)).value == 1.0
 
@@ -350,7 +350,7 @@ class TestBlockedRecall:
     [
         (lambda: metrics.MetricReport("mae", float("nan"), 1), "non-finite mae"),
         (lambda: metrics.MetricReport("rmse", float("inf"), 1), "non-finite rmse"),
-        (lambda: metrics.MetricReport("mae", 0.5, 0), "count must be positive"),
+        (lambda: metrics.MetricReport("mae", 0.5, 0), "MetricReport: count must be an integer >= 1, got 0"),
         (lambda: metrics.recall_at_n(diag_model([0.5], 1), from_arrays([0], [0], [5], U=1, I=1),
                                      data.DataSplit(train=np.array([0]), test=np.array([], dtype=np.int64)), 1),
          "empty test set"),

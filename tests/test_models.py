@@ -444,8 +444,17 @@ class TestRecover:
 
     def test_rejects_negative_seed(self):
         m = models.embed_nnm(self._planted(np.random.default_rng(24), 2, 2, n_items=3))
-        with pytest.raises(InvalidInput, match="recover_nnm: seed must be nonnegative, got -1"):
+        with pytest.raises(InvalidInput, match="recover_nnm: seed must be an integer >= 0, got -1"):
             models.recover_nnm(m, seed=-1)
+
+    @pytest.mark.parametrize("tol", [np.nan, -1.0, np.inf, -np.inf])
+    def test_rejects_bad_tol(self, tol):
+        # A bad tol is the argument's fault: on this exactly diagonal model
+        # it raised NotSimultaneouslyDiagonalizable ("norm 0.000e+00, above tol nan").
+        m = models.embed_nnm(self._planted(np.random.default_rng(24), 2, 2, n_items=3))
+        with pytest.raises(InvalidInput, match=f"recover_nnm: tol must be finite and nonnegative, got {tol!r}"):
+            models.recover_nnm(m, tol=tol)
+        assert isinstance(models.recover_nnm(m, tol=0.0), models.NnmModel)
 
     def test_rejects_nnm_input(self):
         rng = np.random.default_rng(23)

@@ -356,16 +356,21 @@ def _from_file_text(tmp_path, text):
         (lambda tmp_path: _from_file_text(tmp_path, "D = 2\nmax_iter 4\n"), ParseError, "line 2: expected key=value"),
         (lambda tmp_path: train.Targets([0, 1], [0], [1.0, 1.0], False, 2, 2), InvalidInput, "parallel"),
         (lambda tmp_path: train.Targets([[0]], [[0]], [[1.0]], False, 2, 2), InvalidInput, "parallel"),
-        (lambda tmp_path: train.init_quantum_users(0, 2, seed=0), InvalidInput, "positive sizes"),
-        (lambda tmp_path: train.init_quantum_users(2, 0, seed=0), InvalidInput, "positive sizes"),
+        (lambda tmp_path: train.init_quantum_users(0, 2, seed=0), InvalidInput,
+         "init_quantum_users: n_users must be an integer >= 1, got 0"),
+        (lambda tmp_path: train.init_quantum_users(2, 0, seed=0), InvalidInput,
+         "init_quantum_users: d must be an integer >= 1, got 0"),
         (lambda tmp_path: train.init_quantum_users(2, 2, seed=-1), InvalidInput,
-         "init_quantum_users: seed must be nonnegative, got -1"),
-        (lambda tmp_path: train.TrainConfig(seed=-1), InvalidInput, "TrainConfig: seed must be nonnegative, got -1"),
+         "init_quantum_users: seed must be an integer >= 0, got -1"),
+        (lambda tmp_path: train.init_quantum_users(2, 2, 0, field="banana"), InvalidInput,
+         "init_quantum_users: field must be one of"),
+        (lambda tmp_path: train.TrainConfig(seed=-1), InvalidInput,
+         "TrainConfig: seed must be an integer >= 0, got -1"),
         (lambda tmp_path: _from_file_text(tmp_path, "seed = -3\n"), ParseError,
-         "TrainConfig: seed must be nonnegative, got -3"),
+         "TrainConfig: seed must be an integer >= 0, got -3"),
     ],
     ids=["config-no-equals", "targets-lengths", "targets-2d", "init-no-users", "init-no-dimension",
-         "init-negative-seed", "config-negative-seed", "config-file-negative-seed"],
+         "init-negative-seed", "init-unknown-field", "config-negative-seed", "config-file-negative-seed"],
 )
 def test_rejects_malformed_input(tmp_path, call, error, message):
     with pytest.raises(error, match=message):
