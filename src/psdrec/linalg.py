@@ -12,8 +12,9 @@ The spectral projections wrap one unchecked kernel on real coordinate rows
 (`to_coords`), `spectral_coords`. It and `min_eigvalsh` read one private
 eigen-dispatch, `_eigensystem`, in row blocks: closed forms from the rows at
 D <= 3 (eigenvalues m -+ r at D = 2; at D = 3 one trigonometric eigenvalue,
-its cross-product eigenvector and the D = 2 form for the other pair), batched
-LAPACK eigh otherwise. `project_to_povm` solves its dual by semismooth Newton.
+its eigenprojector from the adjugate and the D = 2 form for the other pair),
+batched LAPACK eigh otherwise. `project_to_povm` solves its dual by
+semismooth Newton.
 """
 
 from __future__ import annotations
@@ -167,22 +168,26 @@ def _coords3(diag, upper):
 
 
 def _three_by_three(x):
-    """lam, mu, r, V, R of 3 x 3 coordinate rows x (N, K): the eigenvalues are
-    lam and mu -+ r, and V and R, the K coordinate columns of v v^H and of
-    P A P - mu P, where v is a unit eigenvector for lam and P = I - v v^H.
+    """lam, mu, r, Q, R of 3 x 3 coordinate rows x (N, K): the eigenvalues are
+    lam and mu -+ r, and Q and R, the K coordinate columns of the eigenprojector
+    for lam and of P A P - mu P, where P = I - Q.
 
-    With m = tr A / 3 and p = ||A - m I|| / sqrt(6), the kernel works on
+    Each row is first scaled by the power of two of its largest entry, which is
+    exact, so that no square below overflows and a tiny row keeps its
+    precision; m and p are scaled back. With m = tr A / 3 and p = ||A - m I|| / sqrt(6), the kernel works on
     C = (A - m I) / p, whose eigenvalues 2 cos(phi + 2 pi j / 3) follow from
     phi = arccos(det C / 2) / 3 (Smith, CACM 4, 1961). lam takes the one at
     least sqrt(3) p from the other two, j = 0 where phi < pi/6 and j = 1
-    otherwise, so it stays accurate where arccos is ill-conditioned. v is the
-    largest bilinear cross product of two rows of C - (lam - m)/p I, a column
-    of its adjugate (Kopp, Int. J. Mod. Phys. C 19, 2008), and e_0 where all
-    vanish. mu -+ r are the eigenvalues of the compression of A to the plane
-    orthogonal to v, the D = 2 closed form there: with u = C v and
-    alpha = v^H u, mu = m + p (tr C - alpha) / 2 and r = ||R|| / sqrt(2).
-    All arithmetic is on 1-d arrays of N entries; a NaN row gives NaN."""
-    xt = x.T
+    otherwise, so it stays accurate where arccos is ill-conditioned. For a
+    simple eigenvalue s of C, adj(C - s I) is the product of the other two
+    gaps times the eigenprojector (Horn & Johnson, Matrix Analysis, 2nd ed.,
+    2013), and its trace is that product, at least 3 here, so Q is the
+    adjugate over its trace. C Q = s Q makes P C P = C - s Q, so
+    R / p = C - nu I - (s - nu) Q with nu = (tr C - s) / 2, mu = m + p nu and
+    r = ||R|| / sqrt(2). At p = 0, C = 0 and Q = I / 3. All arithmetic is on
+    1-d arrays of N entries; a NaN row gives NaN."""
+    e = np.frexp(functools.reduce(np.maximum, np.abs(x.T)))[1]
+    xt = np.ldexp(x, -e[:, None]).T
     m = (xt[0] + xt[1] + xt[2]) / 3.0
     b = [t - m for t in xt[:3]]
     p = np.sqrt((b[0] * b[0] + b[1] * b[1] + b[2] * b[2] + np.einsum("kn,kn->n", xt[3:], xt[3:])) / 6.0)
@@ -203,40 +208,18 @@ def _three_by_three(x):
     # diagonal g00, g11, g22 and upper entries g01, g02, g12.
     g00, g11, g22 = c[1] * c[2] - sq[2], c[0] * c[2] - sq[1], c[0] * c[1] - sq[0]
     g01, g02, g12 = o[1] * oc[2] - o[0] * c[2], o[0] * o[2] - o[1] * c[1], o[1] * oc[0] - o[2] * c[0]
-    a01, a02, a12 = ((t * np.conj(t)).real for t in (g01, g02, g12))
-    n0, n1, n2 = g00 * g00 + a01 + a02, g11 * g11 + a01 + a12, g22 * g22 + a02 + a12
-    k1 = n1 > n0
-    top = np.where(k1, n1, n0)
-    k2 = n2 > top
-    top = np.where(k2, n2, top)
-    scale = np.divide(1.0, np.sqrt(top), out=np.zeros_like(top), where=top > 0)
-    # The column of largest norm, normalised; e_0 where the adjugate is 0.
-    v = [
-        np.where(k2, g02, np.where(k1, g01, g00)) * scale + (top == 0),
-        np.where(k2, g12, np.where(k1, g11, np.conj(g01))) * scale,
-        np.where(k2, g22, np.where(k1, np.conj(g12), np.conj(g02))) * scale,
-    ]
-    vc = [np.conj(t) for t in v]
-    u = [
-        b[0] * v[0] + o[0] * v[1] + o[1] * v[2],
-        oc[0] * v[0] + b[1] * v[1] + o[2] * v[2],
-        oc[1] * v[0] + oc[2] * v[1] + b[2] * v[2],
-    ]
-    uc = [np.conj(t) for t in u]
-    alpha = (vc[0] * u[0] + vc[1] * u[1] + vc[2] * u[2]).real
-    mu = 0.5 * (b[0] + b[1] + b[2] - alpha)
-    beta = alpha + mu
-    vd = [(t * tc).real for t, tc in zip(v, vc)]
-    vo = [v[0] * vc[1], v[0] * vc[2], v[1] * vc[2]]
-    # R / p = C - mu I - v u^H - u v^H + (alpha + mu) v v^H.
-    rd = [b[i] - mu - 2.0 * (v[i] * uc[i]).real + beta * vd[i] for i in range(3)]
-    ro = [o[q] - v[i] * uc[j] - u[i] * vc[j] + beta * vo[q] for q, (i, j) in enumerate(((0, 1), (0, 2), (1, 2)))]
-    rr = [t * p for t in _coords3(rd, ro)]
-    return m + p * shift, m + p * mu, np.sqrt(0.5 * sum(t * t for t in rr)), _coords3(vd, vo), rr
+    inv = 1.0 / (g00 + g11 + g22)
+    qd, qo = [g00 * inv, g11 * inv, g22 * inv], [g01 * inv, g02 * inv, g12 * inv]
+    nu = 0.5 * (b[0] + b[1] + b[2] - shift)
+    gap = shift - nu
+    rr = _coords3([t - nu - gap * q for t, q in zip(b, qd)], [t - gap * q for t, q in zip(o, qo)])
+    m, p = np.ldexp(m, e), np.ldexp(p, e)
+    r = p * np.sqrt(0.5 * sum(t * t for t in rr))
+    return m + p * shift, m + p * nu, r, _coords3(qd, qo), [t * p for t in rr]
 
 
-# Rows per `_eigensystem` call. At D = 3 its 1-d temporaries, about 80 of
-# them, then take about 2 MB. The heap they leave behind stays mapped, so
+# Rows per `_eigensystem` call. At D = 3 its 1-d temporaries, about 50 of
+# them, then take about 1.4 MB. The heap they leave behind stays mapped, so
 # larger blocks raise the peak RSS of every later step.
 _BLOCK = 2048
 
@@ -248,14 +231,18 @@ def _eigensystem(x, d):
     At D <= 3, w0, w1 = mu -+ r and compose gives mean I + scale R, mean and
     slope scale = (fw1 - fw0) / (2r) (0 where r = 0, bounded by f's Lipschitz
     constant) of f over that pair: R = A - mu I at D = 2; at D = 3 it adds
-    (fw2 - mean) v v^H for lam of `_three_by_three`, as mean P + fw2 v v^H
-    does. Any other D recomposes sum_k fw_k v_k v_k^H from batched LAPACK eigh."""
+    (fw2 - mean) Q for lam's eigenprojector Q of `_three_by_three`, as
+    mean P + fw2 Q does. Any other D recomposes sum_k fw_k v_k v_k^H from
+    batched LAPACK eigh."""
     if d == 2:
         mu, h = 0.5 * (x[:, 0] + x[:, 1]), 0.5 * (x[:, 0] - x[:, 1])
-        r = np.hypot(h, np.sqrt(0.5 * sum(t * t for t in x.T[2:])))
+        # |a01| = |x2 + i x3| / sqrt(2) by abs and hypot, which do not overflow
+        # where x2 * x2 does, past 1e154.
+        off = x[:, 2] if x.shape[1] == 3 else np.abs(x[:, 2] + 1j * x[:, 3])
+        r = np.hypot(h, off / _SQRT2)
         w = np.stack([mu - r, mu + r], axis=-1)
     elif d == 3:
-        lam, mu, r, vv, rr = _three_by_three(x)
+        lam, mu, r, q, rr = _three_by_three(x)
         w = np.stack([mu - r, mu + r, lam], axis=-1)
     else:
         w, v = np.linalg.eigh(from_coords(x, d, complex if x.shape[-1] > d * (d + 1) // 2 else float))
@@ -270,8 +257,8 @@ def _eigensystem(x, d):
             out[:, 1] = mean - scale * h
             return out
         top, out = fw[:, 2] - mean, np.empty(x.shape)
-        for j, (vj, rj) in enumerate(zip(vv, rr)):
-            out[:, j] = top * vj + scale * rj
+        for j, (qj, rj) in enumerate(zip(q, rr)):
+            out[:, j] = top * qj + scale * rj
         out[:, :3] += mean[:, None]
         return out
 
