@@ -59,7 +59,8 @@ class RatingDataset:
         if len(self.uu):
             if self.rr.min() < 1 or self.rr.max() > self.z_star:
                 raise InvalidInput(f"RatingDataset: ratings must lie in [1, {self.z_star}]")
-            keys = np.sort(self.uu * np.int64(self.I) + self.ii)
+            keys = self.uu * np.int64(self.I) + self.ii
+            keys.sort()
             if np.any(keys[1:] == keys[:-1]):
                 raise InvalidInput("RatingDataset: duplicate (user, item) entry")
         self.user_ids = np.asarray(self.user_ids)
@@ -194,6 +195,8 @@ _POW10 = 10 ** np.arange(_MAX_DIGITS, dtype=np.int64)
 
 
 def _load_ratings(path, sep, z_star=5):
+    """The block parser's columns with ids remapped by `_first_appearance`'s
+    table, or, if it declines or a (user, item) pair repeats, the line loop's."""
     columns = _parse_blocks(path, sep, z_star)
     if columns is not None:
         uu, ii, rr = columns
@@ -297,22 +300,20 @@ def _parse_block(a, sep, z_star, columns, n):
 
 
 def _first_appearance(values):
-    """Replace each value by its index in order of first appearance, in
-    place; return the distinct values in that order. One stable argsort,
-    a radix sort when the values fit in 16 bits."""
-    order = _stable_order(values, values.max() + 1)
-    ordered = values[order]
-    head = np.empty(len(ordered), dtype=bool)
-    head[:1] = True
-    np.not_equal(ordered[1:], ordered[:-1], out=head[1:])
-    # Stable: the head of each run of equal values is its first appearance.
-    rank = np.argsort(order[head])
-    ids = ordered[head][rank]
-    index_of_run = np.empty(len(rank), dtype=np.int64)
-    index_of_run[rank] = np.arange(len(rank))
-    np.cumsum(head, out=ordered)
-    ordered -= 1
-    values[order] = index_of_run[ordered]
+    """Replace each value, a nonnegative id, by its index in order of first
+    appearance, in place; return the distinct values in that order. A table
+    over the id range takes each id's first index (np.minimum.at), then its new
+    index; only the distinct ids are sorted. Ids of len(values) + 2^16 and more,
+    such as 18-digit ones, first become their dense codes from np.unique."""
+    if values.max() >= len(values) + (1 << 16):
+        codes, values[:] = np.unique(values, return_inverse=True)
+        return codes[_first_appearance(values)]
+    table = np.full(values.max() + 1, len(values))
+    np.minimum.at(table, values, np.arange(len(values)))
+    ids = np.flatnonzero(table < len(values))
+    ids = ids[np.argsort(table[ids])]
+    table[ids] = np.arange(len(ids))
+    values[:] = table[values]
     return ids
 
 

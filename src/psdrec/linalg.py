@@ -224,7 +224,7 @@ def _three_by_three(x):
 _BLOCK = 2048
 
 
-def _eigensystem(x, d):
+def _eigensystem(x, d, vectors=True):
     """Eigenvalues w (N, D) of the D x D Hermitian matrices with coordinate
     rows x (N, K) and compose(fw), the rows of the matrices with eigenvalues
     fw on the same eigenvectors; the one place that picks an eigensolver by D.
@@ -233,7 +233,8 @@ def _eigensystem(x, d):
     constant) of f over that pair: R = A - mu I at D = 2; at D = 3 it adds
     (fw2 - mean) Q for lam's eigenprojector Q of `_three_by_three`, as
     mean P + fw2 Q does. Any other D recomposes sum_k fw_k v_k v_k^H from
-    batched LAPACK eigh."""
+    batched LAPACK eigh; with vectors False it takes eigvalsh's eigenvalues
+    alone, and compose is None."""
     if d == 2:
         mu, h = 0.5 * (x[:, 0] + x[:, 1]), 0.5 * (x[:, 0] - x[:, 1])
         # |a01| = |x2 + i x3| / sqrt(2) by abs and hypot, which do not overflow
@@ -245,7 +246,10 @@ def _eigensystem(x, d):
         lam, mu, r, q, rr = _three_by_three(x)
         w = np.stack([mu - r, mu + r, lam], axis=-1)
     else:
-        w, v = np.linalg.eigh(from_coords(x, d, complex if x.shape[-1] > d * (d + 1) // 2 else float))
+        a = from_coords(x, d, complex if x.shape[-1] > d * (d + 1) // 2 else float)
+        if not vectors:
+            return np.linalg.eigvalsh(a), None
+        w, v = np.linalg.eigh(a)
         return w, lambda fw: to_coords(np.einsum("...ik,...k,...jk->...ij", v, fw, np.conj(v)))
 
     def compose(fw):
@@ -265,14 +269,14 @@ def _eigensystem(x, d):
     return w, compose
 
 
-def _by_blocks(x, d, g, *shape):
+def _by_blocks(x, d, g, *shape, vectors=True):
     """g(w, compose) of `_eigensystem` per block of _BLOCK rows of x (any leading
     axes), into one x.shape[:-1] + shape array. A block's arrays outlive the next
     block's computation; freed first, malloc would trim and refault the heap."""
     rows = x.reshape(-1, x.shape[-1])
     out = np.empty((len(rows),) + shape)
     for lo in range(0, len(rows), _BLOCK):
-        system = _eigensystem(rows[lo : lo + _BLOCK], d)
+        system = _eigensystem(rows[lo : lo + _BLOCK], d, vectors)
         out[lo : lo + _BLOCK] = g(*system)
     return out.reshape(x.shape[:-1] + shape)
 
@@ -290,12 +294,13 @@ def _spectral_map(a, op, f):
 
 def min_eigvalsh(a):
     """Smallest eigenvalue of each Hermitian matrix along the last two axes, the
-    least of `_eigensystem`'s: mu - r at D = 2, min(lam, mu - r) at D = 3, eigh's
-    first otherwise, folded over the columns of w with np.minimum (a reduction
-    along the D-wide axis costs far more). Unchecked, like `hermitianize`: a
-    NaN entry gives NaN."""
+    least of `_eigensystem`'s: mu - r at D = 2, min(lam, mu - r) at D = 3,
+    eigvalsh's first otherwise (no eigenvectors), folded over the columns of w
+    with np.minimum (a reduction along the D-wide axis costs far more).
+    Unchecked, like `hermitianize`: a NaN entry gives NaN."""
     a = np.asarray(a)
-    return _by_blocks(to_coords(a), a.shape[-1], lambda w, _: functools.reduce(np.minimum, w.T))
+    x = to_coords(a)
+    return _by_blocks(x, a.shape[-1], lambda w, _: functools.reduce(np.minimum, w.T), vectors=False)
 
 
 def project_to_spectrahedron(a):

@@ -99,13 +99,13 @@ def recall_at_n(m, ds, split, n):
 
     Users are scored by `score_items` in blocks of `models._SCORE_BLOCK` scores or one row.
     Each block's training items are set to -inf through one flag per dataset
-    entry, grouped by user with the items by `group_entries`: on a dataset
-    already in user order, as a file listed user by user, nothing is sorted
-    or copied. Then rank <= n holds exactly when the test score is above
-    the row's (n+1)-th largest score, so one partition of the block decides
-    every hit; when n >= I every entry is a hit. A non-finite score, a split
-    index outside the dataset or a dataset larger than the model raises
-    InvalidInput.
+    entry, grouped by user by `group_entries` with np.s_ as the entry indices
+    (np.s_[order] is order): entries in user order are neither sorted nor
+    copied; others keep their order, and each block reads its items through it.
+    Then rank <= n holds exactly when the test score is above the row's
+    (n+1)-th largest score, so one partition of the block decides every hit;
+    when n >= I every entry is a hit. A non-finite score, a split index
+    outside the dataset or a dataset larger than the model raises InvalidInput.
     """
     n = check_count("recall_at_n", n, "n", 1)
     if ds.U > m.U or ds.I > m.I:
@@ -117,7 +117,7 @@ def recall_at_n(m, ds, split, n):
 
     in_train = np.zeros(len(ds), dtype=bool)
     in_train[train] = True
-    ptr, entry_items, in_train = group_entries(ds.uu, ds.U, ds.ii, in_train)
+    ptr, entries, in_train = group_entries(ds.uu, ds.U, np.s_, in_train)
     test_ptr, test_items = group_entries(ds.uu[relevant], ds.U, ds.ii[relevant])
     users = np.flatnonzero(np.diff(test_ptr))
     kth = m.I - n - 1  # ascending position of the (n+1)-th largest score
@@ -137,8 +137,8 @@ def recall_at_n(m, ds, split, n):
         if kth < 0:
             hits += held_out.size
         else:
-            rated_rows, rated_items, rated = _block_entries(ptr, block, entry_items, in_train)
-            scores[rated_rows[rated], rated_items[rated]] = -np.inf
+            rated_rows, rated_entries, rated = _block_entries(ptr, block, entries, in_train)
+            scores[rated_rows[rated], ds.ii[rated_entries[rated]]] = -np.inf
             scores.partition(kth, axis=1)
             hits += int(np.count_nonzero(held_out - delta[block][rows] > scores[rows, kth]))
         del scores  # before the next block's scores exist

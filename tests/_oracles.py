@@ -319,6 +319,14 @@ def naive_ratings(path, sep, z_star=5):
     return (uu, ii, rr, user_ids, item_ids), duplicate, malformed or not rr
 
 
+def first_appearance(values):
+    """(each value's index in order of first appearance, the distinct values in
+    that order), by one dict."""
+    index = {}
+    codes = [index.setdefault(v, len(index)) for v in values]
+    return codes, list(index)
+
+
 # --- reference model-file parser ---------------------------------------------------------
 
 

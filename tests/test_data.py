@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from psdrec import data, metrics, models, tags, train
 from psdrec.exceptions import InvalidInput, ParseError
 
-from _oracles import naive_ratings, sorted_holdout, sorted_kfold
+from _oracles import first_appearance, naive_ratings, sorted_holdout, sorted_kfold
 from conftest import from_arrays, random_dataset, random_nnm_model, random_quantum_model
 
 
@@ -320,6 +320,71 @@ class TestBlockParser:
             finally:
                 tracemalloc.stop()
         assert peaks[0] <= peaks[1]
+
+
+    def test_peak_memory_bounded_per_entry(self, tmp_path):
+        # The 200k-line file of test_peak_memory_at_most_the_loops: its
+        # columns take 24 bytes per entry, the id remap's table and the
+        # duplicate check's sorted keys about 9 more. Sorting the ids and
+        # copying the keys took about 50.
+        rng = np.random.default_rng(0)
+        n = 200_000
+        keys = rng.choice(6040 * 3952, size=n, replace=False)
+        cols = (keys // 3952 + 1, keys % 3952 + 1, rng.integers(1, 6, n), rng.integers(9 * 10**8, 10**9, n))
+        path = tmp_path / "ratings.dat"
+        path.write_text("".join(f"{u}::{i}::{r}::{t}\n" for u, i, r, t in zip(*(c.tolist() for c in cols))))
+        tracemalloc.start()
+        try:
+            assert len(data.load_movielens_1m(str(path))) == n
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 36 * n
+
+    def test_ids_are_remapped_without_a_sort(self, tmp_path, monkeypatch):
+        # Users and items out of order, so grouping them would need a sort.
+        rows = [(u, 7 * i % 23 + 1, 1 + (u + i) % 5, 978300000) for i in range(20) for u in (9, 2, 40, 5)]
+        path = write_1m(tmp_path, rows)
+
+        def refuse(values, n):
+            raise AssertionError("the loader sorted the ids")
+
+        monkeypatch.setattr(data, "_stable_order", refuse)
+        monkeypatch.setattr(data, "_parse_lines", _loop_must_not_run)
+        assert_matches_oracle(path, "::")
+
+
+class TestFirstAppearance:
+    @given(
+        high=st.sampled_from([0, 5, 1 << 16, (1 << 16) + 40, 10**18 - 1]),
+        draws=st.lists(st.integers(0, 10**18 - 1), min_size=1, max_size=40),
+        repeats=st.booleans(),
+        arrangement=st.sampled_from(["random", "sorted", "reversed"]),
+        bound=st.sampled_from([None, -1, 0]),
+    )
+    # 18-digit ids, repeated; the largest id one below and at the table bound.
+    @example(high=10**18 - 1, draws=[10**18 - 1, 10**18 - 3, 10**18 - 1, 7], repeats=True,
+             arrangement="random", bound=None)
+    @example(high=5, draws=[3, 1, 3], repeats=True, arrangement="random", bound=-1)
+    @example(high=5, draws=[3, 1, 3], repeats=True, arrangement="random", bound=0)
+    @settings(max_examples=300, deadline=None)
+    def test_matches_dict_oracle(self, high, draws, repeats, arrangement, bound):
+        # Ids up to len + 2^16 - 1 index a table directly; larger ones are
+        # first made dense codes. bound puts the largest id at len + 2^16 + bound.
+        values = [d % (high + 1) for d in draws]
+        if repeats:
+            values += values[::2]
+        else:
+            values = list(dict.fromkeys(values))
+        if bound is not None:
+            values.append(len(values) + 1 + (1 << 16) + bound)
+        if arrangement != "random":
+            values.sort(reverse=arrangement == "reversed")
+        got = np.array(values, dtype=np.int64)
+        ids = data._first_appearance(got)
+        codes, want = first_appearance(values)
+        assert got.tolist() == codes and ids.tolist() == want
+        assert got.dtype == ids.dtype == np.int64
 
 
 class TestRatingDataset:

@@ -526,8 +526,9 @@ def test_min_eigvalsh_keeps_nan(d):
 @settings(max_examples=100, deadline=None)
 def test_min_eigvalsh_is_the_row_min(seed, d, field, exponent):
     # min_eigvalsh folds np.minimum over the eigenvalue columns; it must
-    # equal the row minimum of the same eigensystem, and keep the NaN
-    # rows of the closed forms (LAPACK rejects NaN).
+    # equal the row minimum of the same eigensystem (eigenvalues only, so
+    # eigvalsh's at D = 4), and keep the NaN rows of the closed forms
+    # (LAPACK rejects NaN).
     rng = np.random.default_rng(seed)
     g = rng.standard_normal((5, d, d))
     if field == "complex":
@@ -535,8 +536,25 @@ def test_min_eigvalsh_is_the_row_min(seed, d, field, exponent):
     a = 0.5 * (g + np.conj(np.swapaxes(g, -1, -2))) * 10.0**exponent
     if d in (2, 3):
         a[0, 0, 0] = np.nan
-    w, _ = linalg._eigensystem(linalg.to_coords(a), d)
+    w, _ = linalg._eigensystem(linalg.to_coords(a), d, vectors=False)
     assert np.array_equal(linalg.min_eigvalsh(a), w.min(axis=1), equal_nan=True)
+
+
+@pytest.mark.parametrize("field", ["real", "complex"])
+@pytest.mark.parametrize("d", [4, 5])
+def test_min_eigvalsh_takes_no_eigenvectors(monkeypatch, d, field):
+    # Past the closed forms min_eigvalsh needs the eigenvalues alone.
+    def refuse(a, *args, **kwargs):
+        raise AssertionError("min_eigvalsh computed eigenvectors")
+
+    rng = np.random.default_rng(13)
+    g = rng.standard_normal((9, d, d))
+    if field == "complex":
+        g = g + 1j * rng.standard_normal((9, d, d))
+    a = 0.5 * (g + np.conj(np.swapaxes(g, -1, -2)))
+    want = np.linalg.eigvalsh(a)[:, 0]
+    monkeypatch.setattr(np.linalg, "eigh", refuse)
+    _assert_close(linalg.min_eigvalsh(a), want, _norms(a))
 
 
 class TestProjectToBinaryPovm:

@@ -316,6 +316,33 @@ class TestBlockedRecall:
         assert peak <= 4 * len(ds) + 8 * models._SCORE_BLOCK
         assert report.count == int(np.count_nonzero(ds.rr[split.test] == 5))
 
+    def test_transient_bounded_per_shuffled_dataset_entry(self):
+        # The same entries shuffled, as in a file not listed user by user:
+        # grouping keeps the 8-byte stable order and the flags and looks
+        # each block's items up through the order. Gathering every item
+        # beside the flags held about 18 bytes per entry.
+        rng = np.random.default_rng(6)
+        n_users, n_items, per_user = 4000, 1000, 50
+        uu = np.repeat(np.arange(n_users), per_user)
+        ii = np.argsort(rng.random((n_users, n_items)), axis=1)[:, :per_user].ravel()
+        rr = rng.integers(1, 6, size=uu.size)
+        shuffle = np.random.default_rng(16).permutation(uu.size)
+        ds = from_arrays(uu[shuffle], ii[shuffle], rr[shuffle], U=n_users, I=n_items)
+        split = data.topn_holdout(ds, 0.2, 0)
+        users, likes = rng.random((n_users, 2)), rng.random((n_items, 2))
+        m = models.NnmModel(users / users.sum(axis=1, keepdims=True), np.stack([likes, 1.0 - likes], axis=1))
+        tracemalloc.start()
+        try:
+            report = metrics.recall_at_n(m, ds, split, 20)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 14 * len(ds)
+        ordered = from_arrays(uu, ii, rr, U=n_users, I=n_items)
+        same = data.DataSplit(train=shuffle[split.train], test=shuffle[split.test])
+        want = metrics.recall_at_n(m, ordered, same, 20)
+        assert (report.value, report.count) == (want.value, want.count)
+
     def test_user_ordered_entries_are_not_sorted(self, monkeypatch):
         # Entries listed user by user, as in a file, group without a sort.
         rng = np.random.default_rng(7)
