@@ -37,6 +37,12 @@ class RatingDataset:
     [1, z_star]. U and I are the full index ranges (a subset keeps the parent
     shape so trained models stay aligned). user_ids / item_ids map internal
     indices back to the original ids.
+
+    Whatever integer arrays it is given, it stores uu and ii as int32 (int64
+    when U or I is 2^31 or more) and rr as the narrowest signed integer type
+    that holds z_star (int8 for five stars), copying only when the given
+    dtype differs: 9 bytes per entry for MovieLens. Ratings are range-checked
+    before they are narrowed, so none wraps.
     """
 
     uu: np.ndarray
@@ -51,15 +57,19 @@ class RatingDataset:
     def __post_init__(self):
         self.U, self.I = check_count("RatingDataset", self.U, "U", 0), check_count("RatingDataset", self.I, "I", 0)
         self.z_star = check_count("RatingDataset", self.z_star, "z_star", 2)
-        self.uu = check_index("RatingDataset", self.uu, self.U, "user")
-        self.ii = check_index("RatingDataset", self.ii, self.I, "item")
-        self.rr = check_index("RatingDataset", self.rr, None, "rating")
-        if not (self.uu.shape == self.ii.shape == self.rr.shape) or self.uu.ndim != 1:
+        self.uu = check_index("RatingDataset", self.uu, self.U, "user").astype(_index_dtype(self.U), copy=False)
+        self.ii = check_index("RatingDataset", self.ii, self.I, "item").astype(_index_dtype(self.I), copy=False)
+        rr, rating = _integer_array("RatingDataset", self.rr), _rating_dtype(self.z_star)
+        if not (self.uu.shape == self.ii.shape == rr.shape) or self.uu.ndim != 1:
             raise InvalidInput("RatingDataset: entry arrays must be parallel 1-d arrays")
+        if rr.size and (rr.min() < 1 or int(rr.max()) > min(self.z_star, np.iinfo(rating).max)):
+            raise InvalidInput(f"RatingDataset: ratings must lie in [1, {self.z_star}]")
+        self.rr = rr.astype(rating, copy=False)
         if len(self.uu):
-            if self.rr.min() < 1 or self.rr.max() > self.z_star:
-                raise InvalidInput(f"RatingDataset: ratings must lie in [1, {self.z_star}]")
-            keys = self.uu * np.int64(self.I) + self.ii
+            # int64 keys built in place: an int32 product would wrap.
+            keys = self.uu.astype(np.int64)
+            keys *= self.I
+            keys += self.ii
             keys.sort()
             if np.any(keys[1:] == keys[:-1]):
                 raise InvalidInput("RatingDataset: duplicate (user, item) entry")
@@ -101,8 +111,8 @@ class DataSplit:
     test: np.ndarray
 
     def __post_init__(self):
-        train = check_index("DataSplit", self.train, None, "train")
-        test = check_index("DataSplit", self.test, None, "test")
+        train = check_index("DataSplit", self.train, None, "train").astype(np.int64, copy=False)
+        test = check_index("DataSplit", self.test, None, "test").astype(np.int64, copy=False)
         # Binary search in sorted train: ms at 1M entries, ~1 s for np.intersect1d.
         ordered = train.ravel()
         if np.any(ordered[1:] < ordered[:-1]):
@@ -136,8 +146,21 @@ def _stable_order(values, n):
     return np.argsort(values.astype(np.uint16) if n <= 1 << 16 else values, kind="stable")
 
 
+def unit_counts(unit, n):
+    """np.bincount(unit, minlength=n) for an integer array in [0, n).
+
+    np.bincount copies an array of any dtype but intp whole to intp, 8 bytes
+    per entry for an int32 or int8 column, so it counts chunks of at most
+    max(2^16, n) entries, which keeps the cost O(len(unit) + n)."""
+    counts = np.zeros(n, dtype=np.intp)
+    step = max(1 << 16, n)
+    for k in range(0, len(unit), step):
+        counts += np.bincount(unit[k : k + step], minlength=n)
+    return counts
+
+
 def _indptr(unit, n):
-    return np.concatenate([[0], np.cumsum(np.bincount(unit, minlength=n))])
+    return np.concatenate([[0], np.cumsum(unit_counts(unit, n))])
 
 
 def group_entries(unit, n, *columns):
@@ -165,20 +188,38 @@ def check_count(op, value, what, low, high=None):
     return count
 
 
+def _integer_array(op, idx):
+    """idx as a 0-d or 1-d array of an integer dtype, or empty; else InvalidInput."""
+    idx = np.asarray(idx)
+    if idx.ndim > 1 or (idx.dtype.kind not in "iu" and idx.size):
+        raise InvalidInput(f"{op}: expected an integer index or 1-D index array, got {idx.dtype} {idx.shape}")
+    return idx
+
+
 def check_index(op, idx, n, what):
-    """idx as a 0-d or 1-d int64 array, not copied if it is one, with every
-    entry in [0, n); n None checks the dtype only.
+    """idx as a 0-d or 1-d int32 or int64 array with every entry in [0, n);
+    n None checks the dtype only. An int32 or int64 array comes back itself,
+    uncopied, so a dataset's int32 columns are read as they are; any other
+    integer dtype becomes int64.
 
     The one index rule of every public function. Only integer dtypes pass:
     an int64 cast would truncate floats and read bools as 0 and 1, and numpy
     would read a bool array as a mask. An empty list is an empty index array.
     """
-    idx = np.asarray(idx)
-    if idx.ndim > 1 or (idx.dtype.kind not in "iu" and idx.size):
-        raise InvalidInput(f"{op}: expected an integer index or 1-D index array, got {idx.dtype} {idx.shape}")
+    idx = _integer_array(op, idx)
     if n is not None and idx.size and (idx.min() < 0 or idx.max() >= n):
         raise InvalidInput(f"{op}: {what} index out of range [0, {n})")
-    return idx.astype(np.int64, copy=False)
+    return idx if idx.dtype in (np.int32, np.int64) else idx.astype(np.int64)
+
+
+def _index_dtype(n):
+    """int32 for indices into a range of n < 2^31, else int64."""
+    return np.int32 if n < 1 << 31 else np.int64
+
+
+def _rating_dtype(z_star):
+    """The narrowest signed integer type that holds z_star (int64 at most)."""
+    return next((t for t in (np.int8, np.int16, np.int32) if z_star <= np.iinfo(t).max), np.int64)
 
 
 # Bytes read per block: large enough that per-block overhead is negligible,
@@ -192,15 +233,28 @@ _MAX_LINE_BYTES = 1 << 12
 # Longest id or rating the block parser converts; 10**18 - 1 fits in int64.
 _MAX_DIGITS = 18
 _POW10 = 10 ** np.arange(_MAX_DIGITS, dtype=np.int64)
+# Entries per chunk of `_first_appearance`'s two passes: 512 KB temporaries.
+_REMAP_CHUNK = 1 << 16
 
 
 def _load_ratings(path, sep, z_star=5):
     """The block parser's columns with ids remapped by `_first_appearance`'s
-    table, or, if it declines or a (user, item) pair repeats, the line loop's."""
+    table, or, if it declines or a (user, item) pair repeats, the line loop's.
+
+    The parser gives int64 ids and ratings already narrowed to the dataset's
+    dtype. Each id column is remapped in chunks and narrowed right after,
+    one at a time, so no full-size int64 copy is held next to its column:
+    about 21 bytes per entry at the peak (both id columns, the ratings and
+    the first narrowed column), besides the parser's block temporaries, and
+    9 held in the dataset."""
     columns = _parse_blocks(path, sep, z_star)
     if columns is not None:
         uu, ii, rr = columns
-        user_ids, item_ids = _first_appearance(uu), _first_appearance(ii)
+        del columns
+        user_ids = _first_appearance(uu)
+        uu = uu.astype(_index_dtype(len(user_ids)))
+        item_ids = _first_appearance(ii)
+        ii = ii.astype(_index_dtype(len(item_ids)))
         try:
             return RatingDataset(uu, ii, rr, len(user_ids), len(item_ids), z_star, user_ids, item_ids)
         except InvalidInput:
@@ -221,9 +275,10 @@ def _parse_blocks(path, sep, z_star):
 
     A first pass counts the separator bytes. An accepted file has exactly
     3 * len(sep) of them per entry, so the columns are allocated once at their
-    final size, at most 8 bytes per byte of file, and the blocks fill them in
-    place. A pipe cannot be read twice, so anything but a regular file, and
-    a missing path, is left to the loop.
+    final size and the blocks fill them in place: two int64 id columns and
+    the ratings in `_rating_dtype(z_star)`, 17 bytes per entry at five stars.
+    A pipe cannot be read twice, so anything but a regular file, and a
+    missing path, is left to the loop.
     """
     if not os.path.isfile(path):
         return None
@@ -231,7 +286,8 @@ def _parse_blocks(path, sep, z_star):
     with open(path, "rb") as fh:
         read = partial(fh.read, _BLOCK_BYTES)
         sep_bytes = sum(block.count(sep_byte) for block in iter(read, b""))
-        columns = [np.empty(sep_bytes // (3 * len(sep)), dtype=np.int64) for _ in range(3)]
+        size = sep_bytes // (3 * len(sep))
+        columns = [np.empty(size, dtype=t) for t in (np.int64, np.int64, _rating_dtype(z_star))]
         fh.seek(0)
         n, carry = 0, b""
         for block in iter(read, b""):
@@ -256,7 +312,9 @@ def _parse_blocks(path, sep, z_star):
 def _parse_block(a, sep, z_star, columns, n):
     """Write the entries of the whole lines in bytes `a`, which hold only
     digits, separator bytes and newlines, into each column from n on; the new
-    entry count, or None if the block parser declines the block."""
+    entry count, or None if the block parser declines the block. Ratings are
+    summed in int64 and checked against [1, z_star] before they are narrowed
+    into their column, so a rating such as 261 cannot wrap into range."""
     digit = a - np.uint8(48)  # separators and newlines wrap above 9
     ends = np.flatnonzero(a == 10).astype(np.int32)
     seps = np.flatnonzero(a == ord(sep[0])).astype(np.int32)
@@ -286,16 +344,16 @@ def _parse_block(a, sep, z_star, columns, n):
         return None
     # Right-aligned digit sums. A masked-out index may fall below 0, by less
     # than the longest field, so it wraps inside `a`.
-    for column, end, length in zip(columns, seps, lengths):
-        out = column[n : n + k]
+    rr = np.empty(k, dtype=np.int64)
+    for out, end, length in zip((columns[0][n : n + k], columns[1][n : n + k], rr), seps, lengths):
         out[:] = 0
         for j in range(int(length.max(initial=0))):
             # int64 before the product: numpy 1.x would keep uint8 digits
             # times a small power of ten in the narrowest type that holds it.
             out += np.where(length > j, digit[end - 1 - j], 0).astype(np.int64) * _POW10[j]
-    rr = columns[2][n : n + k]
     if k and (rr.min() < 1 or rr.max() > z_star):
         return None
+    columns[2][n : n + k] = rr
     return n + k
 
 
@@ -304,16 +362,25 @@ def _first_appearance(values):
     appearance, in place; return the distinct values in that order. A table
     over the id range takes each id's first index (np.minimum.at), then its new
     index; only the distinct ids are sorted. Ids of len(values) + 2^16 and more,
-    such as 18-digit ones, first become their dense codes from np.unique."""
+    such as 18-digit ones, first become their dense codes from np.unique.
+
+    Both passes over values go in chunks of _REMAP_CHUNK entries, so no
+    temporary is larger than a chunk. Whole-column positions and looked-up
+    indices, 8 bytes per entry each, would be a load's largest requests, and
+    malloc keeps freed heap memory resident, so the peak RSS of repeated
+    loads would depend on where in the heap those requests land."""
     if values.max() >= len(values) + (1 << 16):
         codes, values[:] = np.unique(values, return_inverse=True)
         return codes[_first_appearance(values)]
-    table = np.full(values.max() + 1, len(values))
-    np.minimum.at(table, values, np.arange(len(values)))
-    ids = np.flatnonzero(table < len(values))
+    n = len(values)
+    table = np.full(values.max() + 1, n)
+    for k in range(0, n, _REMAP_CHUNK):
+        np.minimum.at(table, values[k : k + _REMAP_CHUNK], np.arange(k, min(k + _REMAP_CHUNK, n)))
+    ids = np.flatnonzero(table < n)
     ids = ids[np.argsort(table[ids])]
     table[ids] = np.arange(len(ids))
-    values[:] = table[values]
+    for k in range(0, n, _REMAP_CHUNK):
+        values[k : k + _REMAP_CHUNK] = table[values[k : k + _REMAP_CHUNK]]
     return ids
 
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import models
-from .data import check_count, check_index, group_entries
+from .data import check_count, check_index, group_entries, unit_counts
 from .exceptions import InvalidInput
 from .models import score_entries, score_items
 
@@ -153,4 +153,4 @@ def recall_at_n(m, ds, split, n):
 
 def rating_histogram(ds):
     """Exact counts per star value, index 0 holding the count of 1-star ratings."""
-    return np.bincount(ds.rr, minlength=ds.z_star + 1)[1:]
+    return unit_counts(ds.rr, ds.z_star + 1)[1:]

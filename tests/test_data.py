@@ -142,7 +142,7 @@ def assert_matches_oracle(path, sep):
         ds = load(str(path))
         got = (ds.uu.tolist(), ds.ii.tolist(), ds.rr.tolist(), ds.user_ids.tolist(), ds.item_ids.tolist())
         assert got == entries
-        assert ds.uu.dtype == ds.ii.dtype == ds.rr.dtype == np.int64
+        assert (ds.uu.dtype, ds.ii.dtype, ds.rr.dtype) == (np.int32, np.int32, np.int8)
         return
     with pytest.raises(ParseError) as exc_info:
         load(str(path))
@@ -323,10 +323,12 @@ class TestBlockParser:
 
 
     def test_peak_memory_bounded_per_entry(self, tmp_path):
-        # The 200k-line file of test_peak_memory_at_most_the_loops: its
-        # columns take 24 bytes per entry, the id remap's table and the
-        # duplicate check's sorted keys about 9 more. Sorting the ids and
-        # copying the keys took about 50.
+        # The 200k-line file of test_peak_memory_at_most_the_loops: at the
+        # peak, the parser's int64 id columns and narrow ratings take 17
+        # bytes per entry and its block temporaries about 8 more at this
+        # size; the chunked remap adds at most one 4-byte narrowed column.
+        # The dataset holds 9. Int64 columns throughout took about 33,
+        # sorting the ids and copying the keys about 50.
         rng = np.random.default_rng(0)
         n = 200_000
         keys = rng.choice(6040 * 3952, size=n, replace=False)
@@ -335,11 +337,12 @@ class TestBlockParser:
         path.write_text("".join(f"{u}::{i}::{r}::{t}\n" for u, i, r, t in zip(*(c.tolist() for c in cols))))
         tracemalloc.start()
         try:
-            assert len(data.load_movielens_1m(str(path))) == n
+            ds = data.load_movielens_1m(str(path))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 36 * n
+        assert len(ds) == n and peak <= 28 * n
+        assert ds.uu.nbytes + ds.ii.nbytes + ds.rr.nbytes <= 9 * n
 
     def test_ids_are_remapped_without_a_sort(self, tmp_path, monkeypatch):
         # Users and items out of order, so grouping them would need a sort.
@@ -352,6 +355,17 @@ class TestBlockParser:
         monkeypatch.setattr(data, "_stable_order", refuse)
         monkeypatch.setattr(data, "_parse_lines", _loop_must_not_run)
         assert_matches_oracle(path, "::")
+
+    @pytest.mark.parametrize("rating", ["261", "300"])
+    @pytest.mark.parametrize("sep", ["\t", "::"])
+    def test_ratings_are_checked_before_they_are_narrowed(self, tmp_path, sep, rating):
+        # In int8, 261 wraps to 5 and 300 to 44: the block parser declines
+        # either, and the line loop names the rating as written.
+        path = write_bytes(tmp_path, f"1{sep}1{sep}4{sep}0\n2{sep}1{sep}{rating}{sep}0\n")
+        assert data._parse_blocks(str(path), sep, 5) is None
+        load = data.load_movielens_100k if sep == "\t" else data.load_movielens_1m
+        with pytest.raises(ParseError, match=rf"line 2: rating {rating} outside \[1, 5\]"):
+            load(str(path))
 
 
 class TestFirstAppearance:
@@ -385,6 +399,28 @@ class TestFirstAppearance:
         codes, want = first_appearance(values)
         assert got.tolist() == codes and ids.tolist() == want
         assert got.dtype == ids.dtype == np.int64
+
+    @pytest.mark.parametrize("chunk", [1, 7, 64, 1 << 16])
+    def test_chunks_match_dict_oracle(self, monkeypatch, chunk):
+        # A first appearance and its repeats fall in different chunks.
+        monkeypatch.setattr(data, "_REMAP_CHUNK", chunk)
+        values = np.random.default_rng(chunk).integers(0, 50, 300).tolist()
+        got = np.array(values, dtype=np.int64)
+        ids = data._first_appearance(got)
+        codes, want = first_appearance(values)
+        assert got.tolist() == codes and ids.tolist() == want
+
+    def test_temporaries_bounded_by_a_chunk(self):
+        # Whole-column positions or looked-up indices would take 8 bytes per
+        # entry, 4 MB here.
+        values = np.random.default_rng(0).integers(0, 6040, 500_000)
+        tracemalloc.start()
+        try:
+            data._first_appearance(values)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * 8 * data._REMAP_CHUNK
 
 
 class TestRatingDataset:
@@ -479,6 +515,67 @@ class TestRatingDataset:
         ds = data.load_movielens_100k(write_100k(tmp_path, rows))
         assert ds.user_ids.tolist() == [10, 20]
         assert ds.item_index[300] == 0
+
+
+def _assert_narrow(ds, uu, ii, rr):
+    assert (ds.uu.dtype, ds.ii.dtype, ds.rr.dtype) == (np.int32, np.int32, np.int8)
+    assert (ds.uu.tolist(), ds.ii.tolist(), ds.rr.tolist()) == (uu, ii, rr)
+
+
+class TestStorageDtypes:
+    """Every way a dataset is made stores int32 indices and int8 ratings for
+    five stars, with the values it was given."""
+
+    @pytest.mark.parametrize("parser", ["blocks", "loop"])
+    @pytest.mark.parametrize("sep", ["\t", "::"])
+    def test_loaders(self, tmp_path, monkeypatch, sep, parser):
+        rows = [(9, 30, 5, 0), (2, 7, 1, 0), (9, 7, 3, 0), (40, 30, 4, 0)]
+        path = (write_100k if sep == "\t" else write_1m)(tmp_path, rows)
+        if parser == "blocks":
+            monkeypatch.setattr(data, "_parse_lines", _loop_must_not_run)
+        else:
+            monkeypatch.setattr(data, "_parse_blocks", lambda *args: None)
+        ds = (data.load_movielens_100k if sep == "\t" else data.load_movielens_1m)(path)
+        _assert_narrow(ds, [0, 1, 0, 2], [0, 1, 1, 0], [5, 1, 3, 4])
+        assert ds.user_ids.tolist() == [9, 2, 40] and ds.item_ids.tolist() == [30, 7]
+
+    @pytest.mark.parametrize("dtype", [np.int64, np.int32, np.uint8])
+    def test_constructor(self, dtype):
+        uu, ii, rr = (np.array(c, dtype=dtype) for c in ([2, 0, 1], [0, 3, 3], [5, 1, 4]))
+        ds = from_arrays(uu, ii, rr, U=3, I=4)
+        _assert_narrow(ds, [2, 0, 1], [0, 3, 3], [5, 1, 4])
+        # int32 columns are stored as given, not copied.
+        assert (ds.uu is uu and ds.ii is ii) == (dtype == np.int32)
+
+    @pytest.mark.parametrize(
+        "idx, want",
+        [([0, 2, 3], ([2, 1, 1], [0, 3, 1], [5, 4, 2])), ([3, 0, 2], ([1, 2, 1], [1, 0, 3], [2, 5, 4]))],
+        ids=["increasing", "checked"],
+    )
+    def test_subset(self, idx, want):
+        ds = from_arrays([2, 0, 1, 1], [0, 3, 3, 1], [5, 1, 4, 2], U=3, I=4)
+        _assert_narrow(ds.subset(idx), *want)
+
+    def test_ratings_past_int8_keep_their_values(self):
+        ds = from_arrays([0, 1, 2], [0, 0, 0], [300, 1, 261], U=3, I=1, z_star=300)
+        assert ds.rr.dtype == np.int16 and ds.rr.tolist() == [300, 1, 261]
+        with pytest.raises(InvalidInput, match=r"ratings must lie in \[1, 5\]"):
+            from_arrays([0], [0], [261], U=1, I=1)
+
+    def test_indices_widen_from_a_range_of_2_to_the_31(self):
+        # The id map a zero-stride view, so no 2^31-entry array is made.
+        n = 1 << 31
+        ds = data.RatingDataset([n - 1], [0], [5], n, 1, 5, np.broadcast_to(7, (n,)), [8])
+        assert (ds.uu.dtype, ds.ii.dtype) == (np.int64, np.int32) and ds.uu.tolist() == [n - 1]
+
+    def test_duplicate_keys_do_not_wrap(self):
+        # User 65,536's int32 key 65,536 * 65,536 + 5 wraps to user 0's 5,
+        # and numpy 1.24 keeps int32 * np.int64(I) in int32: the keys must be
+        # int64 before the product. A true repeat at that shape still raises.
+        ds = from_arrays([0, 65_536], [5, 5], [3, 4], U=65_537, I=65_536)
+        assert len(ds) == 2 and ds.uu.dtype == np.int32
+        with pytest.raises(InvalidInput, match="duplicate"):
+            from_arrays([65_536, 65_536], [5, 5], [3, 4], U=65_537, I=65_536)
 
 
 class TestGroupEntries:
@@ -691,8 +788,9 @@ class TestCheckIndex:
                 data.check_index("op", idx, n, "thing")
             return
         got = data.check_index("op", idx, n, "thing")
-        assert got.dtype == np.int64 and got.tolist() == idx.tolist()
-        assert (got is idx) == (idx.dtype == np.int64)
+        kept = idx.dtype in (np.int32, np.int64)
+        assert got.dtype == (idx.dtype if kept else np.int64) and got.tolist() == idx.tolist()
+        assert (got is idx) == kept
         assert data.check_index("op", idx, None, "thing").tolist() == idx.tolist()
 
     @given(values=st.lists(st.floats(-3, 3) | st.booleans(), min_size=1, max_size=6))

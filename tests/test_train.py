@@ -273,6 +273,38 @@ class TestTargets:
         assert np.shares_memory(train.Targets(ds.uu, ds.ii, values, False, ds.U, ds.I).matrix.data, values)
         assert np.array_equal(t.matrix.data, values) and np.array_equal(t.matrix.indices, ds.ii)
 
+    def test_effective_targets_peak_bounded_per_entry(self):
+        # The 200k user-ordered entries above: the targets' values and their
+        # squares take 16 bytes per entry, the dataset's int32 index arrays
+        # are read in place. Widening the ratings twice and np.bincount's
+        # intp copy of the indices took about 20.
+        rng = np.random.default_rng(7)
+        n_users, n_items, per_user = 4000, 1000, 50
+        uu = np.repeat(np.arange(n_users), per_user)
+        ii = np.argsort(rng.random((n_users, n_items)), axis=1)[:, :per_user].ravel()
+        ds = from_arrays(uu, ii, rng.integers(1, 6, size=uu.size), U=n_users, I=n_items)
+        tracemalloc.start()
+        try:
+            t = train.effective_targets(ds, True)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(ds) == 200_000 and peak <= 17 * len(ds)
+        assert np.shares_memory(t.matrix.indices, ds.ii)
+
+    @pytest.mark.parametrize("shuffled", [False, True])
+    def test_user_square_sums_add_in_entry_order(self, shuffled):
+        # The objective's constants: a CSR row sum adds each user's entries
+        # in entry order, as np.bincount does, so they match to the bit.
+        rng = np.random.default_rng(3)
+        ds = random_dataset(rng, 60, 40, density=0.5)
+        if shuffled:
+            ds = ds.subset(rng.permutation(len(ds)))
+        t = train.effective_targets(ds, False)
+        values = ds.rr.astype(float) / ds.z_star
+        assert np.array_equal(t.sq_sums["user"], np.bincount(ds.uu.astype(np.int64), values**2, ds.U))
+        np.testing.assert_allclose(t.sq_sums["item"], np.bincount(ds.ii.astype(np.int64), values**2, ds.I), rtol=1e-14)
+
     @pytest.mark.parametrize("kind", ["quantum", "nnm"])
     @pytest.mark.parametrize("mode", ["recall", "mae"])
     def test_pattern_built_once_for_the_observed_phase(self, monkeypatch, mode, kind):
