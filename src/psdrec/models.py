@@ -23,6 +23,7 @@ line-oriented text persistence format.
 from __future__ import annotations
 
 import operator
+from array import array
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import repeat
@@ -425,25 +426,40 @@ FORMAT_MAGIC = "PSDREC v1"
 KINDS = {"quantum": QuantumModel, "nnm": NnmModel}
 
 
+# Most values one save_model block formats at once (a few hundred KiB in all).
+_SAVE_BLOCK = 1 << 12
+
+
 def save_model(m, path):
-    """Write a model to a text file; see load_model for the format."""
+    """Write a model to a text file; see load_model for the format.
+
+    Records go out straight from the state arrays, one `%` format per block
+    of at most _SAVE_BLOCK values with the record indices in columns beside
+    them, so no copy of the model is made. A model with D, U or I below 1,
+    whose file load_model would reject, raises InvalidInput before path is
+    opened."""
     kind = next((k for k, cls in KINDS.items() if isinstance(m, cls)), None)
     if kind is None:
         raise InvalidInput(f"save_model: unsupported model type {type(m).__name__}")
+    if min(m.D, m.U, m.I) < 1:
+        raise InvalidInput(f"save_model: a model file needs D, U and I of at least 1, got {m.D}, {m.U} and {m.I}")
     complex_field = bool(np.iscomplexobj(m.users) or np.iscomplexobj(m.items))
     field = "complex" if complex_field else "real"
     per_record = m.D**m._rank
-    rows = np.concatenate([m.users.reshape(-1, per_record), m.items.reshape(-1, per_record)])
-    record = " ".join(["%.17g,%.17g" if complex_field else "%.17g"] * per_record) + "\n"
-    if complex_field:
-        # An entry's "re,im" pair is two neighbours in the interleaved float view.
-        rows = rows.astype(complex, copy=False).view(float)
-    labels = [f"user {u} " for u in range(m.U)]
-    labels += [f"item {i} {z} " for i in range(m.I) for z in range(1, m.Z + 1)]
+    entries = " ".join(["%.17g,%.17g" if complex_field else "%.17g"] * per_record) + "\n"
     with open(path, "w", encoding="ascii") as fh:
         fh.write(f"{FORMAT_MAGIC} | kind={kind} | {m.D} | {m.U} | {m.I} | {m.Z} | field={field}\n")
-        for label, row in zip(labels, rows):
-            fh.write(label + record % tuple(row.tolist()))
+        for label, n_heads, states in (("user %d ", 1, m.users[:, None]), ("item %d %d ", 2, m.items)):
+            z_n = states.shape[1]
+            step = max(1, _SAVE_BLOCK // (z_n * per_record * (1 + complex_field)))
+            for s in range(0, len(states), step):
+                block = states[s : s + step].reshape(-1, per_record)
+                if complex_field:
+                    # An entry's "re,im" pair is two neighbours in the interleaved float view.
+                    block = block.astype(complex, copy=False).view(float)
+                unit, z = np.divmod(np.arange(s * z_n, s * z_n + len(block)), z_n)
+                table = np.column_stack((unit, z + 1)[:n_heads] + (block,))
+                fh.write(((label + entries) * len(table)) % tuple(table.ravel().tolist()))
 
 
 def _parse_value(token, complex_field, path, ln):
@@ -463,86 +479,129 @@ def _parse_index(token, path, ln):
         raise ParseError(f"{path} line {ln}: bad record index {token!r}") from None
 
 
+def _parse_header(head, path):
+    """The class, D, U, I, Z and complex flag a header line names."""
+    parts = [part.strip() for part in head.split("|")]
+    if len(parts) != 7 or parts[0] != FORMAT_MAGIC:
+        raise ParseError(f"{path} line 1: bad header {head!r}")
+    try:
+        kind = parts[1].split("=", 1)[1]
+        d, u_n, i_n, z_n = (int(x) for x in parts[2:6])
+        field = parts[6].split("=", 1)[1]
+    except (IndexError, ValueError):
+        raise ParseError(f"{path} line 1: bad header {head!r}") from None
+    if kind not in KINDS or field not in ("real", "complex") or (kind, field) == ("nnm", "complex"):
+        raise ParseError(f"{path} line 1: bad header {head!r}")
+    if min(d, u_n, i_n) < 1 or z_n < 2:
+        raise ParseError(f"{path} line 1: bad sizes in header")
+    return KINDS[kind], d, u_n, i_n, z_n, field == "complex"
+
+
+def _read_records(lines, path, cls, d, u_n, i_n, z_n, complex_field):
+    """Read the record lines to their end: (found, chars, fault, rows, values).
+
+    found counts the non-blank lines, chars their characters bar newlines,
+    and fault is the first faulty line's ParseError or None. Before it,
+    values holds the records' entries (a complex one as re, im) in file
+    order, and rows each one's row of the flat state array, or None while
+    they come in save_model's order, which needs no set to find repeats."""
+    per_record = d**cls._rank
+    seen, rows, values = None, array("q"), array("d")
+    found = chars = 0
+    fault = None
+    for ln, line in enumerate(lines, start=2):
+        chars += len(line) - line.endswith("\n")
+        if line.isspace():
+            continue
+        found += 1
+        if fault is not None:
+            continue
+        tokens = line.split()
+        try:
+            role = tokens[0]
+            if role not in ("user", "item"):
+                raise ParseError(f"{path} line {ln}: unknown record {role!r}")
+            n_head = 2 if role == "user" else 3
+            if len(tokens) != n_head + per_record:
+                raise ParseError(f"{path} line {ln}: expected {per_record} entries")
+            if role == "user":
+                row = _parse_index(tokens[1], path, ln)
+                if not 0 <= row < u_n:
+                    raise ParseError(f"{path} line {ln}: user index {row} out of range")
+            else:
+                i, z = _parse_index(tokens[1], path, ln), _parse_index(tokens[2], path, ln)
+                if not (0 <= i < i_n and 1 <= z <= z_n):
+                    raise ParseError(f"{path} line {ln}: item record ({i}, {z}) out of range")
+                row = u_n + i * z_n + z - 1
+            if seen is None and row != len(rows):
+                seen = set(rows)  # the records have left save_model's order
+            if seen is not None:
+                if row in seen:
+                    raise ParseError(f"{path} line {ln}: repeated record {' '.join(tokens[:n_head])!r}")
+                seen.add(row)
+            rows.append(row)
+            record = tokens[n_head:]
+            try:
+                if complex_field:
+                    # As many commas as tokens and one in each: a "re,im" pair each.
+                    pairs, record = record, ",".join(record).split(",")
+                    if len(record) != 2 * per_record or not all(map(operator.contains, pairs, repeat(","))):
+                        raise ValueError
+                values.extend(map(float, record))
+            except ValueError:
+                for token in tokens[n_head:]:
+                    _parse_value(token, complex_field, path, ln)
+                raise
+        except ParseError as exc:
+            fault = exc
+    return found, chars, fault, None if seen is None else rows, values
+
+
 def load_model(path):
     """Read a model written by save_model; validates all invariants.
 
     The file must hold the U + I Z records its header calls for, each exactly
-    once; a header claiming more than the file can hold allocates nothing.
-    Lines end at `\n`, `\r\n` or `\r`, as the ratings loaders count them.
-    One loop reads the records in file order, checks each one's structure
-    and converts its values at once, so the ParseError names the first
-    faulty line.
+    once. Lines end at `\n`, `\r\n` or `\r`, as the ratings loaders count
+    them. One pass reads a line at a time (a pipe loads too), converts each
+    record as it goes and holds the first fault until the read ends; then
+    it raises on text that is not ASCII, an empty file, a bad header, the
+    record count, sizes the file cannot hold, and last the first faulty
+    line. Arrays are built only after those checks, from the read buffer
+    itself when the records come in save_model's order, so the peak follows
+    the model's size, not the text's, and a header claiming more than the
+    file holds allocates nothing.
     """
     try:
         with open(path, "r", encoding="ascii") as fh:
-            raw = fh.read().split("\n")
+            head = fh.readline()
+            if not head:
+                raise ParseError(f"{path}: empty model file")
+            head = head.removesuffix("\n")
+            try:
+                layout = _parse_header(head, path)
+            except ParseError:
+                for _ in fh:  # text that is not ASCII outranks a bad header
+                    pass
+                raise
+            found, chars, fault, rows, values = _read_records(fh, path, *layout)
     except UnicodeDecodeError:
         raise ParseError(f"{path}: not ASCII text") from None
-    if raw == [""]:
-        raise ParseError(f"{path}: empty model file")
-    head = [part.strip() for part in raw[0].split("|")]
-    if len(head) != 7 or head[0] != FORMAT_MAGIC:
-        raise ParseError(f"{path} line 1: bad header {raw[0]!r}")
-    try:
-        kind = head[1].split("=", 1)[1]
-        d, u_n, i_n, z_n = (int(x) for x in head[2:6])
-        field = head[6].split("=", 1)[1]
-    except (IndexError, ValueError):
-        raise ParseError(f"{path} line 1: bad header {raw[0]!r}") from None
-    if kind not in KINDS or field not in ("real", "complex") or (kind, field) == ("nnm", "complex"):
-        raise ParseError(f"{path} line 1: bad header {raw[0]!r}")
-    if min(d, u_n, i_n) < 1 or z_n < 2:
-        raise ParseError(f"{path} line 1: bad sizes in header")
 
-    complex_field = field == "complex"
-    cls = KINDS[kind]
+    cls, d, u_n, i_n, z_n, complex_field = layout
     per_record = d**cls._rank
     n_records = u_n + i_n * z_n
-    found = sum(1 for line in raw[1:] if line and not line.isspace())
     if found != n_records:
         raise ParseError(f"{path}: expected {n_records} records, found {found}")
     # An entry and its separator take at least two characters, so sizes the
     # file cannot hold are rejected before anything is allocated.
-    if 2 * n_records * per_record > sum(map(len, raw)):
+    if 2 * n_records * per_record > len(head) + chars:
         raise ParseError(f"{path}: {n_records} records of {per_record} entries cannot fit the file")
-    flat = np.empty((n_records, per_record), dtype=complex if complex_field else float)
-    seen = bytearray(n_records)
-    # A complex entry's re and im are two neighbouring floats of this view.
-    values = flat.view(float)
-    for ln, line in enumerate(raw[1:], start=2):
-        tokens = line.split()
-        if not tokens:
-            continue
-        role = tokens[0]
-        if role not in ("user", "item"):
-            raise ParseError(f"{path} line {ln}: unknown record {role!r}")
-        n_head = 2 if role == "user" else 3
-        if len(tokens) != n_head + per_record:
-            raise ParseError(f"{path} line {ln}: expected {per_record} entries")
-        if role == "user":
-            row = _parse_index(tokens[1], path, ln)
-            if not 0 <= row < u_n:
-                raise ParseError(f"{path} line {ln}: user index {row} out of range")
-        else:
-            i, z = _parse_index(tokens[1], path, ln), _parse_index(tokens[2], path, ln)
-            if not (0 <= i < i_n and 1 <= z <= z_n):
-                raise ParseError(f"{path} line {ln}: item record ({i}, {z}) out of range")
-            row = u_n + i * z_n + z - 1
-        if seen[row]:
-            raise ParseError(f"{path} line {ln}: repeated record {' '.join(tokens[:n_head])!r}")
-        seen[row] = 1
-        record = tokens[n_head:]
-        try:
-            if complex_field:
-                # As many commas as tokens and one in each: a "re,im" pair each.
-                pairs, record = record, ",".join(record).split(",")
-                if len(record) != 2 * per_record or not all(map(operator.contains, pairs, repeat(","))):
-                    raise ValueError
-            values[row] = list(map(float, record))
-        except ValueError:
-            for token in tokens[n_head:]:
-                _parse_value(token, complex_field, path, ln)
-            raise
+    if fault is not None:
+        raise fault
+    flat = np.frombuffer(values, dtype=complex if complex_field else float).reshape(n_records, per_record)
+    if rows is not None:
+        flat, given = np.empty_like(flat), flat
+        flat[np.frombuffer(rows, dtype=np.int64)] = given
 
     state = (d,) * cls._rank
     model = cls(flat[:u_n].reshape(u_n, *state), flat[u_n:].reshape(i_n, z_n, *state))

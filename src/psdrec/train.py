@@ -158,8 +158,8 @@ class Targets:
     entries, arguments uu, ii and values, lie in [0, U) x [0, I) with finite
     values; a repeated (u, i) pair stays two entries. Construction groups them
     by user once into the (U x I) CSR `matrix`, sums t^2 per user and per item
-    (`sq_sums`, as row and column sums of the squared matrix on its own index
-    arrays) and keeps only these. When the entries already come in user
+    (`sq_sums`, squaring a chunk of whole rows at a time: `_square_sums`) and
+    keeps only these. When the entries already come in user
     order the CSR keeps the given `values` array as its data, so editing it
     edits the targets (`effective_targets` passes a fresh one). Each side reads
     its view, `_matrices[side]`: `matrix` for users and `matrix.T`, a CSC view
@@ -189,11 +189,7 @@ class Targets:
         indptr, items, grouped = group_entries(uu, self.U, ii, values)
         m = sp.csr_matrix((grouped, items, indptr), shape=(self.U, self.I))
         object.__setattr__(self, "matrix", m)
-        # Row and column sums of the squared matrix, on its own index arrays:
-        # np.bincount would copy int32 indices whole to intp. A CSR row sum
-        # adds a user's entries in entry order, as np.bincount does.
-        sq = sp.csr_matrix((m.data**2, m.indices, m.indptr), shape=m.shape)
-        object.__setattr__(self, "sq_sums", {"user": sq @ np.ones(self.I), "item": sq.T @ np.ones(self.U)})
+        object.__setattr__(self, "sq_sums", _square_sums(m))
 
     @cached_property
     def _matrices(self):
@@ -212,13 +208,38 @@ class Targets:
         return twin
 
 
+# Most entries `_square_sums` squares at once: 512 KiB of squares, and
+# scipy's 256 KiB copy of their int32 column indices.
+_SQUARE_CHUNK = 1 << 16
+
+
+def _square_sums(m):
+    """Sums of the squared entries of the CSR m per row and per column,
+    squared a chunk of whole rows at a time: at most _SQUARE_CHUNK entries,
+    or one longer row. A CSR row sum adds a row's entries in entry order, as
+    np.bincount does (which would copy int32 indices whole to intp); the
+    column sums add up chunk by chunk."""
+    n_rows, n_cols = m.shape
+    rows, cols, ones = np.zeros(n_rows), np.zeros(n_cols), np.ones(n_cols)
+    r0 = 0
+    while r0 < n_rows:
+        r1 = max(r0 + 1, int(np.searchsorted(m.indptr, m.indptr[r0] + _SQUARE_CHUNK, "right")) - 1)
+        a, b = m.indptr[r0], m.indptr[r1]
+        sq = sp.csr_matrix((m.data[a:b] ** 2, m.indices[a:b], m.indptr[r0 : r1 + 1] - a), shape=(r1 - r0, n_cols))
+        rows[r0:r1] = sq @ ones
+        cols += sq.T @ np.ones(r1 - r0)
+        del sq  # before the next chunk's squares
+        r0 = r1
+    return {"user": rows, "item": cols}
+
+
 def effective_targets(ds, zero_fill):
     """Targets R_ui / z_star on the observed entries, optionally zero-filled.
 
     The narrow ratings are divided straight into one float array, the
     targets' values, and the dataset's own index arrays are passed on
-    uncopied: on user-ordered entries the peak is about 16 bytes per entry,
-    those values and their squares."""
+    uncopied: on user-ordered entries the peak is about 10 bytes per entry,
+    those values, the finiteness check's flags and one chunk of squares."""
     return Targets(ds.uu, ds.ii, np.divide(ds.rr, ds.z_star, dtype=float), bool(zero_fill), ds.U, ds.I)
 
 

@@ -1,3 +1,5 @@
+import os
+import threading
 import tracemalloc
 import warnings
 
@@ -721,6 +723,15 @@ class TestPersistence:
         path.write_bytes(path.read_bytes().replace(b"user 1", b"user\xe9 1"))
         with pytest.raises(ParseError):
             models.load_model(str(path))
+        # Text that is not ASCII outranks a bad header, however far past the
+        # header's line the byte sits.
+        models.save_model(random_quantum_model(rng, 400, 2, 2), str(path))
+        text = path.read_bytes()
+        assert len(text) > 2**16
+        path.write_bytes(b"PSDREC v9" + text[len(b"PSDREC v1") : -9] + b"\xe9" + text[-9:])
+        with pytest.raises(ParseError) as exc_info:
+            models.load_model(str(path))
+        assert str(exc_info.value) == f"{path}: not ASCII text"
 
     @pytest.mark.parametrize(
         "header",
@@ -755,6 +766,92 @@ class TestPersistence:
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(ParseError, match="line 3: repeated record 'user 0'"):
             models.load_model(str(path))
+
+    def test_record_count_outranks_an_earlier_bad_token(self, tmp_path):
+        path = tmp_path / "model.psdrec"
+        path.write_text(self._VALID.replace("user 0 1 0", "user 0 x 0", 1).replace("item 0 2 0 0 0 1\n", "", 1))
+        with pytest.raises(ParseError) as exc_info:
+            models.load_model(str(path))
+        assert str(exc_info.value) == f"{path}: expected 3 records, found 2"
+
+    def test_reads_a_pipe(self, tmp_path):
+        path = tmp_path / "model.psdrec"
+        os.mkfifo(path)
+        writer = threading.Thread(target=path.write_text, args=(self._VALID,), daemon=True)
+        writer.start()
+        m = models.load_model(str(path))
+        writer.join(timeout=10)
+        assert not writer.is_alive()
+        assert np.array_equal(m.users, [np.diag([1.0, 0.0])])
+        assert np.array_equal(m.items, [[np.diag([1.0, 0.0]), np.diag([0.0, 1.0])]])
+
+    def test_records_in_any_order(self, tmp_path):
+        rng = np.random.default_rng(37)
+        path = tmp_path / "model.psdrec"
+        for m in (random_quantum_model(rng, 5, 4, 2, z=3), random_nnm_model(rng, 5, 4, 2, z=3)):
+            models.save_model(m, str(path))
+            lines = path.read_text().splitlines()
+            path.write_text("\n".join(lines[:1] + [lines[1 + k] for k in rng.permutation(len(lines) - 1)]))
+            loaded = models.load_model(str(path))
+            assert np.array_equal(loaded.users, m.users) and np.array_equal(loaded.items, m.items)
+
+    @pytest.mark.parametrize("kind", ["quantum", "nnm"])
+    def test_load_peak_scales_with_the_arrays_not_the_text(self, tmp_path, kind):
+        # Trailing blanks make the text ten times longer than the arrays;
+        # the reader holds a line at a time, and the peak is the model's
+        # arrays and validation's temporaries (3.8 times the arrays for this
+        # quantum model, 1.5 for the NNM).
+        rng = np.random.default_rng(36)
+        m = random_quantum_model(rng, 2000, 1000, 3) if kind == "quantum" else random_nnm_model(rng, 2000, 1000, 8)
+        nbytes = m.users.nbytes + m.items.nbytes
+        path = tmp_path / "model.psdrec"
+        models.save_model(m, str(path))
+        lines = path.read_text().split("\n")
+        path.write_text("\n".join(lines[:1] + [line + " " * (10 * len(line)) for line in lines[1:]]))
+        assert path.stat().st_size >= 10 * nbytes
+        tracemalloc.start()
+        try:
+            loaded = models.load_model(str(path))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(loaded.users, m.users) and np.array_equal(loaded.items, m.items)
+        assert peak <= 5 * nbytes
+
+    def test_save_transients_bounded_whatever_the_model_size(self, tmp_path):
+        # 8 MiB of states go out in blocks of at most _SAVE_BLOCK values:
+        # no concatenated copy of the states and no list of labels.
+        d = 32
+        m = models.NnmModel(np.full((2**15, d), 1 / d), np.full((1, 2, d), 0.5))
+        assert m.users.nbytes + m.items.nbytes >= 8 * 2**20
+        path = tmp_path / "model.psdrec"
+        tracemalloc.start()
+        try:
+            models.save_model(m, str(path))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2**20
+        with path.open() as fh:
+            assert next(fh) == f"PSDREC v1 | kind=nnm | {d} | {2**15} | 1 | 2 | field=real\n"
+            assert next(fh) == "user 0" + " 0.03125" * d + "\n"
+
+    @pytest.mark.parametrize("kind", ["quantum", "nnm"])
+    @pytest.mark.parametrize("empty", ["users", "items"])
+    def test_save_rejects_a_model_the_loader_would(self, tmp_path, kind, empty):
+        # A model without users or items saves a header that reads as bad
+        # sizes; it is refused before the file is opened, so an existing
+        # file is left as it was.
+        if kind == "quantum":
+            users, items = np.tile(np.eye(2) / 2, (2, 1, 1)), np.tile(np.eye(2) / 2, (3, 2, 1, 1))
+        else:
+            users, items = np.full((2, 2), 0.5), np.full((3, 2, 2), 0.5)
+        m = models.KINDS[kind](users[:0] if empty == "users" else users, items[:0] if empty == "items" else items)
+        path = tmp_path / "model.psdrec"
+        path.write_bytes(b"kept")
+        with pytest.raises(InvalidInput, match="save_model: a model file needs D, U and I of at least 1"):
+            models.save_model(m, str(path))
+        assert path.read_bytes() == b"kept"
 
     def test_extra_record(self, tmp_path):
         rng = np.random.default_rng(32)

@@ -274,10 +274,11 @@ class TestTargets:
         assert np.array_equal(t.matrix.data, values) and np.array_equal(t.matrix.indices, ds.ii)
 
     def test_effective_targets_peak_bounded_per_entry(self):
-        # The 200k user-ordered entries above: the targets' values and their
-        # squares take 16 bytes per entry, the dataset's int32 index arrays
-        # are read in place. Widening the ratings twice and np.bincount's
-        # intp copy of the indices took about 20.
+        # The 200k user-ordered entries above: the targets' values take 8
+        # bytes per entry and the squared sums one chunk of squares, 12.6 in
+        # all; the dataset's int32 index arrays are read in place. A squared
+        # copy of every value took 16.4, and widening the ratings twice and
+        # np.bincount's intp copy of the indices about 20.
         rng = np.random.default_rng(7)
         n_users, n_items, per_user = 4000, 1000, 50
         uu = np.repeat(np.arange(n_users), per_user)
@@ -291,6 +292,40 @@ class TestTargets:
             tracemalloc.stop()
         assert len(ds) == 200_000 and peak <= 17 * len(ds)
         assert np.shares_memory(t.matrix.indices, ds.ii)
+
+    def test_effective_targets_peak_at_ml1m_size(self):
+        # 1,000,000 user-ordered entries, as ML-1M lists them: the targets'
+        # values take 8 bytes per entry, and the squared sums square one
+        # chunk of _SQUARE_CHUNK entries at a time. A squared copy of every
+        # value took about 16.
+        rng = np.random.default_rng(8)
+        n_users, n_items, per_user = 5000, 3706, 200
+        uu = np.repeat(np.arange(n_users), per_user)
+        ii = ((rng.integers(0, n_items, n_users)[:, None] + np.arange(per_user)) % n_items).ravel()
+        ds = from_arrays(uu, ii, rng.integers(1, 6, size=uu.size), U=n_users, I=n_items)
+        tracemalloc.start()
+        try:
+            t = train.effective_targets(ds, True)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(ds) == 1_000_000 and peak <= 11 * len(ds)
+        assert np.shares_memory(t.matrix.indices, ds.ii)
+
+    @pytest.mark.parametrize("chunk", [1, 3, 7, 1 << 16])
+    def test_square_sums_by_chunks_of_whole_rows(self, monkeypatch, chunk):
+        # Users with no entries, and users with more entries than a chunk
+        # holds, which then make a chunk of their own.
+        monkeypatch.setattr(train, "_SQUARE_CHUNK", chunk)
+        rng = np.random.default_rng(9)
+        ds = random_dataset(rng, 40, 30, density=0.3)
+        ds = ds.subset(np.flatnonzero(ds.uu % 4 != 1))
+        t = train.effective_targets(ds, True)
+        values = ds.rr.astype(float) / ds.z_star
+        assert np.array_equal(t.sq_sums["user"], np.bincount(ds.uu.astype(np.int64), values**2, ds.U))
+        np.testing.assert_allclose(t.sq_sums["item"], np.bincount(ds.ii.astype(np.int64), values**2, ds.I), rtol=1e-14)
+        empty = train.Targets([], [], [], True, 3, 2)
+        assert empty.sq_sums["user"].tolist() == [0.0] * 3 and empty.sq_sums["item"].tolist() == [0.0] * 2
 
     @pytest.mark.parametrize("shuffled", [False, True])
     def test_user_square_sums_add_in_entry_order(self, shuffled):
