@@ -12,16 +12,18 @@ of observed ratings.
 With one side frozen, each unit's subobjective is the quadratic
 x^T G x - 2 c^T x + k in the real coordinate row x of its state (K = D, D^2
 or D(D+1)/2 entries; see `models`), on which each update's steps and
-projections run. A training run builds one `Targets`, which groups its
-entries by user once into a sparse (U x I) target matrix; the user side reads
+projections run. No step reads k; the units' k add up to the objective's one
+constant, sum t^2, the same on both sides and in both target phases. A
+training run builds one `Targets`, which groups its entries by user once into
+a sparse (U x I) target matrix and sums its squared values; the user side reads
 it by rows, the item side by columns through its transpose, in both target
 phases, and recall mode never builds observed-only targets. c, G and the step
 bounds are rebuilt per half-sweep. Zero-filled sweeps share one G of
 the whole frozen side, so the dense user-item target matrix is never
 materialized; observed-only sweeps give each unit its own G over its own
 entries. No inner iteration revisits the ratings, and the per-sweep
-objective sums the user side's quadratics instead of rescoring them: the
-ones the sweep's user update built, with the items it had just updated
+objective is the value of the user side's quadratics instead of a rescoring:
+the ones the sweep's user update built, with the items it had just updated
 frozen, at the rows it ended on, so each sweep builds two quadratics.
 """
 
@@ -136,7 +138,7 @@ class TrainConfig:
 
 @dataclass
 class TrainHistory:
-    """Per-sweep objective (on that sweep's targets, summed over the
+    """Per-sweep objective (on that sweep's targets, the value of the
     quadratics its user update built, at the updated users) and target
     phase; `constraint_residual` checks feasibility."""
 
@@ -157,16 +159,16 @@ class Targets:
     unlisted ones carrying 0; otherwise only the listed entries exist. The
     entries, arguments uu, ii and values, lie in [0, U) x [0, I) with finite
     values; a repeated (u, i) pair stays two entries. Construction groups them
-    by user once into the (U x I) CSR `matrix`, sums t^2 per user and per item
-    (`sq_sums`, squaring a chunk of whole rows at a time: `_square_sums`) and
-    keeps only these. When the entries already come in user
+    by user once into the (U x I) CSR `matrix`, takes `sq_total` = sum t^2,
+    the objective's constant, as one dot product of its values with
+    themselves, and keeps only these. When the entries already come in user
     order the CSR keeps the given `values` array as its data, so editing it
     edits the targets (`effective_targets` passes a fresh one). Each side reads
     its view, `_matrices[side]`: `matrix` for users and `matrix.T`, a CSC view
     of the same arrays, for items. The observed phase's 0/1 entry pattern and
     its transpose, `_patterns`, are built the first time that phase reads them,
     so zero-filled runs never hold them. `_observed()` copies share all of
-    these: do not edit in place."""
+    these, `sq_total` too: do not edit in place."""
 
     uu: InitVar[np.ndarray]
     ii: InitVar[np.ndarray]
@@ -175,7 +177,7 @@ class Targets:
     U: int
     I: int
     matrix: sp.csr_matrix = field(init=False, repr=False)
-    sq_sums: dict = field(init=False, repr=False)
+    sq_total: float = field(init=False, repr=False)
 
     def __post_init__(self, uu, ii, values):
         for name in ("U", "I"):
@@ -189,7 +191,7 @@ class Targets:
         indptr, items, grouped = group_entries(uu, self.U, ii, values)
         m = sp.csr_matrix((grouped, items, indptr), shape=(self.U, self.I))
         object.__setattr__(self, "matrix", m)
-        object.__setattr__(self, "sq_sums", _square_sums(m))
+        object.__setattr__(self, "sq_total", float(np.dot(grouped, grouped)))
 
     @cached_property
     def _matrices(self):
@@ -202,35 +204,10 @@ class Targets:
         return {"user": pattern, "item": pattern.T}
 
     def _observed(self):
-        """These entries as observed-only targets, sharing the matrix and sums."""
+        """These entries as observed-only targets, sharing the matrix and sq_total."""
         twin = copy.copy(self)
         object.__setattr__(twin, "zero_fill", False)
         return twin
-
-
-# Most entries `_square_sums` squares at once: 512 KiB of squares, and
-# scipy's 256 KiB copy of their int32 column indices.
-_SQUARE_CHUNK = 1 << 16
-
-
-def _square_sums(m):
-    """Sums of the squared entries of the CSR m per row and per column,
-    squared a chunk of whole rows at a time: at most _SQUARE_CHUNK entries,
-    or one longer row. A CSR row sum adds a row's entries in entry order, as
-    np.bincount does (which would copy int32 indices whole to intp); the
-    column sums add up chunk by chunk."""
-    n_rows, n_cols = m.shape
-    rows, cols, ones = np.zeros(n_rows), np.zeros(n_cols), np.ones(n_cols)
-    r0 = 0
-    while r0 < n_rows:
-        r1 = max(r0 + 1, int(np.searchsorted(m.indptr, m.indptr[r0] + _SQUARE_CHUNK, "right")) - 1)
-        a, b = m.indptr[r0], m.indptr[r1]
-        sq = sp.csr_matrix((m.data[a:b] ** 2, m.indices[a:b], m.indptr[r0 : r1 + 1] - a), shape=(r1 - r0, n_cols))
-        rows[r0:r1] = sq @ ones
-        cols += sq.T @ np.ones(r1 - r0)
-        del sq  # before the next chunk's squares
-        r0 = r1
-    return {"user": rows, "item": cols}
 
 
 def effective_targets(ds, zero_fill):
@@ -238,8 +215,8 @@ def effective_targets(ds, zero_fill):
 
     The narrow ratings are divided straight into one float array, the
     targets' values, and the dataset's own index arrays are passed on
-    uncopied: on user-ordered entries the peak is about 10 bytes per entry,
-    those values, the finiteness check's flags and one chunk of squares."""
+    uncopied: on user-ordered entries the peak is about 9 bytes per entry,
+    those values and the finiteness check's flags."""
     return Targets(ds.uu, ds.ii, np.divide(ds.rr, ds.z_star, dtype=float), bool(zero_fill), ds.U, ds.I)
 
 
@@ -262,18 +239,18 @@ def init_quantum_users(n_users, d, seed, field="complex"):
 
 def objective(m, targets):
     """Sum over target pairs of (P[like] - target)^2, on unclamped scores,
-    as the sum of the user side's subobjectives: one sparse product, no scoring."""
+    as the value of the user side's quadratics: one sparse product, no scoring."""
     own, quad = _quadratic(m, targets, "user")
-    return float(np.sum(quad.value(own)))
+    return quad.value(own)
 
 
 class _Quadratic(NamedTuple):
-    """Subobjectives x^T G_r x - 2 c_r^T x + k_r of the units r on one side,
-    with step bounds lips[r]; see `_quadratic`."""
+    """Subobjectives x_r^T G_r x_r - 2 c_r^T x_r of the units r on one side,
+    step bounds lips[r] and the side's constant k; see `_quadratic`."""
 
     gram: np.ndarray
     cvec: np.ndarray
-    const: np.ndarray
+    const: float
     lips: np.ndarray
 
     def times_gram(self, x):
@@ -283,7 +260,8 @@ class _Quadratic(NamedTuple):
         return (x[:, None, :] @ self.gram)[:, 0]
 
     def value(self, x):
-        return np.sum(x * (self.times_gram(x) - 2.0 * self.cvec), axis=1) + self.const
+        """The objective at rows x: sum_r (x_r^T G_r x_r - 2 c_r^T x_r) + k."""
+        return float(np.sum(x * (self.times_gram(x) - 2.0 * self.cvec))) + self.const
 
     def gradient(self, x):
         return 2.0 * (self.times_gram(x) - self.cvec)
@@ -294,8 +272,9 @@ def _quadratic(m, targets, side):
     other side frozen.
 
     With entries f (frozen coordinate rows) and targets t of unit r:
-    c_r = sum t f, k_r = sum t^2, and G_r = sum f f^T over the unit's
-    entries, or over all frozen rows when zero-filled. The step bound L_r is
+    c_r = sum t f and G_r = sum f f^T over the unit's entries, or over all
+    frozen rows when zero-filled; the constant is `targets.sq_total`, since
+    no step reads a unit's own sum t^2. The step bound L_r is
     2 lambda_max(G) when zero-filled and 2 tr(G_r) >= 2 lambda_max(G_r)
     otherwise; either bounds the Lipschitz constant of the unit's gradient.
     The user side reads `targets.matrix` and the item side its transpose,
@@ -324,22 +303,25 @@ def _quadratic(m, targets, side):
         gram[:, b, a] = upper
         gram[:, a, b] = upper
         lips = np.maximum(2.0 * np.trace(gram, axis1=1, axis2=2), 1e-12)
-    return own, _Quadratic(gram, cvec, targets.sq_sums[side], lips)
+    return own, _Quadratic(gram, cvec, targets.sq_total, lips)
 
 
-def _unit_gradient(m, targets, idx, side):
+def _unit_gradient(op, m, targets, idx, side):
     own, quad = _quadratic(m, targets, side)
+    idx = check_index(op, idx, len(own), side)
+    if idx.ndim:
+        raise InvalidInput(f"{op}: expected one {side}, got {idx}")
     return m._states(quad.gradient(own)[idx])
 
 
 def user_gradient(m, targets, u):
     """Gradient 2 sum_i (P_like(u, i) - t_ui) E_i1 of user u's subobjective."""
-    return _unit_gradient(m, targets, u, "user")
+    return _unit_gradient("user_gradient", m, targets, u, "user")
 
 
 def item_gradient(m, targets, i):
     """Gradient 2 sum_u (P_like(u, i) - t_ui) rho_u of item i's subobjective."""
-    return _unit_gradient(m, targets, i, "item")
+    return _unit_gradient("item_gradient", m, targets, i, "item")
 
 
 def _update_side(m, targets, cfg, side):
@@ -351,8 +333,8 @@ def _update_side(m, targets, cfg, side):
     unit has. Each step has length 1/L_r, L_r a Lipschitz bound of unit r's
     gradient, so by the descent lemma for projected gradient (Beck &
     Teboulle, SIAM J. Imaging Sci. 2009) no step increases a subobjective
-    beyond rounding. Returns the final rows and the quadratics, whose values
-    at those rows are the units' subobjectives in the updated model.
+    beyond rounding. Returns the final rows and the quadratics, whose value
+    at those rows is the objective of the updated model.
     `_quadratic` checks the model before any of its methods is looked up.
     """
     v, quad = _quadratic(m, targets, side)
@@ -401,6 +383,8 @@ def _init_model(ds, cfg):
 
 
 def _train(ds, cfg):
+    if ds.U == 0 or ds.I == 0:
+        raise InvalidInput(f"training needs at least one user and one item, got {ds.U} users and {ds.I} items")
     model = _init_model(ds, cfg)
     history = TrainHistory()
     zf = cfg.resolved_zero_fill()
@@ -413,7 +397,7 @@ def _train(ds, cfg):
         # sweep's `objective` at the final rows without a rebuild.
         rows, quad = _update_side(model, targets, cfg, "user")
         model = model.with_users(rows)
-        obj = float(np.sum(quad.value(rows)))
+        obj = quad.value(rows)
         if not np.isfinite(obj):
             raise NumericalFailure(f"sweep {sweep + 1}: non-finite objective")
         history.append(obj, "zero_fill" if targets.zero_fill else "observed")

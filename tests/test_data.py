@@ -718,6 +718,7 @@ class TestSplits:
 # A split object of plain attributes reaches the metrics' own check.
 _DS = from_arrays([0, 0, 1, 2], [0, 2, 1, 2], [5, 3, 4, 5], U=3, I=3)
 _M = random_quantum_model(np.random.default_rng(0), 3, 3, 2)
+_T = train.effective_targets(_DS, False)
 _INDEX_ENTRY_POINTS = [
     ("RatingDataset.uu", lambda x: from_arrays(x, [0, 1], [5, 4], U=3, I=3), [2, 0], [[0, -1], [0, 3]]),
     ("RatingDataset.ii", lambda x: from_arrays([0, 1], x, [5, 4], U=3, I=3), [2, 0], [[0, -1], [0, 3]]),
@@ -737,6 +738,8 @@ _INDEX_ENTRY_POINTS = [
     ("predict.i", lambda x: models.predict(_M, 0, x, 1), 1, [-1, 3]),
     ("predict.z", lambda x: models.quantum_predict(_M, 0, 0, x), 2, [0, 3, -1]),
     ("tag_operator", lambda x: tags.tag_operator(_M, x).matrix, [0, 2], [[0, -1], [0, 3]]),
+    ("user_gradient", lambda x: train.user_gradient(_M, _T, x), 2, [-1, 3]),
+    ("item_gradient", lambda x: train.item_gradient(_M, _T, x), 1, [-1, 3]),
 ]
 
 

@@ -1,4 +1,5 @@
 import importlib
+import importlib.util
 import os
 import subprocess
 import sys
@@ -32,3 +33,15 @@ def test_every_exported_name_resolves():
         module = importlib.import_module(f"psdrec.{name}")
         missing = [n for n in getattr(module, "__all__", ()) if not hasattr(module, n)]
         assert missing == [], f"psdrec.{name}.__all__ names missing attributes: {missing}"
+
+
+def test_every_traced_name_resolves():
+    # The benchmark's tracer wraps psdrec functions by module attribute name
+    # (perfbench/spans.py WRAPPED); a name removed from src/ would otherwise
+    # fail only a traced benchmark run.
+    path = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench", "spans.py")
+    spec = importlib.util.spec_from_file_location("perfbench_spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    missing = [f"{mod.__name__}.{attr}" for mod, attr, _, _ in spans.WRAPPED if not callable(getattr(mod, attr, None))]
+    assert spans.WRAPPED and missing == [], f"perfbench/spans.py wraps missing attributes: {missing}"

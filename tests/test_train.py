@@ -175,28 +175,27 @@ class TestTargets:
 
     def test_keeps_no_entry_arrays(self):
         # The entries are construction arguments only: training reads the
-        # grouped matrix and the squared sums.
+        # grouped matrix and the sum of squares.
         t = train.Targets(np.array([0, 1]), np.array([1, 0]), np.array([0.2, 0.4]), False, 2, 2)
         assert not any(hasattr(t, name) for name in ("uu", "ii", "values"))
         assert "values" not in repr(t)
 
     def test_fields_cannot_be_reassigned(self):
         t = train.Targets([0, 1], [1, 0], [0.2, 0.4], False, 2, 2)
-        matrix, sq_sums = t.matrix, t.sq_sums
+        matrix, sq_total = t.matrix, t.sq_total
         for name, value in (
             ("uu", [1, 0]),
             ("ii", [0, 1]),
             ("values", [1.0, 1.0]),
             ("zero_fill", True),
             ("matrix", matrix.T),
-            ("sq_sums", {}),
+            ("sq_total", 0.0),
         ):
             with pytest.raises(dataclasses.FrozenInstanceError):
                 setattr(t, name, value)
-        assert t.matrix is matrix and t.sq_sums is sq_sums
+        assert t.matrix is matrix and t.sq_total is sq_total
         assert t.matrix.toarray().tolist() == [[0.0, 0.2], [0.4, 0.0]]
-        np.testing.assert_allclose(t.sq_sums["user"], [0.04, 0.16])
-        np.testing.assert_allclose(t.sq_sums["item"], [0.16, 0.04])
+        np.testing.assert_allclose(t.sq_total, 0.2)
 
     def test_observed_sweeps_read_the_zero_fill_incidence(self, monkeypatch):
         # One mae-mode run: both sides of both phases read the one matrix the
@@ -206,7 +205,7 @@ class TestTargets:
         quadratic = train._quadratic
 
         def recorded(m, targets, side):
-            read.append((targets.zero_fill, side, targets.matrix, targets.sq_sums))
+            read.append((targets.zero_fill, side, targets.matrix, targets.sq_total))
             return quadratic(m, targets, side)
 
         monkeypatch.setattr(train, "_quadratic", recorded)
@@ -215,8 +214,8 @@ class TestTargets:
         assert {(zero_fill, side) for zero_fill, side, _, _ in read} == {
             (zero_fill, side) for zero_fill in (True, False) for side in ("user", "item")
         }
-        matrix, sq_sums = read[0][2:]
-        assert all(got is matrix and sums is sq_sums for _, _, got, sums in read)
+        matrix, sq_total = read[0][2:]
+        assert all(got is matrix and total is sq_total for _, _, got, total in read)
         assert matrix.shape == (ds.U, ds.I) and matrix.nnz == len(ds)
         for name in ("data", "indices", "indptr"):
             assert np.shares_memory(getattr(matrix.T, name), getattr(matrix, name)), name
@@ -275,10 +274,10 @@ class TestTargets:
 
     def test_effective_targets_peak_bounded_per_entry(self):
         # The 200k user-ordered entries above: the targets' values take 8
-        # bytes per entry and the squared sums one chunk of squares, 12.6 in
-        # all; the dataset's int32 index arrays are read in place. A squared
-        # copy of every value took 16.4, and widening the ratings twice and
-        # np.bincount's intp copy of the indices about 20.
+        # bytes per entry and the finiteness flags 1, 11 in all; the dataset's
+        # int32 index arrays are read in place. A squared copy of every value
+        # took 16.4, and widening the ratings twice and np.bincount's intp
+        # copy of the indices about 20.
         rng = np.random.default_rng(7)
         n_users, n_items, per_user = 4000, 1000, 50
         uu = np.repeat(np.arange(n_users), per_user)
@@ -295,9 +294,9 @@ class TestTargets:
 
     def test_effective_targets_peak_at_ml1m_size(self):
         # 1,000,000 user-ordered entries, as ML-1M lists them: the targets'
-        # values take 8 bytes per entry, and the squared sums square one
-        # chunk of _SQUARE_CHUNK entries at a time. A squared copy of every
-        # value took about 16.
+        # values take 8 bytes per entry and the finiteness flags 1; the sum
+        # of squares is a dot product, with no squared copy. A squared copy
+        # of every value took about 16.
         rng = np.random.default_rng(8)
         n_users, n_items, per_user = 5000, 3706, 200
         uu = np.repeat(np.arange(n_users), per_user)
@@ -312,33 +311,21 @@ class TestTargets:
         assert len(ds) == 1_000_000 and peak <= 11 * len(ds)
         assert np.shares_memory(t.matrix.indices, ds.ii)
 
-    @pytest.mark.parametrize("chunk", [1, 3, 7, 1 << 16])
-    def test_square_sums_by_chunks_of_whole_rows(self, monkeypatch, chunk):
-        # Users with no entries, and users with more entries than a chunk
-        # holds, which then make a chunk of their own.
-        monkeypatch.setattr(train, "_SQUARE_CHUNK", chunk)
-        rng = np.random.default_rng(9)
-        ds = random_dataset(rng, 40, 30, density=0.3)
-        ds = ds.subset(np.flatnonzero(ds.uu % 4 != 1))
-        t = train.effective_targets(ds, True)
-        values = ds.rr.astype(float) / ds.z_star
-        assert np.array_equal(t.sq_sums["user"], np.bincount(ds.uu.astype(np.int64), values**2, ds.U))
-        np.testing.assert_allclose(t.sq_sums["item"], np.bincount(ds.ii.astype(np.int64), values**2, ds.I), rtol=1e-14)
-        empty = train.Targets([], [], [], True, 3, 2)
-        assert empty.sq_sums["user"].tolist() == [0.0] * 3 and empty.sq_sums["item"].tolist() == [0.0] * 2
-
-    @pytest.mark.parametrize("shuffled", [False, True])
-    def test_user_square_sums_add_in_entry_order(self, shuffled):
-        # The objective's constants: a CSR row sum adds each user's entries
-        # in entry order, as np.bincount does, so they match to the bit.
+    @pytest.mark.parametrize("order", ["user-ordered", "shuffled", "empty"])
+    def test_square_total_is_the_sum_of_squared_values(self, order):
+        # The objective's one constant, sum t^2, on both sides and in both
+        # target phases: the observed-only twin shares it.
         rng = np.random.default_rng(3)
         ds = random_dataset(rng, 60, 40, density=0.5)
-        if shuffled:
+        if order == "shuffled":
             ds = ds.subset(rng.permutation(len(ds)))
-        t = train.effective_targets(ds, False)
+        elif order == "empty":
+            ds = ds.subset([])
+        t = train.effective_targets(ds, True)
         values = ds.rr.astype(float) / ds.z_star
-        assert np.array_equal(t.sq_sums["user"], np.bincount(ds.uu.astype(np.int64), values**2, ds.U))
-        np.testing.assert_allclose(t.sq_sums["item"], np.bincount(ds.ii.astype(np.int64), values**2, ds.I), rtol=1e-14)
+        assert type(t.sq_total) is float
+        np.testing.assert_allclose(t.sq_total, np.sum(values**2), rtol=1e-14)
+        assert t._observed().sq_total is t.sq_total
 
     @pytest.mark.parametrize("kind", ["quantum", "nnm"])
     @pytest.mark.parametrize("mode", ["recall", "mae"])
@@ -498,6 +485,7 @@ class TestObjective:
                 train.update_users(m, t, train.TrainConfig())
 
     def test_unit_objectives_sum_to_total(self):
+        # Each side's quadratics, valued at its own rows, give the objective.
         rng = np.random.default_rng(2)
         ds = random_dataset(rng, 5, 4, density=0.8)
         m = random_quantum_model(rng, 5, 4, 2)
@@ -505,7 +493,7 @@ class TestObjective:
             t = train.effective_targets(ds, zero_fill)
             for side in ("user", "item"):
                 own, quad = train._quadratic(m, t, side)
-                assert abs(sum(quad.value(own)) - train.objective(m, t)) <= 1e-9
+                assert abs(quad.value(own) - train.objective(m, t)) <= 1e-9
 
 
 # Quantum models over every D and field the trainer offers, and the NNM kind.
@@ -539,9 +527,10 @@ class TestObservedQuadratic:
         fix, units, others, n = (
             (m.flat_likes(), uu, ii, m.U) if side == "user" else (m.flat_users(), ii, uu, m.I)
         )
-        want = naive_observed_quadratic(fix, units, others, values, n)
-        for name, got, ref in zip(("gram", "cvec", "const", "lips"), quad, want):
-            assert got.shape == ref.shape, name
+        gram, cvec, const, lips = naive_observed_quadratic(fix, units, others, values, n)
+        # One constant per side: the sum of the units' constants.
+        for name, got, ref in zip(("gram", "cvec", "const", "lips"), quad, (gram, cvec, np.sum(const), lips)):
+            assert np.shape(got) == np.shape(ref), name
             assert np.linalg.norm(got - ref) <= 1e-12 * np.linalg.norm(ref), name
         empty_unit = 0 if side == "user" else 5
         assert not np.any(quad.gram[empty_unit]) and quad.lips[empty_unit] == 1e-12
@@ -834,6 +823,15 @@ class TestConstraintResidual:
 
 
 class TestTrainLoop:
+    @pytest.mark.parametrize("trainer", [train.train_quantum, train.train_nnm], ids=["quantum", "nnm"])
+    @pytest.mark.parametrize("U, I", [(0, 3), (3, 0), (0, 0)], ids=["no-users", "no-items", "neither"])
+    def test_empty_side_rejected_up_front(self, trainer, U, I):
+        # A side with no units has nothing to train, and a model without
+        # items cannot be saved: one message naming the sizes, before any step.
+        ds = from_arrays([], [], [], U=U, I=I)
+        with pytest.raises(InvalidInput, match=rf"^training needs at least one user and one item, got {U} users and {I} items$"):
+            trainer(ds, train.TrainConfig(D=2, max_iter=2))
+
     def test_history_and_phases(self):
         rng = np.random.default_rng(13)
         ds = random_dataset(rng, 8, 6, density=0.6)
