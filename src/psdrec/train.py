@@ -15,10 +15,13 @@ or D(D+1)/2 entries; see `models`), on which each update's steps and
 projections run. No step reads k; the units' k add up to the objective's one
 constant, sum t^2, the same on both sides and in both target phases. A
 training run builds one `Targets`, which groups its entries by user once into
-a sparse (U x I) target matrix and sums its squared values; the user side reads
-it by rows, the item side by columns through its transpose, in both target
-phases, and recall mode never builds observed-only targets. c, G and the step
-bounds are rebuilt per half-sweep. Zero-filled sweeps share one G of
+a sparse (U x I) matrix of the dataset's own ratings, uncopied when they come
+in user order, and cuts its rows once into bounded chunks. Every product of
+the targets with the frozen rows, by rows for the user side and by columns
+for the item side, in both target phases, scales one chunk at a time into
+one buffer of its own (`_product`), bit for bit the public sparse product of
+ratings / z_star; recall mode never builds observed-only targets. c, G and
+the step bounds are rebuilt per half-sweep. Zero-filled sweeps share one G of
 the whole frozen side, so the dense user-item target matrix is never
 materialized; observed-only sweeps give each unit its own G over its own
 entries. No inner iteration revisits the ratings, and the per-sweep
@@ -30,12 +33,13 @@ frozen, at the rows it ended on, so each sweep builds two quadratics.
 from __future__ import annotations
 
 import copy
+import sys
 from dataclasses import InitVar, dataclass, field, fields, replace
-from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.sparse._sparsetools import csc_matvecs as _csc_matvecs, csr_matvecs as _csr_matvecs
 
 from .exceptions import InvalidInput, NumericalFailure, ParseError
 from .data import check_count, check_index, group_entries
@@ -153,22 +157,32 @@ class TrainHistory:
         return len(self.objective)
 
 
+# Entries per chunk of the target products: whole user rows, a longer row
+# alone. Each product scales its chunks into one 512 KiB float buffer.
+_TARGET_CHUNK = 1 << 16
+_REAL = (int, float, np.integer, np.floating)
+
+
 @dataclass(frozen=True, eq=False)
 class Targets:
     """Sparse target map. With zero_fill it covers all (u, i) pairs, the
     unlisted ones carrying 0; otherwise only the listed entries exist. The
-    entries, arguments uu, ii and values, lie in [0, U) x [0, I) with finite
-    values; a repeated (u, i) pair stays two entries. Construction groups them
-    by user once into the (U x I) CSR `matrix`, takes `sq_total` = sum t^2,
-    the objective's constant, as one dot product of its values with
-    themselves, and keeps only these. When the entries already come in user
-    order the CSR keeps the given `values` array as its data, so editing it
-    edits the targets (`effective_targets` passes a fresh one). Each side reads
-    its view, `_matrices[side]`: `matrix` for users and `matrix.T`, a CSC view
-    of the same arrays, for items. The observed phase's 0/1 entry pattern and
-    its transpose, `_patterns`, are built the first time that phase reads them,
-    so zero-filled runs never hold them. `_observed()` copies share all of
-    these, `sq_total` too: do not edit in place."""
+    entries, arguments uu, ii and values, lie in [0, U) x [0, I); a repeated
+    (u, i) pair stays two entries. The targets are values / scale, scale
+    finite and positive: integer values, such as a dataset's ratings, are
+    kept as they are, any others become float64 and must be finite.
+    Construction groups the entries by user once into the (U x I) CSR
+    `matrix` of the values themselves and keeps only it, `scale` and
+    `sq_total` = sum t^2, the objective's constant. When the entries already
+    come in user order the CSR keeps the given values and item indices as its
+    data, so editing them edits the targets.
+
+    The rows of `matrix` are cut once into chunks of whole rows, at most
+    _TARGET_CHUNK entries each or one longer row. `sq_total` and each
+    `_product` scale a chunk at a time into a float buffer of their own, so
+    the targets hold no float copy of the values and no scratch state.
+    `_observed()` copies share the matrix, the chunks and `sq_total`: do not
+    edit in place."""
 
     uu: InitVar[np.ndarray]
     ii: InitVar[np.ndarray]
@@ -176,32 +190,42 @@ class Targets:
     zero_fill: bool
     U: int
     I: int
+    scale: float = 1.0
     matrix: sp.csr_matrix = field(init=False, repr=False)
     sq_total: float = field(init=False, repr=False)
 
     def __post_init__(self, uu, ii, values):
         for name in ("U", "I"):
             object.__setattr__(self, name, check_count("Targets", getattr(self, name), name, 0))
-        values = np.asarray(values, dtype=float)
+        scale = self.scale
+        if isinstance(scale, bool) or not isinstance(scale, _REAL) or not 0 < scale <= sys.float_info.max:
+            raise InvalidInput(f"Targets: scale must be a finite positive number, got {scale!r}")
+        object.__setattr__(self, "scale", float(scale))
+        values = np.asarray(values)
+        if values.dtype.kind not in "iu":
+            values = values.astype(float, copy=False)
         if not (np.shape(uu) == np.shape(ii) == values.shape) or values.ndim != 1:
             raise InvalidInput("Targets: entry arrays must be parallel 1-d arrays")
         uu, ii = check_index("Targets", uu, self.U, "user"), check_index("Targets", ii, self.I, "item")
-        if not np.isfinite(values).all():
+        if values.dtype.kind == "f" and not np.isfinite(values).all():
             raise InvalidInput("Targets: values must be finite")
         indptr, items, grouped = group_entries(uu, self.U, ii, values)
         m = sp.csr_matrix((grouped, items, indptr), shape=(self.U, self.I))
         object.__setattr__(self, "matrix", m)
-        object.__setattr__(self, "sq_total", float(np.dot(grouped, grouped)))
+        object.__setattr__(self, "_chunks", _row_chunks(m.indptr, _TARGET_CHUNK))
+        buffer, total = self._buffer(), 0.0
+        for _, _, start, stop, _ in self._chunks:
+            t = self._scaled(start, stop, buffer)
+            total += float(np.dot(t, t))
+        object.__setattr__(self, "sq_total", total)
 
-    @cached_property
-    def _matrices(self):
-        return {"user": self.matrix, "item": self.matrix.T}
+    def _buffer(self):
+        """A new float buffer as long as the longest chunk."""
+        return np.empty(max((stop - start for _, _, start, stop, _ in self._chunks), default=0))
 
-    @cached_property
-    def _patterns(self):
-        m = self.matrix
-        pattern = sp.csr_matrix((np.ones(m.nnz), m.indices, m.indptr), shape=m.shape)
-        return {"user": pattern, "item": pattern.T}
+    def _scaled(self, start, stop, buffer):
+        """The targets of entries [start, stop), written into `buffer`."""
+        return np.divide(self.matrix.data[start:stop], self.scale, out=buffer[: stop - start], dtype=float)
 
     def _observed(self):
         """These entries as observed-only targets, sharing the matrix and sq_total."""
@@ -210,14 +234,62 @@ class Targets:
         return twin
 
 
+def _row_chunks(indptr, size):
+    """The rows of a CSR matrix with these indptr cut into chunks of whole
+    rows of at most `size` entries each, a longer row alone, as tuples
+    (lo, hi, start, stop, ptr): rows [lo, hi), their entries [start, stop)
+    and their indptr shifted to start at 0, in its dtype. Rows without
+    entries at a chunk's edge may fall in no chunk."""
+    chunks, lo, n_rows = [], 0, len(indptr) - 1
+    while lo < n_rows:
+        start = int(indptr[lo])
+        hi = max(int(np.searchsorted(indptr, start + size, side="right")) - 1, lo + 1)
+        stop = int(indptr[hi])
+        if stop > start:
+            chunks.append((lo, hi, start, stop, np.subtract(indptr[lo : hi + 1], start, dtype=indptr.dtype)))
+        lo = hi
+    return tuple(chunks)
+
+
+def _product(targets, side, fix, pattern=False):
+    """targets.matrix / scale @ fix for the user side, its transpose's product
+    for the item side; with pattern, the 0/1 entry pattern's.
+
+    Each chunk's targets (or ones), in one buffer per call, are accumulated
+    into the output by the kernels scipy's own sparse-dense products call,
+    csr_matvecs by rows and csc_matvecs through the transpose, so every row
+    and column sums its terms in the order, and to the bits, of the public
+    product. These kernels are private to scipy, hence the upper bound on
+    scipy in pyproject.toml."""
+    m = targets.matrix
+    fix = np.ascontiguousarray(fix, dtype=float)
+    n_out, n_fix = (targets.U, targets.I) if side == "user" else (targets.I, targets.U)
+    if fix.ndim != 2 or len(fix) != n_fix:
+        # The kernels index fix unchecked.
+        raise InvalidInput(f"{side} product: expected {n_fix} frozen rows, got shape {fix.shape}")
+    k = fix.shape[1]
+    out = np.zeros((n_out, k))
+    flat_fix, flat_out = fix.ravel(), out.ravel()
+    buffer = targets._buffer()
+    if pattern:
+        buffer[:] = 1.0
+    for lo, hi, start, stop, ptr in targets._chunks:
+        vals = buffer[: stop - start] if pattern else targets._scaled(start, stop, buffer)
+        items = m.indices[start:stop]
+        if side == "user":
+            _csr_matvecs(hi - lo, targets.I, k, ptr, items, vals, flat_fix, out[lo:hi].ravel())
+        else:
+            _csc_matvecs(targets.I, hi - lo, k, ptr, items, vals, fix[lo:hi].ravel(), flat_out)
+    return out
+
+
 def effective_targets(ds, zero_fill):
     """Targets R_ui / z_star on the observed entries, optionally zero-filled.
 
-    The narrow ratings are divided straight into one float array, the
-    targets' values, and the dataset's own index arrays are passed on
-    uncopied: on user-ordered entries the peak is about 9 bytes per entry,
-    those values and the finiteness check's flags."""
-    return Targets(ds.uu, ds.ii, np.divide(ds.rr, ds.z_star, dtype=float), bool(zero_fill), ds.U, ds.I)
+    The dataset's own ratings, int8 for five stars, and index arrays are
+    passed on with scale z_star: on user-ordered entries the targets copy
+    neither, and hold only their row pointers and chunks beyond them."""
+    return Targets(ds.uu, ds.ii, ds.rr, bool(zero_fill), ds.U, ds.I, ds.z_star)
 
 
 def init_quantum_users(n_users, d, seed, field="complex"):
@@ -277,10 +349,10 @@ def _quadratic(m, targets, side):
     no step reads a unit's own sum t^2. The step bound L_r is
     2 lambda_max(G) when zero-filled and 2 tr(G_r) >= 2 lambda_max(G_r)
     otherwise; either bounds the Lipschitz constant of the unit's gradient.
-    The user side reads `targets.matrix` and the item side its transpose,
-    in both phases; the observed phase reads the 0/1 entry pattern of the
-    same index arrays, which the targets build once. Only c, G and L, which
-    depend on the model, are rebuilt per call.
+    Both products run through `_product`, by rows of `targets.matrix` for
+    users and by its columns for items, in both phases; the observed phase
+    sums f f^T over the same entries with ones in place of the targets.
+    Only c, G and L, which depend on the model, are rebuilt per call.
     """
     if getattr(m, "Z", None) != 2:
         raise InvalidInput("training operates on binary-outcome models (Z = 2)")
@@ -288,7 +360,7 @@ def _quadratic(m, targets, side):
     if (targets.U, targets.I) != (m.U, m.I):
         raise InvalidInput(f"targets are {targets.U} x {targets.I}, the model {m.U} x {m.I}")
     own, fix = (uf, ef) if side == "user" else (ef, uf)
-    cvec = targets._matrices[side] @ fix
+    cvec = _product(targets, side, fix)
     if targets.zero_fill:
         # gram[a, b] = sum_f f_a f_b, so (sum_f <f, x> f) per row is x @ gram.
         gram = fix.T @ fix
@@ -298,7 +370,7 @@ def _quadratic(m, targets, side):
         # Sum the upper-triangle products f_a f_b per unit and mirror them.
         k = fix.shape[1]
         a, b = np.triu_indices(k)
-        upper = targets._patterns[side] @ (fix[:, a] * fix[:, b])
+        upper = _product(targets, side, fix[:, a] * fix[:, b], pattern=True)
         gram = np.empty((len(own), k, k))
         gram[:, b, a] = upper
         gram[:, a, b] = upper

@@ -1,10 +1,12 @@
 import dataclasses
 import re
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -138,7 +140,9 @@ class TestTargets:
     def test_values_are_rating_fractions(self):
         ds = from_arrays([0, 1], [0, 1], [5, 2], U=2, I=2)
         t = train.effective_targets(ds, False)
-        np.testing.assert_allclose(t.matrix.toarray(), [[1.0, 0.0], [0.0, 0.4]])
+        # The matrix keeps the ratings; the targets are matrix / scale.
+        assert t.matrix.toarray().tolist() == [[5, 0], [0, 2]] and t.scale == 5.0
+        np.testing.assert_allclose(t.matrix.toarray() / t.scale, [[1.0, 0.0], [0.0, 0.4]])
         assert not t.zero_fill
 
     def test_zero_fill_reads_zero(self):
@@ -146,7 +150,7 @@ class TestTargets:
         t = train.effective_targets(ds, True)
         assert t.zero_fill
         assert (t.U, t.I) == (2, 2)
-        assert t.matrix.toarray().tolist() == [[1.0, 0.0], [0.0, 0.0]]
+        assert (t.matrix.toarray() / t.scale).tolist() == [[1.0, 0.0], [0.0, 0.0]]
 
     @pytest.mark.parametrize("zero_fill", [False, True])
     @pytest.mark.parametrize(
@@ -254,7 +258,7 @@ class TestTargets:
     def test_user_ordered_entries_are_not_copied(self):
         # About 200k entries listed user by user, as ML-1M lists them: the
         # CSR keeps the given values and the grouping gathers nothing. The
-        # peak is about 20 bytes per entry; sorting and gathering the
+        # peak is under 3 bytes per entry; sorting and gathering the
         # entries into user order took about 36.
         rng = np.random.default_rng(7)
         n_users, n_items, per_user = 4000, 1000, 50
@@ -270,13 +274,15 @@ class TestTargets:
         assert peak <= 28 * len(ds)
         values = ds.rr / ds.z_star
         assert np.shares_memory(train.Targets(ds.uu, ds.ii, values, False, ds.U, ds.I).matrix.data, values)
-        assert np.array_equal(t.matrix.data, values) and np.array_equal(t.matrix.indices, ds.ii)
+        assert np.shares_memory(t.matrix.data, ds.rr) and np.shares_memory(t.matrix.indices, ds.ii)
+        assert np.array_equal(t.matrix.data / t.scale, values) and np.array_equal(t.matrix.indices, ds.ii)
 
     def test_effective_targets_peak_bounded_per_entry(self):
-        # The 200k user-ordered entries above: the targets' values take 8
-        # bytes per entry and the finiteness flags 1, 11 in all; the dataset's
-        # int32 index arrays are read in place. A squared copy of every value
-        # took 16.4, and widening the ratings twice and np.bincount's intp
+        # The 200k user-ordered entries above: the dataset's int8 ratings and
+        # int32 index arrays are read in place, and the one 512 KiB chunk
+        # buffer takes most of the 3.4 bytes per entry. A float copy of the
+        # targets took 9 with its finiteness flags, a squared copy of every
+        # value 16.4, and widening the ratings twice and np.bincount's intp
         # copy of the indices about 20.
         rng = np.random.default_rng(7)
         n_users, n_items, per_user = 4000, 1000, 50
@@ -289,14 +295,15 @@ class TestTargets:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert len(ds) == 200_000 and peak <= 17 * len(ds)
+        assert len(ds) == 200_000 and peak <= 4 * len(ds)
         assert np.shares_memory(t.matrix.indices, ds.ii)
 
     def test_effective_targets_peak_at_ml1m_size(self):
-        # 1,000,000 user-ordered entries, as ML-1M lists them: the targets'
-        # values take 8 bytes per entry and the finiteness flags 1; the sum
-        # of squares is a dot product, with no squared copy. A squared copy
-        # of every value took about 16.
+        # 1,000,000 user-ordered entries, as ML-1M lists them: the targets
+        # keep the int8 ratings and int32 indices in place and hold their
+        # row pointers and one chunk buffer, about 1.2 bytes per entry; the
+        # sum of squares is taken a chunk at a time. A float copy of the
+        # targets took 9, a squared copy of every value about 16 more.
         rng = np.random.default_rng(8)
         n_users, n_items, per_user = 5000, 3706, 200
         uu = np.repeat(np.arange(n_users), per_user)
@@ -308,7 +315,7 @@ class TestTargets:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert len(ds) == 1_000_000 and peak <= 11 * len(ds)
+        assert len(ds) == 1_000_000 and peak <= 2 * len(ds)
         assert np.shares_memory(t.matrix.indices, ds.ii)
 
     @pytest.mark.parametrize("order", ["user-ordered", "shuffled", "empty"])
@@ -330,31 +337,179 @@ class TestTargets:
     @pytest.mark.parametrize("kind", ["quantum", "nnm"])
     @pytest.mark.parametrize("mode", ["recall", "mae"])
     def test_pattern_built_once_for_the_observed_phase(self, monkeypatch, mode, kind):
-        # Recall mode never reads the 0/1 entry pattern, so never builds it;
-        # every observed-phase quadratic of a mae run reads the one built
-        # on its first call, by user and, through its transpose, by item.
+        # No 0/1 entry pattern is kept: recall mode never runs the observed
+        # phase, and every observed-phase Gram stack of a mae run is the
+        # public 0/1 entry pattern's product bit for bit, by user and,
+        # through the pattern's transpose, by item.
         seen = []
         quadratic = train._quadratic
 
         def recorded(m, targets, side):
             own, quad = quadratic(m, targets, side)
-            seen.append((targets.zero_fill, side, vars(targets).get("_patterns")))
+            seen.append((targets.zero_fill, side, m, targets, quad))
             return own, quad
 
         monkeypatch.setattr(train, "_quadratic", recorded)
         ds = random_dataset(np.random.default_rng(27), 6, 5, density=0.6)
         train._train(ds, train.TrainConfig(D=2, max_iter=4, mode=mode, seed=0, kind=kind))
-        assert all(patterns is None for zero_fill, _, patterns in seen if zero_fill)
-        observed = [(side, patterns) for zero_fill, side, patterns in seen if not zero_fill]
+        observed = [entry[1:] for entry in seen if not entry[0]]
         assert len(observed) == (0 if mode == "recall" else 4)
-        if observed:
-            patterns = observed[0][1]
-            assert all(got is patterns for _, got in observed)
-            user, item = patterns["user"], patterns["item"]
-            incidence = np.zeros((ds.U, ds.I))
-            incidence[ds.uu, ds.ii] = 1.0
-            assert user.nnz == len(ds) and np.array_equal(user.toarray(), incidence)
-            assert np.array_equal(item.toarray(), incidence.T)
+        for side, m, targets, quad in observed:
+            assert set(vars(targets)) == set(vars(seen[0][3]))
+            matrix = targets.matrix
+            pattern = sp.csr_matrix((np.ones(matrix.nnz), matrix.indices, matrix.indptr), shape=matrix.shape)
+            fix = m.flat_likes() if side == "user" else m.flat_users()
+            a, b = np.triu_indices(fix.shape[1])
+            want = (pattern if side == "user" else pattern.T) @ (fix[:, a] * fix[:, b])
+            assert np.array_equal(quad.gram[:, a, b], want), side
+
+    def test_shares_the_datasets_ratings_and_items(self):
+        # User-ordered entries: the CSR's data and indices are the dataset's
+        # own int8 ratings and int32 items, and the targets are data / z_star.
+        ds = random_dataset(np.random.default_rng(28), 7, 6, density=0.6)
+        t = train.effective_targets(ds, True)
+        assert ds.rr.dtype == np.int8 and ds.ii.dtype == np.int32
+        assert np.shares_memory(t.matrix.data, ds.rr) and np.shares_memory(t.matrix.indices, ds.ii)
+        assert t.matrix.data.dtype == np.int8 and t.scale == 5.0 and type(t.scale) is float
+        assert t._observed().matrix is t.matrix
+        assert train.Targets([0], [0], [0.5], False, 1, 1).scale == 1.0
+
+    @pytest.mark.parametrize(
+        "scale", [0, -1.0, np.nan, np.inf, pytest.param(10**400, id="10**400"), True, "5", None]
+    )
+    def test_rejects_a_bad_scale(self, scale):
+        with pytest.raises(InvalidInput, match="Targets: scale"):
+            train.Targets([0], [0], [1], False, 1, 1, scale)
+
+    @pytest.mark.parametrize("chunk", [3, train._TARGET_CHUNK])
+    def test_square_total_summed_by_chunks(self, monkeypatch, chunk):
+        monkeypatch.setattr(train, "_TARGET_CHUNK", chunk)
+        ds = random_dataset(np.random.default_rng(29), 60, 40, density=0.5)
+        t = train.effective_targets(ds, False)
+        values = np.divide(ds.rr, ds.z_star, dtype=float)
+        assert (len(t._chunks) == 1) == (chunk > len(ds))
+        np.testing.assert_allclose(t.sq_total, np.dot(values, values), rtol=1e-14)
+
+
+def _chunk_dataset(rng, order):
+    """Users 0, 5 and 8 without entries, user 3 with more than the small
+    chunks and user 7 listing every item; user-ordered or shuffled."""
+    counts = [0, 2, 1, 12, 3, 0, 5, 12, 0]
+    uu = np.repeat(np.arange(len(counts)), counts)
+    ii = np.concatenate([rng.permutation(12)[:c] for c in counts])
+    ds = from_arrays(uu, ii, rng.integers(1, 6, size=uu.size), U=len(counts), I=12)
+    return ds.subset(rng.permutation(len(ds))) if order == "shuffled" else ds
+
+
+def _public_product(targets, side, fix, pattern=False):
+    """`train._product` through scipy's public sparse-dense product."""
+    m = targets.matrix
+    data = np.ones(m.nnz) if pattern else np.divide(m.data, targets.scale, dtype=float)
+    public = sp.csr_matrix((data, m.indices, m.indptr), shape=m.shape)
+    return (public if side == "user" else public.T) @ fix
+
+
+class TestTargetProducts:
+    @pytest.mark.parametrize("k", [1, 6])
+    @pytest.mark.parametrize("pattern", [False, True], ids=["targets", "pattern"])
+    @pytest.mark.parametrize("side", ["user", "item"])
+    @pytest.mark.parametrize("order", ["user-ordered", "shuffled"])
+    @pytest.mark.parametrize("chunk", [1, 3, 7, 65_536])
+    def test_chunked_product_is_the_public_product(self, monkeypatch, chunk, order, side, pattern, k):
+        # Bit for bit: each chunk's rows and columns sum their terms in the
+        # public product's order. k = 1 is the public product's matvec path.
+        monkeypatch.setattr(train, "_TARGET_CHUNK", chunk)
+        rng = np.random.default_rng(chunk)
+        ds = _chunk_dataset(rng, order)
+        t = train.effective_targets(ds, False)
+        assert all(stop - start <= chunk or hi - lo == 1 for lo, hi, start, stop, _ in t._chunks)
+        fix = rng.standard_normal((ds.I if side == "user" else ds.U, k))
+        got = train._product(t, side, fix, pattern)
+        assert np.array_equal(got, _public_product(t, side, fix, pattern))
+        assert got.shape == (ds.U if side == "user" else ds.I, k)
+
+    @pytest.mark.parametrize("side", ["user", "item"])
+    @pytest.mark.parametrize("chunk", [1000, train._TARGET_CHUNK])
+    def test_product_over_many_chunks(self, monkeypatch, chunk, side):
+        # About 100,000 entries: two full-size chunks, or a hundred small ones.
+        monkeypatch.setattr(train, "_TARGET_CHUNK", chunk)
+        rng = np.random.default_rng(30)
+        ds = random_dataset(rng, 400, 500, density=0.5)
+        t = train.effective_targets(ds, True)
+        assert len(t._chunks) >= len(ds) // chunk
+        fix = rng.standard_normal((ds.I if side == "user" else ds.U, 3))
+        for pattern in (False, True):
+            assert np.array_equal(train._product(t, side, fix, pattern), _public_product(t, side, fix, pattern))
+
+    @pytest.mark.parametrize("side", ["user", "item"])
+    def test_product_holds_one_chunk_buffer(self, side):
+        # About 100,000 entries, two chunks: a product allocates its output,
+        # one buffer of the longest chunk (under 512 KiB) and numpy's 64 KiB
+        # cast buffer for the int8 ratings, not a float copy of the targets
+        # (about 800 KB). The targets keep no buffer between products.
+        rng = np.random.default_rng(31)
+        ds = random_dataset(rng, 400, 500, density=0.5)
+        t = train.effective_targets(ds, False)
+        observed = t._observed()
+        fix = rng.standard_normal((ds.I if side == "user" else ds.U, 3))
+        longest = max(stop - start for _, _, start, stop, _ in t._chunks)
+        assert len(t._chunks) == 2 and longest <= train._TARGET_CHUNK
+        for pattern in (False, True):
+            tracemalloc.start()
+            try:
+                out = train._product(observed, side, fix, pattern)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= out.nbytes + 8 * longest + 2 * 65536
+        assert set(vars(t)) == {"zero_fill", "U", "I", "scale", "matrix", "sq_total", "_chunks"}
+
+    def test_products_of_twins_in_two_threads(self):
+        # The targets and their observed twin hold no shared scratch, so
+        # products taken at once in two threads are the public products.
+        rng = np.random.default_rng(32)
+        ds = random_dataset(rng, 400, 500, density=0.5)
+        t = train.effective_targets(ds, True)
+        fix = rng.standard_normal((ds.I, 3))
+        want = _public_product(t, "user", fix)
+
+        def products(targets):
+            return all(np.array_equal(train._product(targets, "user", fix), want) for _ in range(20))
+
+        with ThreadPoolExecutor(2) as pool:
+            assert all(pool.map(products, (t, t._observed())))
+
+    def test_frozen_rows_must_match(self):
+        # The kernels index the frozen rows unchecked.
+        t = train.Targets([0, 1], [1, 2], [0.5, 1.0], False, 2, 3)
+        for side, rows in (("user", 2), ("item", 3)):
+            with pytest.raises(InvalidInput, match=f"{side} product"):
+                train._product(t, side, np.ones((rows, 2)))
+        with pytest.raises(InvalidInput, match="user product"):
+            train._product(t, "user", np.ones(3))
+
+    def test_empty_targets(self):
+        t = train.Targets([], [], [], True, 3, 2)
+        assert t._chunks == () and t.sq_total == 0.0
+        assert np.array_equal(train._product(t, "item", np.ones((3, 2))), np.zeros((2, 2)))
+
+    @pytest.mark.parametrize("chunk", [7, train._TARGET_CHUNK])
+    @pytest.mark.parametrize("order", ["user-ordered", "shuffled"])
+    @pytest.mark.parametrize(
+        "kind, d, field, mode",
+        [("quantum", 2, "complex", "mae"), ("quantum", 3, "real", "recall"), ("nnm", 4, "real", "mae"), ("quantum", 1, "real", "mae")],
+    )
+    def test_trained_model_is_the_public_product_paths(self, monkeypatch, kind, d, field, mode, order, chunk):
+        # Training through the chunked products and through scipy's public
+        # products gives the same models bit for bit.
+        monkeypatch.setattr(train, "_TARGET_CHUNK", chunk)
+        ds = _chunk_dataset(np.random.default_rng(d), order)
+        cfg = train.TrainConfig(D=d, max_iter=4, mode=mode, field=field, kind=kind, seed=1)
+        chunked, history = train._train(ds, cfg)
+        monkeypatch.setattr(train, "_product", _public_product)
+        public, public_history = train._train(ds, cfg)
+        assert np.array_equal(chunked.users, public.users) and np.array_equal(chunked.items, public.items)
+        assert history.objective == public_history.objective
 
 
 _CONFIG_KEYS = [f.name for f in dataclasses.fields(train.TrainConfig)] + ["d", "MAX_ITER", "Mode", "z_star", "x"]
