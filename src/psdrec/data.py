@@ -105,21 +105,28 @@ class RatingDataset:
 
 @dataclass(frozen=True)
 class DataSplit:
-    """Disjoint train / test entry-index sets over a dataset."""
+    """Disjoint train / test entry-index sets over a dataset.
+
+    Each set is stored as int32 when its values lie strictly between -2^31
+    and 2^31 - 1, by the rule `_index_dtype` applies to a dataset's index
+    columns, else as int64, copying only when the given dtype differs: any
+    integer width gives one result, and a split holds 4 bytes per entry."""
 
     train: np.ndarray
     test: np.ndarray
 
     def __post_init__(self):
-        train = check_index("DataSplit", self.train, None, "train").astype(np.int64, copy=False)
-        test = check_index("DataSplit", self.test, None, "test").astype(np.int64, copy=False)
+        train = _narrow_indices(check_index("DataSplit", self.train, None, "train"))
+        test = _narrow_indices(check_index("DataSplit", self.test, None, "test"))
         # Binary search in sorted train: ms at 1M entries, ~1 s for np.intersect1d.
         ordered = train.ravel()
         if np.any(ordered[1:] < ordered[:-1]):
             ordered = np.sort(ordered)
         if ordered.size:
-            found = ordered[np.minimum(np.searchsorted(ordered, test), ordered.size - 1)]
-            if np.any(found == test):
+            probe = test.ravel()
+            at = np.searchsorted(ordered, probe)
+            found = ordered[np.minimum(at, ordered.size - 1, out=at)]
+            if np.any(found == probe):
                 raise InvalidInput("DataSplit: train and test overlap")
         object.__setattr__(self, "train", train)
         object.__setattr__(self, "test", test)
@@ -159,6 +166,18 @@ def unit_counts(unit, n):
     return counts
 
 
+def _positions(flag):
+    """np.flatnonzero(flag) as `_index_dtype(len(flag))`, found 2^16 flags at
+    a time, so no intp array as long as the result is built beside it."""
+    out, at, step = np.empty(np.count_nonzero(flag), dtype=_index_dtype(len(flag))), 0, 1 << 16
+    for k in range(0, len(flag), step):
+        found = np.flatnonzero(flag[k : k + step])
+        found += k
+        out[at : at + len(found)] = found
+        at += len(found)
+    return out
+
+
 def _indptr(unit, n):
     return np.concatenate([[0], np.cumsum(unit_counts(unit, n))])
 
@@ -186,6 +205,20 @@ def check_count(op, value, what, low, high=None):
         bound = f">= {low}" if high is None else f"in [{low}, {high}]"
         raise InvalidInput(f"{op}: {what} must be an integer {bound}, got {value!r}")
     return count
+
+
+def check_real(op, value, what):
+    """value as a Python float if it is an int, float or numpy integer or
+    floating scalar, not a bool, that a float holds; else InvalidInput. The
+    one rule for every public real argument: fractions, eps, scales. NaN and
+    infinities come back as they are, for the caller's own range check and
+    its message, which every caller has."""
+    if isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool):
+        try:
+            return float(value)
+        except OverflowError:
+            pass
+    raise InvalidInput(f"{op}: {what} must be a real number, got {value!r}")
 
 
 def _integer_array(op, idx):
@@ -217,6 +250,12 @@ def _index_dtype(n):
     return np.int32 if n < 1 << 31 else np.int64
 
 
+def _narrow_indices(idx):
+    """An int32 or int64 index array in `_index_dtype` of its value range."""
+    span = max(int(idx.max()) + 1, -int(idx.min())) if idx.size and idx.dtype != np.int32 else 0
+    return idx.astype(_index_dtype(span), copy=False)
+
+
 def _rating_dtype(z_star):
     """The narrowest signed integer type that holds z_star (int64 at most)."""
     return next((t for t in (np.int8, np.int16, np.int32) if z_star <= np.iinfo(t).max), np.int64)
@@ -241,20 +280,20 @@ def _load_ratings(path, sep, z_star=5):
     """The block parser's columns with ids remapped by `_first_appearance`'s
     table, or, if it declines or a (user, item) pair repeats, the line loop's.
 
-    The parser gives int64 ids and ratings already narrowed to the dataset's
-    dtype. Each id column is remapped in chunks and narrowed right after,
-    one at a time, so no full-size int64 copy is held next to its column:
-    about 21 bytes per entry at the peak (both id columns, the ratings and
-    the first narrowed column), besides the parser's block temporaries, and
-    9 held in the dataset."""
+    The parser gives int32 ids (int64 in a column with an id of 2^31 or
+    more) and ratings already narrowed to the dataset's dtype. Each id
+    column is remapped in place, in chunks, and an int64 one is narrowed
+    right after, one at a time. While the ids are small that is 9 bytes per
+    entry besides the parser's block temporaries, all of it then held in
+    the dataset, whose duplicate check adds 8 at the peak."""
     columns = _parse_blocks(path, sep, z_star)
     if columns is not None:
         uu, ii, rr = columns
         del columns
         user_ids = _first_appearance(uu)
-        uu = uu.astype(_index_dtype(len(user_ids)))
+        uu = uu.astype(_index_dtype(len(user_ids)), copy=False)
         item_ids = _first_appearance(ii)
-        ii = ii.astype(_index_dtype(len(item_ids)))
+        ii = ii.astype(_index_dtype(len(item_ids)), copy=False)
         try:
             return RatingDataset(uu, ii, rr, len(user_ids), len(item_ids), z_star, user_ids, item_ids)
         except InvalidInput:
@@ -275,8 +314,9 @@ def _parse_blocks(path, sep, z_star):
 
     A first pass counts the separator bytes. An accepted file has exactly
     3 * len(sep) of them per entry, so the columns are allocated once at their
-    final size and the blocks fill them in place: two int64 id columns and
-    the ratings in `_rating_dtype(z_star)`, 17 bytes per entry at five stars.
+    final size and the blocks fill them in place: two int32 id columns and
+    the ratings in `_rating_dtype(z_star)`, 9 bytes per entry at five stars.
+    An id column is widened to int64 once, at the first id of 2^31 or more.
     A pipe cannot be read twice, so anything but a regular file, and a
     missing path, is left to the loop.
     """
@@ -287,7 +327,7 @@ def _parse_blocks(path, sep, z_star):
         read = partial(fh.read, _BLOCK_BYTES)
         sep_bytes = sum(block.count(sep_byte) for block in iter(read, b""))
         size = sep_bytes // (3 * len(sep))
-        columns = [np.empty(size, dtype=t) for t in (np.int64, np.int64, _rating_dtype(z_star))]
+        columns = [np.empty(size, dtype=t) for t in (np.int32, np.int32, _rating_dtype(z_star))]
         fh.seek(0)
         n, carry = 0, b""
         for block in iter(read, b""):
@@ -312,9 +352,11 @@ def _parse_blocks(path, sep, z_star):
 def _parse_block(a, sep, z_star, columns, n):
     """Write the entries of the whole lines in bytes `a`, which hold only
     digits, separator bytes and newlines, into each column from n on; the new
-    entry count, or None if the block parser declines the block. Ratings are
-    summed in int64 and checked against [1, z_star] before they are narrowed
-    into their column, so a rating such as 261 cannot wrap into range."""
+    entry count, or None if the block parser declines the block. Ids and
+    ratings are summed in int64. An id column too narrow for the block's
+    largest id is replaced in `columns` by an int64 copy, and ratings are
+    checked against [1, z_star], before either is narrowed into its column,
+    so no id or rating, such as a rating of 261, wraps."""
     digit = a - np.uint8(48)  # separators and newlines wrap above 9
     ends = np.flatnonzero(a == 10).astype(np.int32)
     seps = np.flatnonzero(a == ord(sep[0])).astype(np.int32)
@@ -344,16 +386,19 @@ def _parse_block(a, sep, z_star, columns, n):
         return None
     # Right-aligned digit sums. A masked-out index may fall below 0, by less
     # than the longest field, so it wraps inside `a`.
-    rr = np.empty(k, dtype=np.int64)
-    for out, end, length in zip((columns[0][n : n + k], columns[1][n : n + k], rr), seps, lengths):
-        out[:] = 0
+    fields = np.zeros((3, k), dtype=np.int64)
+    for out, end, length in zip(fields, seps, lengths):
         for j in range(int(length.max(initial=0))):
             # int64 before the product: numpy 1.x would keep uint8 digits
             # times a small power of ten in the narrowest type that holds it.
             out += np.where(length > j, digit[end - 1 - j], 0).astype(np.int64) * _POW10[j]
-    if k and (rr.min() < 1 or rr.max() > z_star):
+    if k and (fields[2].min() < 1 or fields[2].max() > z_star):
         return None
-    columns[2][n : n + k] = rr
+    for c in (0, 1):
+        if k and fields[c].max() > np.iinfo(columns[c].dtype).max:
+            columns[c] = columns[c].astype(np.int64)
+    for column, values in zip(columns, fields):
+        column[n : n + k] = values
     return n + k
 
 
@@ -501,24 +546,38 @@ def load_genres_1m(path, ds, exclude=()):
     return TagCatalog(tags=tuple(sorted(membership)), membership=membership, skipped=skipped)
 
 
+def _shuffled(n, rng):
+    """rng.permutation(n) as int32 (int64 from 2^31 entries): an arange of
+    that type shuffled in place, which takes the same draws."""
+    order = np.arange(n, dtype=_index_dtype(n))
+    rng.shuffle(order)
+    return order
+
+
 def kfold_split(ds, k, seed):
     """Partition the entries uniformly at random into k folds.
 
     Split j uses fold j as the test set and the rest as training; the union of
-    the test folds is the whole entry set. Reproducible from seed. Both
-    index sets come sorted, read off a fold label per entry.
+    the test folds is the whole entry set. Reproducible from seed: fold j is
+    the j-th of k near-equal parts of one rng.permutation of the entries.
+    Both index sets come sorted, read off a fold label per entry, in the
+    narrowest type that holds k; every array is int32 below 2^31 entries,
+    so the k splits hold 4k bytes per entry.
     """
     k = check_count("kfold_split", k, "k", 2, len(ds))
     rng = np.random.default_rng(check_count("kfold_split", seed, "seed", 0))
-    label = np.empty(len(ds), dtype=np.intp)
-    for j, fold in enumerate(np.array_split(rng.permutation(len(ds)), k)):
+    label = np.empty(len(ds), dtype=np.min_scalar_type(k))
+    for j, fold in enumerate(np.array_split(_shuffled(len(ds), rng), k)):
         label[fold] = j
-    return [DataSplit(train=np.flatnonzero(label != j), test=np.flatnonzero(label == j)) for j in range(k)]
+    return [DataSplit(train=_positions(label != j), test=_positions(label == j)) for j in range(k)]
 
 
 def topn_holdout(ds, fraction, seed):
-    """Hold out floor(fraction * |entries|) entries uniformly at random; both
-    index sets come sorted, read off a held-out flag per entry."""
+    """Hold out floor(fraction * |entries|) entries uniformly at random: the
+    first ones of one rng.permutation of the entries. Both index sets come
+    sorted, read off a held-out flag per entry; every array is int32 below
+    2^31 entries, so the split holds 4 bytes per entry."""
+    fraction = check_real("topn_holdout", fraction, "fraction")
     if not 0.0 < fraction < 1.0:
         raise InvalidInput(f"topn_holdout: fraction must lie in (0, 1), got {fraction}")
     n_test = int(np.floor(fraction * len(ds)))
@@ -526,5 +585,5 @@ def topn_holdout(ds, fraction, seed):
         raise InvalidInput("topn_holdout: fraction selects an empty test set")
     rng = np.random.default_rng(check_count("topn_holdout", seed, "seed", 0))
     held = np.zeros(len(ds), dtype=bool)
-    held[rng.permutation(len(ds))[:n_test]] = True
-    return DataSplit(train=np.flatnonzero(~held), test=np.flatnonzero(held))
+    held[_shuffled(len(ds), rng)[:n_test]] = True
+    return DataSplit(train=_positions(~held), test=_positions(held))

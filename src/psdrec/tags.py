@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .data import check_index
+from .data import check_index, check_real
 from .exceptions import InvalidInput, NumericalFailure
 from .models import QuantumModel
 
@@ -105,20 +105,22 @@ def tag_operator(m, members, name=""):
     return TagOperator(name=name, matrix=np.mean(m.items[members, 0], axis=0), members=int(members.size))
 
 
-def _check_eps(eps):
+def _check_eps(op, eps):
+    eps = check_real(op, eps, "eps")
     if not 0.0 <= eps < 1.0:
         raise InvalidInput(f"eps must lie in [0, 1), got {eps}")
+    return eps
 
 
-def _check_pair(t, tp, eps):
+def _check_pair(op, t, tp, eps):
     if t.matrix.shape != tp.matrix.shape:
         raise InvalidInput("tag operators have different dimensions")
-    _check_eps(eps)
+    return _check_eps(op, eps)
 
 
 def subset_simple(t, tp, eps):
     """True iff tr(E_t E_t') >= (1 - eps) tr(E_t)."""
-    _check_pair(t, tp, eps)
+    eps = _check_pair("subset_simple", t, tp, eps)
     overlap = linalg.trace_inner(t.matrix, tp.matrix)
     return bool(overlap >= (1.0 - eps) * np.real(np.trace(t.matrix)))
 
@@ -187,7 +189,7 @@ def subset_sdp(t, tp, eps, cfg=None):
     mu >= 0 of lambda_max(+-diff + mu E_t) - mu (1 - eps/2), which a feasible
     state attains to within 1e-12; the bound decides. cfg has no effect.
     """
-    _check_pair(t, tp, eps)
+    eps = _check_pair("subset_sdp", t, tp, eps)
     c = 1.0 - eps / 2.0
     if np.linalg.eigvalsh(t.matrix)[-1] < c:
         return False
@@ -204,7 +206,7 @@ def build_hierarchy(m, catalog, eps, method="simple", cfg=None):
     """Evaluate the chosen containment test on all ordered tag pairs."""
     if method not in ("simple", "sdp"):
         raise InvalidInput(f"build_hierarchy: unknown method {method!r}")
-    _check_eps(eps)
+    eps = _check_eps("build_hierarchy", eps)
     ops = {tag: tag_operator(m, catalog.membership[tag], tag) for tag in catalog.tags}
     edges = []
     for a in catalog.tags:
@@ -218,7 +220,7 @@ def build_hierarchy(m, catalog, eps, method="simple", cfg=None):
             if related:
                 edges.append((a, b))
     return HierarchyGraph(
-        vertices=tuple(sorted(catalog.tags)), edges=tuple(sorted(edges)), eps=float(eps), method=method
+        vertices=tuple(sorted(catalog.tags)), edges=tuple(sorted(edges)), eps=eps, method=method
     )
 
 

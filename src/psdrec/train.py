@@ -28,21 +28,22 @@ entries. No inner iteration revisits the ratings, and the per-sweep
 objective is the value of the user side's quadratics instead of a rescoring:
 the ones the sweep's user update built, with the items it had just updated
 frozen, at the rows it ended on, so each sweep builds two quadratics.
+
+scipy is loaded when the first `Targets` is built, not with this module:
+scipy.sparse costs a process about 20 MB, and runs that never train, such as
+a hierarchy from a saved model, never load it.
 """
 
 from __future__ import annotations
 
 import copy
-import sys
 from dataclasses import InitVar, dataclass, field, fields, replace
 from typing import NamedTuple
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.sparse._sparsetools import csc_matvecs as _csc_matvecs, csr_matvecs as _csr_matvecs
 
 from .exceptions import InvalidInput, NumericalFailure, ParseError
-from .data import check_count, check_index, group_entries
+from .data import check_count, check_index, check_real, group_entries
 from .models import KINDS, NnmModel, QuantumModel
 from .models import score_entries  # noqa: F401  perfbench/spans.py wraps train.score_entries
 
@@ -160,7 +161,6 @@ class TrainHistory:
 # Entries per chunk of the target products: whole user rows, a longer row
 # alone. Each product scales its chunks into one 512 KiB float buffer.
 _TARGET_CHUNK = 1 << 16
-_REAL = (int, float, np.integer, np.floating)
 
 
 @dataclass(frozen=True, eq=False)
@@ -177,8 +177,9 @@ class Targets:
     come in user order the CSR keeps the given values and item indices as its
     data, so editing them edits the targets.
 
-    The rows of `matrix` are cut once into chunks of whole rows, at most
-    _TARGET_CHUNK entries each or one longer row. `sq_total` and each
+    `matrix` is a scipy.sparse.csr_matrix, and the first construction
+    imports scipy.sparse. Its rows are cut once into chunks of whole rows,
+    at most _TARGET_CHUNK entries each or one longer row. `sq_total` and each
     `_product` scale a chunk at a time into a float buffer of their own, so
     the targets hold no float copy of the values and no scratch state.
     `_observed()` copies share the matrix, the chunks and `sq_total`: do not
@@ -191,16 +192,18 @@ class Targets:
     U: int
     I: int
     scale: float = 1.0
-    matrix: sp.csr_matrix = field(init=False, repr=False)
+    matrix: scipy.sparse.csr_matrix = field(init=False, repr=False)
     sq_total: float = field(init=False, repr=False)
 
     def __post_init__(self, uu, ii, values):
+        import scipy.sparse as sp
+
         for name in ("U", "I"):
             object.__setattr__(self, name, check_count("Targets", getattr(self, name), name, 0))
-        scale = self.scale
-        if isinstance(scale, bool) or not isinstance(scale, _REAL) or not 0 < scale <= sys.float_info.max:
-            raise InvalidInput(f"Targets: scale must be a finite positive number, got {scale!r}")
-        object.__setattr__(self, "scale", float(scale))
+        scale = check_real("Targets", self.scale, "scale")
+        if not 0 < scale < np.inf:
+            raise InvalidInput(f"Targets: scale must be a finite positive number, got {self.scale!r}")
+        object.__setattr__(self, "scale", scale)
         values = np.asarray(values)
         if values.dtype.kind not in "iu":
             values = values.astype(float, copy=False)
@@ -260,7 +263,10 @@ def _product(targets, side, fix, pattern=False):
     csr_matvecs by rows and csc_matvecs through the transpose, so every row
     and column sums its terms in the order, and to the bits, of the public
     product. These kernels are private to scipy, hence the upper bound on
-    scipy in pyproject.toml."""
+    scipy in pyproject.toml; they are imported here, with scipy.sparse
+    already loaded by the targets' construction."""
+    from scipy.sparse._sparsetools import csc_matvecs, csr_matvecs
+
     m = targets.matrix
     fix = np.ascontiguousarray(fix, dtype=float)
     n_out, n_fix = (targets.U, targets.I) if side == "user" else (targets.I, targets.U)
@@ -277,9 +283,9 @@ def _product(targets, side, fix, pattern=False):
         vals = buffer[: stop - start] if pattern else targets._scaled(start, stop, buffer)
         items = m.indices[start:stop]
         if side == "user":
-            _csr_matvecs(hi - lo, targets.I, k, ptr, items, vals, flat_fix, out[lo:hi].ravel())
+            csr_matvecs(hi - lo, targets.I, k, ptr, items, vals, flat_fix, out[lo:hi].ravel())
         else:
-            _csc_matvecs(targets.I, hi - lo, k, ptr, items, vals, fix[lo:hi].ravel(), flat_out)
+            csc_matvecs(targets.I, hi - lo, k, ptr, items, vals, fix[lo:hi].ravel(), flat_out)
     return out
 
 

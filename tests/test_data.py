@@ -288,6 +288,18 @@ class TestBlockParser:
         monkeypatch.setattr(data, "_parse_lines", _loop_must_not_run)
         assert_matches_oracle(path, sep)
 
+    @pytest.mark.parametrize("block_bytes", [8, data._BLOCK_BYTES])
+    def test_an_id_past_int32_widens_its_column(self, tmp_path, monkeypatch, block_bytes):
+        # Small ids first, so with small blocks the column is widened
+        # after blocks of int32 ids have been written into it.
+        path = write_bytes(tmp_path, "1\t2\t5\t0\n3\t4\t4\t0\n2147483648\t5\t3\t0\n6\t2147483647\t2\t0\n")
+        monkeypatch.setattr(data, "_BLOCK_BYTES", block_bytes)
+        uu, ii, rr = data._parse_blocks(str(path), "\t", 5)
+        assert (uu.dtype, ii.dtype) == (np.int64, np.int32)
+        assert uu.tolist() == [1, 3, 2**31, 6] and ii.tolist() == [2, 4, 5, 2**31 - 1] and rr.tolist() == [5, 4, 3, 2]
+        monkeypatch.setattr(data, "_parse_lines", _loop_must_not_run)
+        assert_matches_oracle(path, "\t")
+
     def test_more_entries_than_counted_declines(self):
         # The file grew between counting its separators and parsing it.
         columns = [np.zeros(1, dtype=np.int64) for _ in range(3)]
@@ -323,12 +335,12 @@ class TestBlockParser:
 
 
     def test_peak_memory_bounded_per_entry(self, tmp_path):
-        # The 200k-line file of test_peak_memory_at_most_the_loops: at the
-        # peak, the parser's int64 id columns and narrow ratings take 17
-        # bytes per entry and its block temporaries about 8 more at this
-        # size; the chunked remap adds at most one 4-byte narrowed column.
-        # The dataset holds 9. Int64 columns throughout took about 33,
-        # sorting the ids and copying the keys about 50.
+        # The 200k-line file of test_peak_memory_at_most_the_loops: the
+        # parser's int32 id columns and narrow ratings take 9 bytes per
+        # entry and become the dataset, and the duplicate check's int64 keys
+        # take 8 more: 18.4 at the peak. Int64 parse columns took 25, int64
+        # columns throughout about 33, sorting the ids and copying the keys
+        # about 50.
         rng = np.random.default_rng(0)
         n = 200_000
         keys = rng.choice(6040 * 3952, size=n, replace=False)
@@ -651,6 +663,9 @@ class TestSplits:
         for bad in (0.0, 1.0, -0.1, 1.5):
             with pytest.raises(InvalidInput):
                 data.topn_holdout(ds, bad, seed=0)
+        for bad in ("0.2", None, [0.2], np.array([0.2, 0.3]), np.array(0.2), True, 10**400):
+            with pytest.raises(InvalidInput, match="topn_holdout: fraction must be a real number"):
+                data.topn_holdout(ds, bad, seed=0)
         tiny = ds.subset(np.arange(3))
         with pytest.raises(InvalidInput):
             data.topn_holdout(tiny, 0.01, seed=0)
@@ -677,15 +692,53 @@ class TestSplits:
         ds = from_arrays(np.arange(n) // 7, np.arange(n) % 7, np.full(n, 3), U=n // 7 + 1, I=7)
         for k in sorted({2, min(5, n), min(13, n)}):
             for split, (train, test) in zip(data.kfold_split(ds, k, seed), sorted_kfold(n, k, seed), strict=True):
-                assert split.train.dtype == split.test.dtype == np.int64
+                assert split.train.dtype == split.test.dtype == np.int32
                 assert np.array_equal(split.train, train) and np.array_equal(split.test, test)
         for fraction in (0.2, 0.5, 0.99):
             n_test = int(np.floor(fraction * n))
             if n_test:
                 split = data.topn_holdout(ds, fraction, seed)
                 train, test = sorted_holdout(n, n_test, seed)
-                assert split.train.dtype == split.test.dtype == np.int64
+                assert split.train.dtype == split.test.dtype == np.int32
                 assert np.array_equal(split.train, train) and np.array_equal(split.test, test)
+
+    @pytest.mark.parametrize("n", [10, 1_000, 1_000_209])
+    @pytest.mark.parametrize("seed", [0, 7])
+    def test_int32_shuffle_is_the_permutation(self, n, seed):
+        # An int32 arange shuffled in place takes rng.permutation's draws.
+        rng, reference = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = data._shuffled(n, rng)
+        assert got.dtype == np.int32 and np.array_equal(got, reference.permutation(n))
+        assert rng.integers(2**62) == reference.integers(2**62)
+
+    def test_index_of_2_to_the_31_keeps_int64(self):
+        big = np.array([2**31], dtype=np.int64)
+        split = data.DataSplit(train=big, test=np.array([0], dtype=np.int64))
+        assert split.train.dtype == np.int64 and split.train.tolist() == [2**31]
+        assert split.test.dtype == np.int32
+        assert data.DataSplit(train=np.array([2**31 - 2]), test=[0]).train.dtype == np.int32
+
+    @pytest.mark.parametrize(
+        "make, held_bound, peak_bound",
+        [(lambda ds: [data.topn_holdout(ds, 0.2, 0)], 5, 10.69), (lambda ds: data.kfold_split(ds, 5, 0), 21, 59.2)],
+        ids=["topn_holdout", "kfold_split"],
+    )
+    def test_split_memory_per_entry(self, make, held_bound, peak_bound):
+        # With int64 index sets and an intp permutation (and kfold's intp
+        # fold label), topn_holdout held 8.7 bytes per entry at a peak of
+        # 12.9, and kfold_split(ds, 5) 40.0 at a peak of 59.2; int32 ones
+        # hold 4.7 (peak 8.3) and 20.0 (peak 27.6).
+        n = 1_000_209
+        ds = from_arrays(np.arange(n) // 200, np.arange(n) % 200, np.full(n, 3), U=n // 200 + 1, I=200)
+        tracemalloc.start()
+        try:
+            splits = make(ds)
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert all(s.train.dtype == s.test.dtype == np.int32 for s in splits)
+        assert sum(s.train.nbytes + s.test.nbytes for s in splits) == 4 * n * len(splits)
+        assert held <= held_bound * n and peak <= peak_bound * n
 
     def test_split_rejects_overlap(self):
         with pytest.raises(InvalidInput):
@@ -809,7 +862,7 @@ class TestCheckIndex:
             assert got.dtype == np.int64 and got.shape == (0,)
         assert len(_DS.subset([])) == 0
         assert models.score_items(_M, []).shape == (0, _M.I)
-        assert data.DataSplit(train=[], test=[0]).train.dtype == np.int64
+        assert data.DataSplit(train=[], test=[0]).train.dtype == np.int32
 
 
 def _trained(**counts):
@@ -910,6 +963,26 @@ class TestCheckCount:
     def test_other_values_never_pass(self, value, high):
         with pytest.raises(InvalidInput, match="op: thing must be an integer"):
             data.check_count("op", value, "thing", -(10**6), high)
+
+
+class TestCheckReal:
+    @given(value=st.integers(-(2**70), 2**70) | st.floats() | st.sampled_from(_INT_TYPES[1:]).map(lambda t: t(3))
+           | st.builds(np.float64, st.floats()) | st.builds(np.float32, st.floats(width=32)))
+    @settings(max_examples=300, deadline=None)
+    def test_real_numbers_pass_as_floats(self, value):
+        # NaN and infinities pass too, for the caller's own range check.
+        got = data.check_real("op", value, "thing")
+        assert type(got) is float and (got == float(value) or got != got)
+
+    @given(
+        value=st.booleans() | st.none() | st.text(max_size=3) | st.builds(np.bool_, st.booleans())
+        | st.builds(np.array, st.floats(0, 1)) | st.lists(st.floats(0, 1), max_size=2)
+        | st.just(10**400) | st.just(-(10**400)) | st.complex_numbers(),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_other_values_never_pass(self, value):
+        with pytest.raises(InvalidInput, match="op: thing must be a real number, got"):
+            data.check_real("op", value, "thing")
 
 
 class TestTagCatalog:

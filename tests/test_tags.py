@@ -127,6 +127,11 @@ class TestSubsetSimple:
         for bad in (-0.1, 1.0, 1.5):
             with pytest.raises(InvalidInput):
                 tags.subset_simple(t, t, bad)
+        for bad in ("0.3", None, [0.3], np.array([0.3]), True):
+            with pytest.raises(InvalidInput, match="subset_simple: eps must be a real number"):
+                tags.subset_simple(t, t, bad)
+            with pytest.raises(InvalidInput, match="subset_sdp: eps must be a real number"):
+                tags.subset_sdp(t, t, bad)
 
     def test_dimension_mismatch(self):
         a = operator(np.eye(2))
@@ -296,6 +301,12 @@ class TestHierarchy:
         one = data.TagCatalog(tags=("top",), membership={"top": catalog.membership["top"]})
         with pytest.raises(InvalidInput, match=r"eps must lie in \[0, 1\)"):
             tags.build_hierarchy(m, one, eps)
+
+    def test_eps_must_be_a_real_number(self):
+        m, catalog = self._model_and_catalog()
+        for bad in ("0.3", None, [0.3], True):
+            with pytest.raises(InvalidInput, match="build_hierarchy: eps must be a real number"):
+                tags.build_hierarchy(m, catalog, bad)
 
     def test_method_validation(self):
         m, catalog = self._model_and_catalog()

@@ -375,7 +375,7 @@ class TestTargets:
         assert train.Targets([0], [0], [0.5], False, 1, 1).scale == 1.0
 
     @pytest.mark.parametrize(
-        "scale", [0, -1.0, np.nan, np.inf, pytest.param(10**400, id="10**400"), True, "5", None]
+        "scale", [0, -1.0, np.nan, np.inf, pytest.param(10**400, id="10**400"), True, "5", None, [5.0], np.array(5.0)]
     )
     def test_rejects_a_bad_scale(self, scale):
         with pytest.raises(InvalidInput, match="Targets: scale"):
